@@ -1,17 +1,17 @@
 """Bounded exact integer searches on rank-2 lattices.
 
-All solvers work over the integers with rational intermediate steps
-(``fractions.Fraction`` and ``math.isqrt``); no floating point appears
-anywhere.  Degree constraints cut out a line in the class lattice, and the
-intersection form restricted to such a line is a downward parabola whenever
-the lattice has signature (1,1), so every search window below is finite and
-derived from discriminants rather than guessed.
+All solvers work over the integers alone: search windows come from
+``math.isqrt`` of a discriminant and floor/ceiling integer division, and no
+floating point or ``fractions.Fraction`` appears anywhere.  Degree
+constraints cut out a line in the class lattice, and the intersection form
+restricted to such a line is a downward parabola whenever the lattice has
+signature (1,1), so every search window below is finite and derived from
+discriminants rather than guessed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, floor, gcd, isqrt
+from math import isqrt
 
 from .lattice import DivisorClass, IntersectionLattice, LatticeSignatureError, as_class
 from .outcome import CheckOutcome, VERIFIED, class_witness
@@ -135,29 +135,64 @@ def _extended_gcd(x: int, y: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-def _line_solutions(coeff_a: int, coeff_b: int, target: int) -> tuple[DivisorClass, DivisorClass] | None:
-    """Canonical (base, step) for the solutions of coeff_a*a + coeff_b*b = target.
+def _line(coeff_a: int, coeff_b: int) -> tuple[int, int, int, int, int]:
+    """(g, u, v, step_a, step_b) describing the lines coeff_a*a + coeff_b*b = t.
 
-    Returns None when no integer solutions exist.  The step has its first
-    nonzero coordinate positive and the base is reduced so that the fast
-    coordinate lies in [0, step coordinate).
+    u*coeff_a + v*coeff_b = g = gcd(coeff_a, coeff_b), so the lines with
+    integer points are those with t a multiple of g.  The step solves the
+    homogeneous equation and has its first nonzero coordinate positive.
     """
     if coeff_a == 0 and coeff_b == 0:
         raise ValueError("zero form")
     g, u, v = _extended_gcd(coeff_a, coeff_b)
+    step_a, step_b = coeff_b // g, -coeff_a // g
+    if step_a < 0 or (step_a == 0 and step_b < 0):
+        step_a, step_b = -step_a, -step_b
+    return g, u, v, step_a, step_b
+
+
+def _line_base(line: tuple[int, int, int, int, int], target: int) -> tuple[int, int] | None:
+    """Canonical integer point of the line at ``target``, or None if it has none.
+
+    The point is reduced so that its fast coordinate lies in [0, step
+    coordinate).
+    """
+    g, u, v, step_a, step_b = line
     if target % g:
         return None
     scale = target // g
-    base = DivisorClass(u * scale, v * scale)
-    step = DivisorClass(coeff_b // g, -coeff_a // g)
-    if step.a < 0 or (step.a == 0 and step.b < 0):
-        step = -step
-    if step.a != 0:
-        shift = base.a // step.a
-    else:
-        shift = base.b // step.b
-    base = base - shift * step
-    return base, step
+    base_a, base_b = u * scale, v * scale
+    shift = base_a // step_a if step_a else base_b // step_b
+    return base_a - shift * step_a, base_b - shift * step_b
+
+
+def _line_solutions(coeff_a: int, coeff_b: int, target: int) -> tuple[DivisorClass, DivisorClass] | None:
+    """Canonical (base, step) for the solutions of coeff_a*a + coeff_b*b = target.
+
+    Returns None when no integer solutions exist; see ``_line`` and
+    ``_line_base`` for the normalisation of step and base.
+    """
+    line = _line(coeff_a, coeff_b)
+    base = _line_base(line, target)
+    if base is None:
+        return None
+    return DivisorClass(*base), DivisorClass(line[3], line[4])
+
+
+def _parabola_window(quad_a: int, quad_b: int, disc: int) -> tuple[int, int]:
+    """Integer window [lo, hi] around the real roots of quad_a*k^2 + quad_b*k + c.
+
+    ``disc`` is the parabola's discriminant (>= 0).  The roots are widened to
+    (-quad_b -+ (isqrt(disc) + 1)) / (2*quad_a), rounded outward and padded
+    by one on each side, so every k with a nonnegative value lies inside
+    when quad_a < 0.
+    """
+    spread = isqrt(disc) + 1
+    den = 2 * quad_a
+    low_num, high_num = -quad_b - spread, -quad_b + spread
+    if den < 0:
+        low_num, high_num = high_num, low_num
+    return low_num // den - 1, -(-high_num // den) + 1
 
 
 def _int_sqrt_if_square(value: int) -> int | None:
@@ -211,29 +246,38 @@ def curve_class_search(lattice: IntersectionLattice, degree: int,
     """
     if lattice.det >= 0:
         raise LatticeSignatureError("curve class search needs det < 0")
-    h2 = lattice.gram[0][0]
-    d = lattice.gram[0][1]
-    line = _line_solutions(h2, d, degree)
-    if line is None:
-        return ()
-    base, step = line
-    quad_a = lattice.pair(step, step)
-    quad_b = 2 * lattice.pair(base, step)
-    quad_c = lattice.pair(base, base) - min_square
+    line = _line(lattice.gram[0][0], lattice.gram[0][1])
+    return tuple(DivisorClass(a, b)
+                 for a, b in _curve_coordinates(lattice, line, degree, min_square))
+
+
+def _curve_coordinates(lattice: IntersectionLattice, line, degree: int,
+                       min_square: int) -> list[tuple[int, int]]:
+    """(a, b) of the classes with square >= min_square on the degree line.
+
+    ``line`` is ``_line`` of the polarization's degree form.  The points come
+    in ascending (a, b) order, since the step is lexicographically positive.
+    """
+    base = _line_base(line, degree)
+    if base is None:
+        return []
+    base_a, base_b = base
+    *_, step_a, step_b = line
+    (_, q), (_, s) = lattice.gram
+    # (base + k*step)^2 = quad_a k^2 + quad_b k + base^2.  The step has
+    # degree 0, so it pairs with any (a, b) as b * (q*step_a + s*step_b); the
+    # base has the given degree, so base^2 = base_a*degree + base_b*(base.C).
+    step_c = q * step_a + s * step_b
+    quad_a = step_b * step_c
+    quad_b = 2 * base_b * step_c
+    quad_c = base_a * degree + base_b * (q * base_a + s * base_b) - min_square
     disc = quad_b * quad_b - 4 * quad_a * quad_c
     if disc < 0:
-        return ()
+        return []
     # Conservative integer window around the real roots, then exact filter.
-    spread = isqrt(disc) + 1
-    edge1 = Fraction(-quad_b - spread, 2 * quad_a)
-    edge2 = Fraction(-quad_b + spread, 2 * quad_a)
-    lo = floor(min(edge1, edge2)) - 1
-    hi = ceil(max(edge1, edge2)) + 1
-    found = []
-    for k in range(lo, hi + 1):
-        if quad_a * k * k + quad_b * k + quad_c >= 0:
-            found.append(base + k * step)
-    return tuple(sorted(found, key=lambda c: (c.a, c.b)))
+    lo, hi = _parabola_window(quad_a, quad_b, disc)
+    return [(base_a + k * step_a, base_b + k * step_b) for k in range(lo, hi + 1)
+            if quad_a * k * k + quad_b * k + quad_c >= 0]
 
 
 def band_empty(form1: tuple[int, int], range1: Interval,
@@ -291,9 +335,9 @@ def family_solutions(lhs: tuple[int, int], values, side: tuple[int, int],
             if c0 < side_bound:
                 continue
         elif c1 > 0:
-            k_min = ceil(Fraction(side_bound - c0, c1))
+            k_min = -((c0 - side_bound) // c1)
         else:
-            k_max = floor(Fraction(side_bound - c0, c1))
+            k_max = (side_bound - c0) // c1
         families.append(LinearFamily(base, step, value, k_min, k_max))
     return tuple(families)
 
@@ -311,13 +355,14 @@ def family_quadratic_max(lattice: IntersectionLattice, family: LinearFamily,
         raise FamilyMaxUndefinedError(
             f"leading coefficient {quad_a} >= 0; no integer maximum exists"
         )
-    vertex = Fraction(-quad_b, 2 * quad_a)
+    vertex_floor = -quad_b // (2 * quad_a)
+    vertex_ceil = -(quad_b // (2 * quad_a))
 
     def admissible(k: int) -> bool:
         return family.in_window(k) and k not in exclude
 
     candidates = []
-    k = floor(vertex)
+    k = vertex_floor
     while not admissible(k):
         k -= 1
         if family.k_min is not None and k < family.k_min:
@@ -325,7 +370,7 @@ def family_quadratic_max(lattice: IntersectionLattice, family: LinearFamily,
             break
     if k is not None:
         candidates.append(k)
-    k = max(ceil(vertex), floor(vertex) + 1)
+    k = max(vertex_ceil, vertex_floor + 1)
     while not admissible(k):
         k += 1
         if family.k_max is not None and k > family.k_max:
@@ -351,34 +396,59 @@ def effective_decompositions(lattice: IntersectionLattice, target,
     square >= -2 (what an irreducible curve on a K3 may have), used with
     multiplicity.  An empty result certifies the class is not represented by
     an effective curve cycle; a nonempty one is merely inconclusive.
+
+    Candidates are ordered by degree descending, then (a, b) ascending, and
+    each decomposition lists its components in that order.  The search is
+    depth first: it extends the current partial decomposition by each
+    candidate at or after the last one chosen, in that order.  The first
+    ``limit`` decompositions met in this order are returned.
     """
     target = as_class(target)
     total = lattice.degree(target)
     if total < 1:
         return ()
-    pool = []
-    for deg in range(1, total + 1):
-        for cls in curve_class_search(lattice, deg, -2):
-            pool.append((deg, cls))
-    pool.sort(key=lambda item: (-item[0], item[1].a, item[1].b))
+    if lattice.det >= 0:
+        raise LatticeSignatureError("curve class search needs det < 0")
+    # The degree line is solved once: only its base moves with the degree,
+    # and only multiples of its gcd carry integer points.
+    line = _line(lattice.gram[0][0], lattice.gram[0][1])
+    degree_step = line[0]
+    pool: list[tuple[int, int, int, DivisorClass]] = []
+    for deg in range(total - total % degree_step, 0, -degree_step):
+        for a, b in _curve_coordinates(lattice, line, deg, -2):
+            pool.append((deg, a, b, DivisorClass(a, b)))
+    if not pool:
+        return ()
+    # Candidates of least and greatest slope b/deg.  Every candidate has
+    # positive degree, so a sum of them with total degree r has its b
+    # between r times those two slopes; a remainder outside is a dead end.
+    low = high = pool[0]
+    for cand in pool:
+        if cand[2] * low[0] < low[2] * cand[0]:
+            low = cand
+        if cand[2] * high[0] > high[2] * cand[0]:
+            high = cand
     results: list[tuple[DivisorClass, ...]] = []
+    chosen: list[DivisorClass] = []
 
-    def search(start: int, remaining: DivisorClass, budget: int, chosen: list):
-        if len(results) >= limit:
-            return
-        if remaining.a == 0 and remaining.b == 0:
-            if chosen:
-                results.append(tuple(chosen))
-            return
-        if budget <= 0:
-            return
+    def search(start: int, rem_a: int, rem_b: int, budget: int):
         for idx in range(start, len(pool)):
-            deg, cls = pool[idx]
+            if len(results) >= limit:
+                return
+            deg, a, b, cls = pool[idx]
             if deg > budget:
                 continue
+            if deg == budget:
+                # Closes the decomposition exactly when it is the remainder.
+                if a == rem_a and b == rem_b:
+                    results.append((*chosen, cls))
+                continue
+            rest_a, rest_b, rest = rem_a - a, rem_b - b, budget - deg
+            if rest_b * low[0] < low[2] * rest or rest_b * high[0] > high[2] * rest:
+                continue
             chosen.append(cls)
-            search(idx, remaining - cls, budget - deg, chosen)
+            search(idx, rest_a, rest_b, rest)
             chosen.pop()
 
-    search(0, target, total, [])
+    search(0, target.a, target.b, total)
     return tuple(results)

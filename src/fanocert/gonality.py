@@ -16,13 +16,15 @@ individually.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import ceil, floor, isqrt
 
-from .diophantine import (LinearFamily, curve_class_search, family_quadratic_max,
-                          family_solutions)
+from .diophantine import (LinearFamily, _parabola_window, curve_class_search,
+                          family_quadratic_max, family_solutions)
 from .lattice import FAMILIES, DivisorClass, IntersectionLattice, make_family_lattice
 from .outcome import CheckOutcome, CITED, VERIFIED, cited, class_witness, verified
+
+
+class DonorWindowEmptyError(ValueError):
+    """No donor degree in the window lies on the lattice's degree form."""
 
 
 @dataclass(frozen=True)
@@ -115,11 +117,7 @@ def _special_parameters(lattice: IntersectionLattice, family: LinearFamily,
     disc = quad_b * quad_b - 4 * quad_a * quad_c
     if disc < 0:
         return ()
-    spread = isqrt(disc) + 1
-    edge1 = Fraction(-quad_b - spread, 2 * quad_a)
-    edge2 = Fraction(-quad_b + spread, 2 * quad_a)
-    lo = floor(min(edge1, edge2)) - 1
-    hi = ceil(max(edge1, edge2)) + 1
+    lo, hi = _parabola_window(quad_a, quad_b, disc)
     ks = [k for k in range(lo, hi + 1)
           if family.in_window(k)
           and quad_a * k * k + quad_b * k + quad_c >= 0]
@@ -190,6 +188,12 @@ def tetragonal_certificate(d: int, g: int,
         side=(-h2, -d),
         side_bound=-h2,
     )
+    if not families:
+        raise DonorWindowEmptyError(
+            f"x14 (d={d}, g={g}): no donor degree in the window "
+            f"[{window.min_degree}, {window.max_degree}] is a value of the "
+            f"degree form {degree_form}"
+        )
     max_value = max(f.value for f in families)
     if max_value <= 6:
         route = "conic"

@@ -9,8 +9,6 @@ maximum (m-1)(m-2)/2 for irreducible curves of degree m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import floor
 
 from .lattice import FamilySpec
 from .riemannroch import plane_curve_genus
@@ -43,12 +41,14 @@ def max_secant_degree(family: FamilySpec, d: int) -> int:
 
 
 def genus_cap(family: FamilySpec, d: int, g: int, m: int) -> int:
-    """Floor of (d+m)^2 / (2 H^2) + 1 - g - s*m, computed in exact rationals."""
+    """Floor of (d+m)^2 / (2 H^2) + 1 - g - s*m, by integer floor division.
+
+    Only the first term is fractional, so flooring it alone floors the sum.
+    """
     if m < 1:
         raise ValueError("need m >= 1")
-    cap = (Fraction((d + m) ** 2, 2 * family.h_square)
-           + 1 - g - family.index_multiplier * m)
-    return floor(cap)
+    return ((d + m) ** 2 // (2 * family.h_square)
+            + 1 - g - family.index_multiplier * m)
 
 
 def admissible_table(family: FamilySpec, d: int, g: int) -> tuple[SecantCandidate, ...]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -155,6 +156,14 @@ def test_report_is_bit_reproducible():
     first = report_to_json(run_all())
     second = report_to_json(run_all())
     assert first == second
+
+
+GOLDEN_REPORT_SHA256 = "b6843a0c3169fe6259d16e468f507b910f0030ac51f0fcb09d3666ce9e5d1a54"
+
+
+def test_report_matches_golden_hash():
+    payload = report_to_json(run_all())
+    assert hashlib.sha256(payload.encode()).hexdigest() == GOLDEN_REPORT_SHA256
 
 
 def test_report_schema_and_field_order():

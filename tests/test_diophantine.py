@@ -9,7 +9,7 @@ from fanocert.diophantine import (DegreeSquareProblem, DependentFormsError,
                                   effective_decompositions, family_quadratic_max,
                                   family_solutions, solve_degree_square)
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
-                              make_family_lattice)
+                              LatticeSignatureError, as_class, make_family_lattice)
 
 WINDOW = 50
 
@@ -245,3 +245,83 @@ def test_effective_decompositions():
             assert quadric.pair(part, part) >= -2
             total = total + part
         assert total == DivisorClass(0, 1)
+
+
+def reference_effective_decompositions(lattice, target, limit=32):
+    """The original pool-plus-recursion search, kept verbatim as the oracle."""
+    target = as_class(target)
+    total = lattice.degree(target)
+    if total < 1:
+        return ()
+    pool = []
+    for deg in range(1, total + 1):
+        for cls in curve_class_search(lattice, deg, -2):
+            pool.append((deg, cls))
+    pool.sort(key=lambda item: (-item[0], item[1].a, item[1].b))
+    results: list[tuple[DivisorClass, ...]] = []
+
+    def search(start: int, remaining: DivisorClass, budget: int, chosen: list):
+        if len(results) >= limit:
+            return
+        if remaining.a == 0 and remaining.b == 0:
+            if chosen:
+                results.append(tuple(chosen))
+            return
+        if budget <= 0:
+            return
+        for idx in range(start, len(pool)):
+            deg, cls = pool[idx]
+            if deg > budget:
+                continue
+            chosen.append(cls)
+            search(idx, remaining - cls, budget - deg, chosen)
+            chosen.pop()
+
+    search(0, target, total, [])
+    return tuple(results)
+
+
+def census_lattices():
+    """Every (family, d, g) with 1 <= d < cutting bound and det < 0."""
+    for name, family in sorted(FAMILIES.items()):
+        for d in range(1, family.cutting_bound):
+            g = 0
+            while family.h_square * (2 * g - 2) - d * d < 0:
+                yield name, d, g, make_family_lattice(family, d, g)
+                g += 1
+
+
+def test_effective_decompositions_match_reference_on_random_lattices():
+    rng = random.Random(0xFA2606)
+    searched = found = truncated = 0
+    while searched < 300:
+        lattice = random_hyperbolic_lattice(rng)
+        target = DivisorClass(rng.randint(-2, 3), rng.randint(-4, 4))
+        if lattice.degree(target) > 24:
+            continue
+        limit = rng.choice((1, 5, 32))
+        expected = reference_effective_decompositions(lattice, target, limit)
+        assert effective_decompositions(lattice, target, limit) == expected
+        searched += lattice.degree(target) >= 1
+        found += bool(expected)
+        truncated += len(expected) == limit
+    # the sample holds empty, found and truncated searches alike
+    assert 0 < found < searched and truncated > 0
+
+
+def test_effective_decompositions_match_reference_on_census_lattices():
+    count = 0
+    for name, d, g, lattice in census_lattices():
+        expected = reference_effective_decompositions(lattice, (1, -1))
+        assert effective_decompositions(lattice, (1, -1)) == expected, (name, d, g)
+        count += 1
+    assert count == 721
+
+
+def test_effective_decompositions_signature_and_degree_guards():
+    elliptic = IntersectionLattice(((2, 1), (1, 2)))
+    assert elliptic.det >= 0
+    with pytest.raises(LatticeSignatureError):
+        effective_decompositions(elliptic, DivisorClass(1, 0))
+    assert effective_decompositions(elliptic, DivisorClass(0, 0)) == ()
+    assert effective_decompositions(elliptic, DivisorClass(-1, 1)) == ()

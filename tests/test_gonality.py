@@ -1,5 +1,7 @@
-from fanocert.gonality import (default_window, fixed_moving_bound,
-                               tetragonal_certificate)
+import pytest
+
+from fanocert.gonality import (DonorWindowEmptyError, default_window,
+                               fixed_moving_bound, tetragonal_certificate)
 from fanocert.lattice import FAMILIES, DivisorClass, make_family_lattice
 
 
@@ -116,3 +118,13 @@ def test_specials_reverify_against_lattice():
         for special in report.specials:
             assert lattice.pair(special.cls, special.cls) == special.square
             assert lattice.degree(special.cls) == special.t_degree
+
+
+def test_empty_donor_window_is_a_typed_refusal():
+    # degree form (14, 14) takes only multiples of 14, none in [4, 7]
+    for g in range(8):
+        with pytest.raises(DonorWindowEmptyError) as info:
+            tetragonal_certificate(14, g)
+        assert isinstance(info.value, ValueError)
+        message = str(info.value)
+        assert f"d=14, g={g}" in message and "[4, 7]" in message

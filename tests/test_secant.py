@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import floor
+
 import pytest
 
 from fanocert.lattice import FAMILIES
@@ -51,6 +54,18 @@ def test_genus_cap_values():
     assert genus_cap(FAMILIES["quadric"], 8, 0, 4) == 1
     assert genus_cap(FAMILIES["v4"], 7, 0, 3) == 1
     assert genus_cap(FAMILIES["quadric"], 10, 6, 3) == 0
+
+
+def test_genus_cap_matches_rational_formula():
+    for family in FAMILIES.values():
+        h2, s = family.h_square, family.index_multiplier
+        for d in range(1, family.cutting_bound):
+            for g in range(41):
+                for m in range(1, 31):
+                    expected = floor(Fraction((d + m) ** 2, 2 * h2) + 1 - g - s * m)
+                    assert genus_cap(family, d, g, m) == expected, (family.name, d, g, m)
+        with pytest.raises(ValueError):
+            genus_cap(family, 1, 0, 0)
 
 
 def test_quadric_tables_golden():
