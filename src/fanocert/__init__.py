@@ -5,7 +5,7 @@ from .catalog import (CaseRecord, Certificate, Report, anticanonical_cube,
 from .diophantine import (DegreeSquareProblem, Interval, LinearFamily, band_empty,
                           curve_class_search, effective_decompositions,
                           family_quadratic_max, family_solutions,
-                          solve_degree_square)
+                          solve_degree_square, solve_degree_squares)
 from .gonality import (DonorWindow, TetragonalReport, fixed_moving_bound,
                        tetragonal_certificate)
 from .lattice import (FAMILIES, DivisorClass, FamilySpec, IntersectionLattice,

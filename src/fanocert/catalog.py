@@ -17,6 +17,11 @@ UNVERIFIED = "Unverified"
 VERDICTS = (REALIZABLE, NOT_REALIZABLE, OPEN)
 FAMILY_NAMES = ("quadric", "v4", "v5", "x14", "sporadic")
 
+# Anticanonical degree of the ambient of the sporadic twisted-cubic
+# constructions; a prime Fano threefold of anticanonical degree 2g-2 has
+# genus g.
+SPORADIC_AMBIENT_DEGREE = {"X10": 10, "X16": 16, "X18": 18}
+
 
 class CaseTableError(ValueError):
     """The case table file does not match the expected schema."""
@@ -47,6 +52,8 @@ class CaseRecord:
             raise CaseTableError(f"unknown smallness tag {self.smallness!r}")
         if self.family == "sporadic" and not self.ambient:
             raise CaseTableError("sporadic cases need an ambient")
+        if self.family == "sporadic" and self.ambient not in SPORADIC_AMBIENT_DEGREE:
+            raise CaseTableError(f"unknown sporadic ambient {self.ambient!r}")
         if self.construction == "residual" and (self.seed_d is None or self.seed_g is None):
             raise CaseTableError("residual constructions need seed invariants")
 
@@ -92,20 +99,32 @@ class Report:
         return all(c.matches for c in self.certificates)
 
 
+def _integer_field(entry: dict, key: str) -> int:
+    """``entry[key]`` as an int; any value that is not an integer is a table error."""
+    value = entry[key]
+    try:
+        number = int(value)
+    except (ValueError, OverflowError):
+        number = None
+    if number is None or (isinstance(value, float) and number != value):
+        raise CaseTableError(f"case field {key!r} must be an integer, got {value!r}")
+    return number
+
+
 def _record_from_entry(entry: dict) -> CaseRecord:
     try:
         return CaseRecord(
-            case_id=int(entry["id"]),
+            case_id=_integer_field(entry, "id"),
             family=str(entry["family"]),
-            d=int(entry["d"]),
-            g=int(entry["g"]),
+            d=_integer_field(entry, "d"),
+            g=_integer_field(entry, "g"),
             expected=str(entry["expected"]),
             route=entry.get("route", "construction"),
             smallness=entry.get("smallness", "table-absent"),
             ambient=entry.get("ambient"),
             construction=entry.get("construction", "main"),
-            seed_d=entry.get("seed_d"),
-            seed_g=entry.get("seed_g"),
+            seed_d=None if entry.get("seed_d") is None else _integer_field(entry, "seed_d"),
+            seed_g=None if entry.get("seed_g") is None else _integer_field(entry, "seed_g"),
         )
     except (KeyError, TypeError) as exc:
         raise CaseTableError(f"malformed case entry {entry!r}") from exc

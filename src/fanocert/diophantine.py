@@ -151,32 +151,21 @@ def _line(coeff_a: int, coeff_b: int) -> tuple[int, int, int, int, int]:
     return g, u, v, step_a, step_b
 
 
-def _line_base(line: tuple[int, int, int, int, int], target: int) -> tuple[int, int] | None:
-    """Canonical integer point of the line at ``target``, or None if it has none.
+def _line_solutions(coeff_a: int, coeff_b: int, target: int) -> tuple[DivisorClass, DivisorClass] | None:
+    """Canonical (base, step) for the solutions of coeff_a*a + coeff_b*b = target.
 
-    The point is reduced so that its fast coordinate lies in [0, step
+    Returns None when no integer solutions exist.  The step is ``_line``'s;
+    the base is reduced so that its fast coordinate lies in [0, step
     coordinate).
     """
-    g, u, v, step_a, step_b = line
+    g, u, v, step_a, step_b = _line(coeff_a, coeff_b)
     if target % g:
         return None
     scale = target // g
     base_a, base_b = u * scale, v * scale
     shift = base_a // step_a if step_a else base_b // step_b
-    return base_a - shift * step_a, base_b - shift * step_b
-
-
-def _line_solutions(coeff_a: int, coeff_b: int, target: int) -> tuple[DivisorClass, DivisorClass] | None:
-    """Canonical (base, step) for the solutions of coeff_a*a + coeff_b*b = target.
-
-    Returns None when no integer solutions exist; see ``_line`` and
-    ``_line_base`` for the normalisation of step and base.
-    """
-    line = _line(coeff_a, coeff_b)
-    base = _line_base(line, target)
-    if base is None:
-        return None
-    return DivisorClass(*base), DivisorClass(line[3], line[4])
+    return (DivisorClass(base_a - shift * step_a, base_b - shift * step_b),
+            DivisorClass(step_a, step_b))
 
 
 def _parabola_window(quad_a: int, quad_b: int, disc: int) -> tuple[int, int]:
@@ -195,46 +184,52 @@ def _parabola_window(quad_a: int, quad_b: int, disc: int) -> tuple[int, int]:
     return low_num // den - 1, -(-high_num // den) + 1
 
 
-def _int_sqrt_if_square(value: int) -> int | None:
-    if value < 0:
-        return None
-    root = isqrt(value)
-    return root if root * root == value else None
-
-
 def solve_degree_square(problem: DegreeSquareProblem) -> tuple[DivisorClass, ...]:
     """All integer classes with the given polarization degree and square.
 
-    Eliminates one variable along the degree line and solves the remaining
-    single-variable quadratic exactly; the signature hypothesis makes its
-    leading coefficient negative, so at most two candidates exist.
+    A one-query call of ``solve_degree_squares``.
     """
-    lattice = problem.lattice
+    return solve_degree_squares(problem.lattice, [(problem.degree, problem.square)])[0]
+
+
+def solve_degree_squares(lattice: IntersectionLattice,
+                         queries) -> tuple[tuple[DivisorClass, ...], ...]:
+    """``solve_degree_square`` for many (degree, square) pairs of one lattice.
+
+    Returns one tuple of classes per query, in query order, each sorted by
+    (a, b).  The degree line is solved once per call and each distinct
+    degree's quadratic once; a query then costs one discriminant and one
+    exact square root, since only the constant term moves with the square.
+    The signature hypothesis makes the leading coefficient negative, so a
+    query has at most two solutions.  Nothing is kept between calls.
+    """
     if lattice.det >= 0:
         raise LatticeSignatureError("degree/square search needs det < 0")
-    h2 = lattice.gram[0][0]
-    d = lattice.gram[0][1]
-    line = _line_solutions(h2, d, problem.degree)
-    if line is None:
-        return ()
-    base, step = line
-    quad_a = lattice.pair(step, step)
-    quad_b = 2 * lattice.pair(base, step)
-    quad_c = lattice.pair(base, base) - problem.square
-    disc = quad_b * quad_b - 4 * quad_a * quad_c
-    root = _int_sqrt_if_square(disc)
-    if root is None:
-        return ()
-    found = []
-    for signed in (root, -root):
-        num = -quad_b + signed
-        den = 2 * quad_a
-        if num % den:
+    line = _line(lattice.gram[0][0], lattice.gram[0][1])
+    *_, step_a, step_b = line
+    quadratics = {}
+    solved = []
+    for degree, square in queries:
+        if degree not in quadratics:
+            quadratics[degree] = _degree_quadratic(lattice, line, degree)
+        quad = quadratics[degree]
+        if quad is None:
+            solved.append(())
             continue
-        cls = base + (num // den) * step
-        if cls not in found:
-            found.append(cls)
-    return tuple(sorted(found, key=lambda c: (c.a, c.b)))
+        base_a, base_b, quad_a, quad_b, base_sq = quad
+        disc = quad_b * quad_b - 4 * quad_a * (base_sq - square)
+        root = isqrt(disc) if disc >= 0 else None
+        if root is None or root * root != disc:
+            solved.append(())
+            continue
+        den = 2 * quad_a
+        hits = set()
+        for num in (-quad_b - root, -quad_b + root):
+            if num % den == 0:
+                k = num // den
+                hits.add((base_a + k * step_a, base_b + k * step_b))
+        solved.append(tuple(DivisorClass(a, b) for a, b in sorted(hits)))
+    return tuple(solved)
 
 
 def curve_class_search(lattice: IntersectionLattice, degree: int,
@@ -251,6 +246,33 @@ def curve_class_search(lattice: IntersectionLattice, degree: int,
                  for a, b in _curve_coordinates(lattice, line, degree, min_square))
 
 
+def _degree_quadratic(lattice: IntersectionLattice, line,
+                      degree: int) -> tuple[int, int, int, int, int] | None:
+    """Square along the degree line: (base_a, base_b, quad_a, quad_b, base_sq).
+
+    ``line`` is ``_line`` of the polarization's degree form and base is the
+    canonical point of ``_line_solutions`` at ``degree``, so that
+    (base + k*step)^2 = quad_a k^2 + quad_b k + base_sq.  None when the
+    degree has no integer point.  The reduction is repeated here in plain
+    ints: ``_curve_coordinates`` runs once per degree of every decomposition
+    pool, and a call into a shared reduction made it about 10% slower.
+    """
+    g, u, v, step_a, step_b = line
+    if degree % g:
+        return None
+    scale = degree // g
+    base_a, base_b = u * scale, v * scale
+    shift = base_a // step_a if step_a else base_b // step_b
+    base_a, base_b = base_a - shift * step_a, base_b - shift * step_b
+    (_, q), (_, s) = lattice.gram
+    # The step has degree 0, so it pairs with any (a, b) as
+    # b * (q*step_a + s*step_b); the base has the given degree, so
+    # base^2 = base_a*degree + base_b*(base.C).
+    step_c = q * step_a + s * step_b
+    return (base_a, base_b, step_b * step_c, 2 * base_b * step_c,
+            base_a * degree + base_b * (q * base_a + s * base_b))
+
+
 def _curve_coordinates(lattice: IntersectionLattice, line, degree: int,
                        min_square: int) -> list[tuple[int, int]]:
     """(a, b) of the classes with square >= min_square on the degree line.
@@ -258,19 +280,12 @@ def _curve_coordinates(lattice: IntersectionLattice, line, degree: int,
     ``line`` is ``_line`` of the polarization's degree form.  The points come
     in ascending (a, b) order, since the step is lexicographically positive.
     """
-    base = _line_base(line, degree)
-    if base is None:
+    quad = _degree_quadratic(lattice, line, degree)
+    if quad is None:
         return []
-    base_a, base_b = base
+    base_a, base_b, quad_a, quad_b, base_sq = quad
     *_, step_a, step_b = line
-    (_, q), (_, s) = lattice.gram
-    # (base + k*step)^2 = quad_a k^2 + quad_b k + base^2.  The step has
-    # degree 0, so it pairs with any (a, b) as b * (q*step_a + s*step_b); the
-    # base has the given degree, so base^2 = base_a*degree + base_b*(base.C).
-    step_c = q * step_a + s * step_b
-    quad_a = step_b * step_c
-    quad_b = 2 * base_b * step_c
-    quad_c = base_a * degree + base_b * (q * base_a + s * base_b) - min_square
+    quad_c = base_sq - min_square
     disc = quad_b * quad_b - 4 * quad_a * quad_c
     if disc < 0:
         return []

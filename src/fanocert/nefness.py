@@ -8,13 +8,17 @@ with E elliptic (square 0, H.E >= 3), G a (-2)-curve and E.G = 1.  Matching
 squares pins k, and the polarization degree budget left for G is
 H.(sH - C) - 3k; if positive, a (-2)-class of that small degree must exist,
 which the lattice search decides.
+
+Each certificate builds its lattice once and solves all of its degree/square
+queries in one ``solve_degree_squares`` call: nefness the whole secant table,
+freeness the (-2)-classes of every degree up to the budget.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diophantine import DegreeSquareProblem, solve_degree_square
-from .lattice import DivisorClass, FamilySpec, make_family_lattice
+from .diophantine import solve_degree_squares
+from .lattice import DivisorClass, FamilySpec, IntersectionLattice, make_family_lattice
 from .outcome import CheckOutcome, DERIVED, VERIFIED, class_witness
 
 
@@ -42,9 +46,8 @@ def nef_certificate(family: FamilySpec, d: int, g: int) -> CheckOutcome:
     table = admissible_table(family, d, g)
     witnesses = []
     all_eliminated = True
-    for cand in table:
-        classes = solve_degree_square(
-            DegreeSquareProblem(lattice, cand.m, 2 * cand.p_a - 2))
+    solved = solve_degree_squares(lattice, [(c.m, 2 * c.p_a - 2) for c in table])
+    for cand, classes in zip(table, solved):
         for cls in classes:
             meets = lattice.pair(cls, curve)
             eliminated = meets < cand.secancy
@@ -70,7 +73,10 @@ def nef_certificate(family: FamilySpec, d: int, g: int) -> CheckOutcome:
 
 
 def freeness_budget(family: FamilySpec, d: int, g: int) -> FreenessBudget:
-    lattice = make_family_lattice(family, d, g)
+    return _freeness_budget(family, make_family_lattice(family, d, g))
+
+
+def _freeness_budget(family: FamilySpec, lattice: IntersectionLattice) -> FreenessBudget:
     adjoint = family.adjoint_class
     square = lattice.pair(adjoint, adjoint)
     if square < 2:
@@ -88,15 +94,11 @@ def freeness_budget(family: FamilySpec, d: int, g: int) -> FreenessBudget:
 def free_certificate(family: FamilySpec, d: int, g: int) -> CheckOutcome:
     """Rule out the elliptic-plus-rational decomposition of a non-free class."""
     lattice = make_family_lattice(family, d, g)
-    budget = freeness_budget(family, d, g)
-    witnesses = []
-    searched = []
-    if budget.gamma_budget > 0:
-        for degree in range(1, budget.gamma_budget + 1):
-            searched.append(degree)
-            for cls in solve_degree_square(DegreeSquareProblem(lattice, degree, -2)):
-                witnesses.append({"class": class_witness(cls),
-                                  "polarization_degree": degree})
+    budget = _freeness_budget(family, lattice)
+    searched = list(range(1, budget.gamma_budget + 1))
+    solved = solve_degree_squares(lattice, [(degree, -2) for degree in searched])
+    witnesses = [{"class": class_witness(cls), "polarization_degree": degree}
+                 for degree, classes in zip(searched, solved) for cls in classes]
     return CheckOutcome(
         name="adjoint-class-free",
         rule="elliptic-decomposition-budget",

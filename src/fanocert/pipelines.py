@@ -7,6 +7,7 @@ plus any flagged gaps.
 """
 from __future__ import annotations
 
+from .catalog import SPORADIC_AMBIENT_DEGREE
 from .diophantine import (DegreeSquareProblem, Interval, band_empty,
                           curve_class_search, effective_decompositions,
                           solve_degree_square)
@@ -19,10 +20,6 @@ from .riemannroch import (LinearSeries, brill_noether, ideal_curve_bound, k3_h0,
                           span_dimension_bound)
 from .ruled import hirzebruch_search, noether_contradiction, p2_square_ten
 from .schubert import SchubertProblem, surface_class_split
-
-# Ambient genus for the sporadic twisted-cubic constructions; a prime Fano
-# threefold of anticanonical degree 2g-2 has genus g.
-SPORADIC_AMBIENT_DEGREE = {"X10": 10, "X16": 16, "X18": 18}
 
 # Genus threshold for the bisecant-exclusion rule on prime Fano threefolds.
 BISECANT_GENUS_FLOOR = 7

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from importlib import resources
 
 import pytest
 
@@ -218,6 +219,47 @@ def test_malformed_table_rejected(tmp_path):
     path.write_text("not json")
     with pytest.raises(CaseTableError):
         load_cases(str(path))
+
+
+def _embedded_entries():
+    return json.loads(resources.files("fanocert").joinpath("data/cases.json").read_text())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("id", "abc"), ("d", "nine"), ("g", 2.5), ("d", float("nan")), ("g", float("inf")),
+    ("seed_d", "x"), ("seed_g", 1.5),
+])
+def test_non_integer_field_is_a_table_error(tmp_path, capsys, key, value):
+    table = _embedded_entries()
+    table["cases"][0][key] = value
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(table))
+    with pytest.raises(CaseTableError, match=f"case field '{key}' must be an integer"):
+        load_cases(str(path))
+    assert main(["verify", "--table", str(path)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_schema_errors_keep_their_message(tmp_path):
+    table = _embedded_entries()
+    table["cases"][0]["family"] = "cubic"
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(table))
+    with pytest.raises(CaseTableError, match="^unknown family 'cubic'$"):
+        load_cases(str(path))
+
+
+def test_unknown_sporadic_ambient_is_a_table_error(tmp_path, capsys):
+    table = _embedded_entries()
+    case3 = next(c for c in table["cases"] if c["id"] == 3)
+    assert case3["family"] == "sporadic"
+    case3["ambient"] = "X12"
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(table))
+    with pytest.raises(CaseTableError, match="unknown sporadic ambient 'X12'"):
+        load_cases(str(path))
+    assert main(["verify", "--table", str(path)]) == 2
+    assert "X12" in capsys.readouterr().err
 
 
 def test_verify_case_detects_regressions():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -7,7 +8,9 @@ from fanocert.diophantine import (DegreeSquareProblem, DependentFormsError,
                                   FamilyMaxUndefinedError, Interval, LinearFamily,
                                   band_empty, curve_class_search,
                                   effective_decompositions, family_quadratic_max,
-                                  family_solutions, solve_degree_square)
+                                  family_solutions, solve_degree_square,
+                                  solve_degree_squares)
+from fanocert.diophantine import _line_solutions
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
                               LatticeSignatureError, as_class, make_family_lattice)
 
@@ -100,6 +103,95 @@ def test_solve_degree_square_full_plane_scan():
         assert [c for c in solved if abs(c.a) <= 25 and abs(c.b) <= 25] == expected
 
 
+def _int_sqrt_if_square(value: int) -> int | None:
+    if value < 0:
+        return None
+    root = isqrt(value)
+    return root if root * root == value else None
+
+
+def reference_solve_degree_square(problem: DegreeSquareProblem) -> tuple[DivisorClass, ...]:
+    """The original one-query solver, kept verbatim as the oracle."""
+    lattice = problem.lattice
+    if lattice.det >= 0:
+        raise LatticeSignatureError("degree/square search needs det < 0")
+    h2 = lattice.gram[0][0]
+    d = lattice.gram[0][1]
+    line = _line_solutions(h2, d, problem.degree)
+    if line is None:
+        return ()
+    base, step = line
+    quad_a = lattice.pair(step, step)
+    quad_b = 2 * lattice.pair(base, step)
+    quad_c = lattice.pair(base, base) - problem.square
+    disc = quad_b * quad_b - 4 * quad_a * quad_c
+    root = _int_sqrt_if_square(disc)
+    if root is None:
+        return ()
+    found = []
+    for signed in (root, -root):
+        num = -quad_b + signed
+        den = 2 * quad_a
+        if num % den:
+            continue
+        cls = base + (num // den) * step
+        if cls not in found:
+            found.append(cls)
+    return tuple(sorted(found, key=lambda c: (c.a, c.b)))
+
+
+def test_solve_degree_squares_matches_reference():
+    rng = random.Random(0xFA2607)
+    hits = misses = off_gcd = repeated = two_roots = 0
+    for _ in range(250):
+        lattice = random_hyperbolic_lattice(rng)
+        step = gcd(lattice.gram[0][0], lattice.gram[0][1])
+        queries = []
+        for _ in range(rng.randint(1, 12)):
+            roll = rng.random()
+            square = 2 * rng.randint(-40, 40)
+            if roll < 0.3 and queries:
+                # a degree already asked, with another square
+                degree = rng.choice(queries)[0]
+            elif roll < 0.6:
+                # the degree and square of a class, so the query has a root
+                cls = DivisorClass(rng.randint(-6, 6), rng.randint(-6, 6))
+                degree, square = lattice.degree(cls), lattice.pair(cls, cls)
+            elif roll < 0.75 and step > 1:
+                # off the gcd of the degree form: no integer point at all
+                degree = step * rng.randint(-10, 10) + rng.randint(1, step - 1)
+            else:
+                degree = rng.randint(-30, 30)
+            queries.append((degree, square))
+        expected = tuple(reference_solve_degree_square(DegreeSquareProblem(lattice, *q))
+                         for q in queries)
+        assert solve_degree_squares(lattice, queries) == expected
+        assert solve_degree_squares(lattice, iter(queries)) == expected
+        assert solve_degree_squares(lattice, []) == ()
+        degrees = [q[0] for q in queries]
+        repeated += len(set(degrees)) < len(degrees)
+        off_gcd += sum(degree % step != 0 for degree in degrees)
+        hits += sum(bool(found) for found in expected)
+        misses += sum(not found for found, degree in zip(expected, degrees)
+                      if degree % step == 0)
+        two_roots += sum(len(found) == 2 for found in expected)
+    # the sample holds repeated and off-gcd degrees, hits, rootless squares
+    # and two-solution queries alike
+    assert min(hits, misses, off_gcd, repeated, two_roots) > 0
+
+
+def test_solve_degree_squares_signature_guard():
+    for gram in (((2, 1), (1, 2)), ((2, 2), (2, 2))):
+        lattice = IntersectionLattice(gram)
+        assert lattice.det >= 0
+        with pytest.raises(LatticeSignatureError):
+            solve_degree_squares(lattice, [(1, -2)])
+        with pytest.raises(LatticeSignatureError):
+            solve_degree_squares(lattice, [])
+        with pytest.raises(LatticeSignatureError):
+            solve_degree_square(DegreeSquareProblem(lattice, 1, -2))
+
+
 def test_curve_class_search_reference_values():
     v5 = make_family_lattice(FAMILIES["v5"], 7, 0)
     assert curve_class_search(v5, 1, -2) == ()
@@ -155,11 +247,12 @@ def test_band_witnesses_satisfy_constraints():
         outcome = band_empty(f1, r1, f2, r2)
         # oracle: scan a box large enough to hold the whole region
         oracle = []
+        ints1, ints2 = r1.integers(), r2.integers()
         for a in range(-200, 201):
             for b in range(-200, 201):
                 u = f1[0] * a + f1[1] * b
                 v = f2[0] * a + f2[1] * b
-                if u in r1.integers() and v in r2.integers():
+                if ints1.start <= u < ints1.stop and ints2.start <= v < ints2.stop:
                     oracle.append([a, b])
         assert sorted(list(w) for w in outcome.witnesses) == sorted(oracle)
 

@@ -1,9 +1,13 @@
 import pytest
 
 from fanocert.catalog import load_cases
-from fanocert.lattice import FAMILIES
-from fanocert.nefness import (FreenessInapplicableError, free_certificate,
+from fanocert.diophantine import DegreeSquareProblem
+from fanocert.lattice import FAMILIES, DivisorClass, make_family_lattice
+from fanocert.nefness import (FreenessInapplicableError, _table_kind, free_certificate,
                               freeness_budget, nef_certificate)
+from fanocert.outcome import CheckOutcome, class_witness
+from fanocert.secant import admissible_table
+from test_diophantine import census_lattices, reference_solve_degree_square
 
 QUADRIC_PAIRS = [(c.d, c.g) for c in load_cases() if c.family == "quadric"]
 V4_PAIRS = [(c.d, c.g) for c in load_cases() if c.family == "v4"]
@@ -110,3 +114,86 @@ def test_freeness_requires_positive_square():
     with pytest.raises(FreenessInapplicableError):
         # (3H - C)^2 = 54 - 6d + 2g - 2; d=10, g=4 gives 54 - 60 + 8 - 2 = 0
         freeness_budget(flat, 10, 4)
+
+
+def reference_nef_certificate(family, d, g):
+    """The original per-candidate nef search over the reference solver."""
+    lattice = make_family_lattice(family, d, g)
+    curve = DivisorClass(0, 1)
+    table = admissible_table(family, d, g)
+    witnesses = []
+    all_eliminated = True
+    for cand in table:
+        classes = reference_solve_degree_square(
+            DegreeSquareProblem(lattice, cand.m, 2 * cand.p_a - 2))
+        for cls in classes:
+            meets = lattice.pair(cls, curve)
+            eliminated = meets < cand.secancy
+            all_eliminated = all_eliminated and eliminated
+            witnesses.append({
+                "class": class_witness(cls),
+                "degree": cand.m,
+                "arithmetic_genus": cand.p_a,
+                "meets_curve": meets,
+                "secancy_required": cand.secancy,
+                "eliminated": eliminated,
+            })
+    return CheckOutcome(
+        name="adjoint-class-nef",
+        rule="secant-obstruction-search",
+        kind=_table_kind(family),
+        passed=all_eliminated,
+        inputs={"family": family.name, "d": d, "g": g,
+                "candidates": [[c.m, c.p_a, c.secancy] for c in table]},
+        result={"witness_count": len(witnesses)},
+        witnesses=tuple(witnesses),
+    )
+
+
+def reference_free_certificate(family, d, g):
+    """The original per-degree freeness search over the reference solver."""
+    lattice = make_family_lattice(family, d, g)
+    budget = freeness_budget(family, d, g)
+    witnesses = []
+    searched = []
+    if budget.gamma_budget > 0:
+        for degree in range(1, budget.gamma_budget + 1):
+            searched.append(degree)
+            for cls in reference_solve_degree_square(DegreeSquareProblem(lattice, degree, -2)):
+                witnesses.append({"class": class_witness(cls),
+                                  "polarization_degree": degree})
+    return CheckOutcome(
+        name="adjoint-class-free",
+        rule="elliptic-decomposition-budget",
+        kind=_table_kind(family),
+        passed=not witnesses,
+        inputs={"family": family.name, "d": d, "g": g},
+        result={"elliptic_multiplicity": budget.k,
+                "adjoint_polarization_degree": budget.h_dot_d,
+                "rational_part_budget": budget.gamma_budget,
+                "searched_degrees": searched},
+        witnesses=tuple(witnesses),
+    )
+
+
+def _dict_or_refusal(certificate, family, d, g):
+    try:
+        return certificate(family, d, g).to_dict()
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_certificates_match_reference_on_census():
+    pairs = witnessed = refused = 0
+    for name, d, g, _ in census_lattices():
+        family = FAMILIES[name]
+        for certificate, reference in ((nef_certificate, reference_nef_certificate),
+                                       (free_certificate, reference_free_certificate)):
+            expected = _dict_or_refusal(reference, family, d, g)
+            assert _dict_or_refusal(certificate, family, d, g) == expected, (name, d, g)
+            witnessed += isinstance(expected, dict) and bool(expected["witnesses"])
+            refused += expected is FreenessInapplicableError
+        pairs += 1
+    assert pairs == 721
+    # the 560 freeness refusals of the census, and certificates with witnesses
+    assert refused == 560 and witnessed > 0
