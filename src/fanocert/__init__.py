@@ -1,16 +1,14 @@
 """Exact-arithmetic certification of the E1-E1 Sarkisov link case analysis."""
 
-from .catalog import (CaseRecord, Certificate, Report, anticanonical_cube,
-                      load_cases, run_all, trisecant_count, verify_case)
+from .catalog import CaseRecord, Certificate, Report, load_cases, run_all, verify_case
 from .diophantine import (DegreeSquareProblem, Interval, LinearFamily, band_empty,
                           curve_class_search, effective_decompositions,
                           family_quadratic_max, family_solutions,
                           solve_degree_square, solve_degree_squares)
-from .gonality import (DonorWindow, TetragonalReport, fixed_moving_bound,
-                       tetragonal_certificate)
+from .gonality import TetragonalReport, fixed_moving_bound, tetragonal_certificate
 from .lattice import (FAMILIES, DivisorClass, FamilySpec, IntersectionLattice,
-                      LatticeSignatureError, make_family_lattice, pair,
-                      square_and_genus)
+                      LatticeSignatureError, anticanonical_cube, make_family_lattice,
+                      pair, square_and_genus)
 from .nefness import FreenessBudget, free_certificate, freeness_budget, nef_certificate
 from .outcome import CheckOutcome
 from .riemannroch import (LinearSeries, brill_noether, ideal_curve_bound, k3_h0,
@@ -19,6 +17,7 @@ from .riemannroch import (LinearSeries, brill_noether, ideal_curve_bound, k3_h0,
 from .ruled import (RuledLattice, hirzebruch_search, noether_contradiction,
                     p2_square_ten)
 from .schubert import SchubertProblem, SchubertSplit, surface_class_split
-from .secant import SecantCandidate, admissible_table, genus_cap, max_secant_degree
+from .secant import (SecantCandidate, admissible_table, genus_cap, max_secant_degree,
+                     trisecant_count)
 
 __version__ = "0.1.0"

@@ -1,13 +1,17 @@
-"""Embedded case table, verdict computation and the verification runner."""
+"""Embedded case table, verdict computation and the verification runner.
+
+Data plus runner only: the formulas the pipelines evaluate live in ``lattice``
+and ``secant``, so ``pipelines`` never imports this module.
+"""
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from math import comb
 
-from .lattice import FamilySpec
+from .lattice import SPORADIC_AMBIENT_DEGREE
 from .outcome import CheckOutcome
+from .pipelines import PIPELINES
 
 REALIZABLE = "Realizable"
 NOT_REALIZABLE = "NotRealizable"
@@ -15,12 +19,7 @@ OPEN = "Open"
 UNVERIFIED = "Unverified"
 
 VERDICTS = (REALIZABLE, NOT_REALIZABLE, OPEN)
-FAMILY_NAMES = ("quadric", "v4", "v5", "x14", "sporadic")
-
-# Anticanonical degree of the ambient of the sporadic twisted-cubic
-# constructions; a prime Fano threefold of anticanonical degree 2g-2 has
-# genus g.
-SPORADIC_AMBIENT_DEGREE = {"X10": 10, "X16": 16, "X18": 18}
+FAMILY_NAMES = tuple(PIPELINES)
 
 
 class CaseTableError(ValueError):
@@ -146,22 +145,8 @@ def load_cases(path: str | None = None) -> tuple[CaseRecord, ...]:
     return tuple(sorted(records, key=lambda r: (r.case_id, r.family)))
 
 
-def trisecant_count(d: int, g: int) -> int:
-    """Trisecant lines to a degree-d genus-g curve in 4-space."""
-    if d < 3:
-        raise ValueError("need d >= 3")
-    return comb(d - 2, 3) - g * (d - 4)
-
-
-def anticanonical_cube(family: FamilySpec, d: int, g: int) -> int:
-    """Anticanonical degree of the blow-up along a degree-d genus-g curve."""
-    return family.anticanonical_cube_base - 2 * family.index_multiplier * d - 2 + 2 * g
-
-
 def verify_case(case: CaseRecord) -> Certificate:
     """Run the family pipeline and compare the computed verdict."""
-    from .pipelines import PIPELINES
-
     checks, discrepancies = PIPELINES[case.family](case)
     all_passed = all(c.passed for c in checks)
     if not all_passed:

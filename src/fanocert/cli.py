@@ -4,7 +4,8 @@
                     [--explain] [--strict] [--json PATH] [--table PATH]
 
 Exit codes: 0 when every computed verdict matches the table, 1 when a
-mismatch occurs under --strict, 2 on usage or table errors.
+mismatch occurs under --strict, 2 on usage or table errors, 3 when a case
+raises any other error (an internal error, reported on one line).
 """
 from __future__ import annotations
 
@@ -57,6 +58,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CaseTableError, OSError) as exc:
         print(f"fanocert: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"fanocert: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
     if args.case is not None and not report.certificates:
         print(f"warning: no case with id {args.case} in the table", file=sys.stderr)

@@ -27,29 +27,10 @@ class DonorWindowEmptyError(ValueError):
     """No donor degree in the window lies on the lattice's degree form."""
 
 
-@dataclass(frozen=True)
-class DonorWindow:
-    """Degree window a donor divisor must hit on the section curve.
-
-    ``series_degree`` is the degree of the pencil being excluded (4 for
-    tetragonality) and ``section_genus`` the genus of the hyperplane section;
-    the window is [series_degree, section_genus - 1].
-    """
-
-    section_genus: int
-    series_degree: int
-
-    @property
-    def min_degree(self) -> int:
-        return self.series_degree
-
-    @property
-    def max_degree(self) -> int:
-        return self.section_genus - 1
-
-
-def default_window() -> DonorWindow:
-    return DonorWindow(section_genus=FAMILIES["x14"].section_genus, series_degree=4)
+# Degree window a donor divisor must hit on the genus-8 section curve:
+# [4, section genus - 1], 4 being the degree of the excluded pencil.
+SECTION_GENUS = FAMILIES["x14"].section_genus
+DONOR_DEGREES = range(4, SECTION_GENUS)
 
 
 @dataclass(frozen=True)
@@ -97,7 +78,6 @@ class TetragonalReport:
     square_cap: int | None
     multiplicity_cap: int | None
     bound: CheckOutcome | None
-    window: DonorWindow
     discrepancies: tuple[str, ...] = ()
     checks: tuple[CheckOutcome, ...] = field(default_factory=tuple)
 
@@ -167,8 +147,7 @@ def fixed_moving_bound(square_cap: int, t_f_max: int,
     )
 
 
-def tetragonal_certificate(d: int, g: int,
-                           window: DonorWindow | None = None) -> TetragonalReport:
+def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
     """Certify that no lattice-compatible donor for a degree-4 pencil exists.
 
     The pass certifies exactly that: every integer solution of the donor
@@ -176,7 +155,6 @@ def tetragonal_certificate(d: int, g: int,
     individually eliminated; the translation from pencils to donors is an
     imported rule of the check, not re-proved here.
     """
-    window = window or default_window()
     family_spec = FAMILIES["x14"]
     lattice = make_family_lattice(family_spec, d, g)
     h2 = family_spec.h_square
@@ -184,14 +162,14 @@ def tetragonal_certificate(d: int, g: int,
     degree_form = (h2, d)
     families = family_solutions(
         lhs=degree_form,
-        values=range(window.min_degree, window.max_degree + 1),
+        values=DONOR_DEGREES,
         side=(-h2, -d),
         side_bound=-h2,
     )
     if not families:
         raise DonorWindowEmptyError(
             f"x14 (d={d}, g={g}): no donor degree in the window "
-            f"[{window.min_degree}, {window.max_degree}] is a value of the "
+            f"[{DONOR_DEGREES[0]}, {DONOR_DEGREES[-1]}] is a value of the "
             f"degree form {degree_form}"
         )
     max_value = max(f.value for f in families)
@@ -225,8 +203,8 @@ def tetragonal_certificate(d: int, g: int,
         name="donor-family-squares-negative",
         rule="donor-system-enumeration",
         passed=all(fa.max_square < 0 for fa in analyses),
-        inputs={"d": d, "g": g, "degree_window": [window.min_degree, window.max_degree],
-                "section_genus": window.section_genus, "route": route},
+        inputs={"d": d, "g": g, "degree_window": [DONOR_DEGREES[0], DONOR_DEGREES[-1]],
+                "section_genus": SECTION_GENUS, "route": route},
         result={"family_count": len(analyses),
                 "max_squares": [fa.max_square for fa in analyses]},
         witnesses=tuple(fa.to_witness() for fa in analyses),
@@ -304,7 +282,6 @@ def tetragonal_certificate(d: int, g: int,
         square_cap=square_cap,
         multiplicity_cap=multiplicity_cap,
         bound=bound,
-        window=window,
         discrepancies=tuple(discrepancies),
         checks=tuple(checks),
     )

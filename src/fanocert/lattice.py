@@ -6,6 +6,9 @@ where ``H2`` is the polarization square and ``(d, g)`` are the degree and
 genus of the curve class.  All downstream machinery (degree/square solvers,
 nefness budgets, genus caps) reduces to the bilinear form stored here, so
 everything stays in exact integer arithmetic.
+
+The ambient data live here too: the family constants, the sporadic ambients'
+degrees and the blow-up's anticanonical degree formula.
 """
 from __future__ import annotations
 
@@ -56,7 +59,6 @@ class IntersectionLattice:
     """Even rank-2 lattice given by an explicit symmetric Gram matrix."""
 
     gram: tuple[tuple[int, int], tuple[int, int]]
-    basis_names: tuple[str, str] = ("H", "C")
 
     def __post_init__(self):
         (p, q), (r, s) = self.gram
@@ -102,7 +104,6 @@ class FamilySpec:
     index_multiplier: int
     cutting_bound: int
     anticanonical_cube_base: int
-    basis_names: tuple[str, str] = ("H", "C")
     derived_constants: bool = False
 
     def __post_init__(self):
@@ -123,11 +124,21 @@ class FamilySpec:
 
 
 FAMILIES: dict[str, FamilySpec] = {
-    "quadric": FamilySpec("quadric", 6, 3, 18, 54, ("H", "C")),
-    "v4": FamilySpec("v4", 8, 2, 16, 32, ("H", "C")),
-    "v5": FamilySpec("v5", 10, 2, 20, 40, ("T", "C"), derived_constants=True),
-    "x14": FamilySpec("x14", 14, 1, 28, 14, ("T", "C"), derived_constants=True),
+    "quadric": FamilySpec("quadric", 6, 3, 18, 54),
+    "v4": FamilySpec("v4", 8, 2, 16, 32),
+    "v5": FamilySpec("v5", 10, 2, 20, 40, derived_constants=True),
+    "x14": FamilySpec("x14", 14, 1, 28, 14, derived_constants=True),
 }
+
+# Anticanonical degree of the ambient of the sporadic twisted-cubic
+# constructions; a prime Fano threefold of anticanonical degree 2g-2 has
+# genus g.
+SPORADIC_AMBIENT_DEGREE = {"X10": 10, "X16": 16, "X18": 18}
+
+
+def anticanonical_cube(family: FamilySpec, d: int, g: int) -> int:
+    """Anticanonical degree of the blow-up along a degree-d genus-g curve."""
+    return family.anticanonical_cube_base - 2 * family.index_multiplier * d - 2 + 2 * g
 
 
 def make_family_lattice(family: FamilySpec, d: int, g: int) -> IntersectionLattice:
@@ -137,7 +148,7 @@ def make_family_lattice(family: FamilySpec, d: int, g: int) -> IntersectionLatti
     if g < 0:
         raise ValueError("curve genus must be >= 0")
     gram = ((family.h_square, d), (d, 2 * g - 2))
-    lattice = IntersectionLattice(gram, family.basis_names)
+    lattice = IntersectionLattice(gram)
     if lattice.det >= 0:
         raise LatticeSignatureError(
             f"lattice for {family.name} (d={d}, g={g}) has determinant "

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .diophantine import solve_degree_squares
 from .lattice import DivisorClass, FamilySpec, IntersectionLattice, make_family_lattice
 from .outcome import CheckOutcome, DERIVED, VERIFIED, class_witness
+from .secant import admissible_table
 
 
 class FreenessInapplicableError(ValueError):
@@ -39,8 +40,6 @@ def _table_kind(family: FamilySpec) -> str:
 
 def nef_certificate(family: FamilySpec, d: int, g: int) -> CheckOutcome:
     """Search out every admissible obstructor and eliminate it by secancy."""
-    from .secant import admissible_table
-
     lattice = make_family_lattice(family, d, g)
     curve = DivisorClass(0, 1)
     table = admissible_table(family, d, g)

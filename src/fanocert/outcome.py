@@ -54,13 +54,6 @@ def verified(name: str, rule: str, passed: bool, inputs: dict | None = None,
                         witnesses=witnesses, notes=notes)
 
 
-def derived(name: str, rule: str, passed: bool, inputs: dict | None = None,
-            result: dict | None = None, witnesses: tuple = (), notes: tuple = ()) -> CheckOutcome:
-    return CheckOutcome(name=name, rule=rule, kind=DERIVED, passed=passed,
-                        inputs=inputs or {}, result=result or {},
-                        witnesses=witnesses, notes=notes)
-
-
 def cited(name: str, rule: str, statement: str, inputs: dict | None = None) -> CheckOutcome:
     """A step taken as an axiom.  Always passes, but is marked as imported."""
     return CheckOutcome(name=name, rule=rule, kind=CITED, passed=True,

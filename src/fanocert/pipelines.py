@@ -4,29 +4,33 @@ Each pipeline re-derives every finite arithmetic claim behind its family's
 existence or non-existence argument and records the geometric steps it
 cannot decide as cited rules.  The functions return the ordered check trail
 plus any flagged gaps.
+
+A pipeline builds its case's lattice once and passes it to the checks that
+read it.  Nothing here imports ``catalog``, which imports ``PIPELINES``.
 """
 from __future__ import annotations
 
-from .catalog import SPORADIC_AMBIENT_DEGREE
 from .diophantine import (DegreeSquareProblem, Interval, band_empty,
                           curve_class_search, effective_decompositions,
                           solve_degree_square)
 from .gonality import tetragonal_certificate
-from .lattice import FAMILIES, DivisorClass, FamilySpec, make_family_lattice
+from .lattice import (FAMILIES, SPORADIC_AMBIENT_DEGREE, DivisorClass, FamilySpec,
+                      IntersectionLattice, anticanonical_cube, make_family_lattice,
+                      square_and_genus)
 from .nefness import free_certificate, nef_certificate
-from .outcome import (CheckOutcome, cited, class_witness, derived, verified)
+from .outcome import CheckOutcome, DERIVED, cited, class_witness, verified
 from .riemannroch import (LinearSeries, brill_noether, ideal_curve_bound, k3_h0,
                           monomial_count, plane_curve_genus, residual_series,
                           span_dimension_bound)
 from .ruled import hirzebruch_search, noether_contradiction, p2_square_ten
 from .schubert import SchubertProblem, surface_class_split
+from .secant import trisecant_count
 
 # Genus threshold for the bisecant-exclusion rule on prime Fano threefolds.
 BISECANT_GENUS_FLOOR = 7
 
 
-def _lattice_signature_check(family: FamilySpec, d: int, g: int) -> CheckOutcome:
-    lattice = make_family_lattice(family, d, g)
+def _lattice_signature_check(lattice: IntersectionLattice) -> CheckOutcome:
     return verified(
         name="picard-lattice-signature",
         rule="lattice-determinant",
@@ -36,10 +40,9 @@ def _lattice_signature_check(family: FamilySpec, d: int, g: int) -> CheckOutcome
     )
 
 
-def _ideal_sections_check(family: FamilySpec, d: int, g: int, ambient_dim: int,
-                          forms_degree: int) -> CheckOutcome:
+def _ideal_sections_check(lattice: IntersectionLattice, d: int, g: int,
+                          ambient_dim: int, forms_degree: int) -> CheckOutcome:
     """Forms through the curve must outnumber forms through the surface."""
-    lattice = make_family_lattice(family, d, g)
     curve_bound = ideal_curve_bound(ambient_dim, forms_degree, d, g)
     polarization = DivisorClass(forms_degree, 0)
     surface_count = (monomial_count(ambient_dim, forms_degree)
@@ -56,8 +59,6 @@ def _ideal_sections_check(family: FamilySpec, d: int, g: int, ambient_dim: int,
 
 
 def _anticanonical_degree_check(family: FamilySpec, d: int, g: int) -> CheckOutcome:
-    from .catalog import anticanonical_cube
-
     cube = anticanonical_cube(family, d, g)
     return verified(
         name="anticanonical-degree-positive",
@@ -103,9 +104,9 @@ def quadric_pipeline(case) -> tuple[list[CheckOutcome], list[str]]:
     quadric_sections = monomial_count(4, 2) - k3_h0(lattice, DivisorClass(2, 0),
                                                     nef_hint=True)
     checks = [
-        _lattice_signature_check(family, d, g),
+        _lattice_signature_check(lattice),
         _knutsen_check(family),
-        _ideal_sections_check(family, d, g, ambient_dim=4, forms_degree=3),
+        _ideal_sections_check(lattice, d, g, ambient_dim=4, forms_degree=3),
         verified(
             name="surface-lies-on-a-quadric",
             rule="ideal-sheaf-section-count",
@@ -132,8 +133,6 @@ def quadric_pipeline(case) -> tuple[list[CheckOutcome], list[str]]:
         notes=("a singular containing quadric would cut a plane cubic of "
                "square 0 and degree 3 on the surface",),
     ))
-    from .catalog import trisecant_count
-
     theta = trisecant_count(d, g)
     checks.append(verified(
         name="trisecant-line-exists",
@@ -162,9 +161,9 @@ def v4_pipeline(case) -> tuple[list[CheckOutcome], list[str]]:
     quadric_sections = monomial_count(5, 2) - k3_h0(lattice, DivisorClass(2, 0),
                                                     nef_hint=True)
     checks = [
-        _lattice_signature_check(family, d, g),
+        _lattice_signature_check(lattice),
         _knutsen_check(family),
-        _ideal_sections_check(family, d, g, ambient_dim=5, forms_degree=2),
+        _ideal_sections_check(lattice, d, g, ambient_dim=5, forms_degree=2),
         verified(
             name="surface-quadric-net-dimension",
             rule="ideal-sheaf-section-count",
@@ -191,7 +190,8 @@ def v4_pipeline(case) -> tuple[list[CheckOutcome], list[str]]:
     return checks, []
 
 
-def _hyperplane_irreducibility(family: FamilySpec, d: int, g: int) -> list[CheckOutcome]:
+def _hyperplane_irreducibility(family: FamilySpec, lattice: IntersectionLattice,
+                               d: int, g: int) -> list[CheckOutcome]:
     """Every hyperplane section of the surface is irreducible and reduced.
 
     A splitting T = D1 + D2 either has no curve component equal to C, in
@@ -199,7 +199,6 @@ def _hyperplane_irreducibility(family: FamilySpec, d: int, g: int) -> list[Check
     be effective.  Band witnesses and T - C are killed by showing one side
     of each split admits no decomposition into irreducible-curve classes.
     """
-    lattice = make_family_lattice(family, d, g)
     h2 = family.h_square
     band = band_empty((h2, d), Interval.open(0, h2),
                       (d, 2 * g - 2), Interval.closed(0, d))
@@ -221,10 +220,9 @@ def _hyperplane_irreducibility(family: FamilySpec, d: int, g: int) -> list[Check
             "eliminated": eliminated,
             "reason": "one side admits no decomposition into curve classes",
         })
-    checks = [CheckOutcome(
+    checks = [verified(
         name="hyperplane-splitting-band",
         rule="ample-splitting-bounds",
-        kind="verified",
         passed=all_eliminated,
         inputs=band.inputs,
         result={"band_points": len(band.witnesses)},
@@ -319,16 +317,17 @@ def _v5_bundle_checks() -> list[CheckOutcome]:
 def v5_pipeline(case) -> tuple[list[CheckOutcome], list[str]]:
     family = FAMILIES["v5"]
     d, g = case.d, case.g
+    lattice = make_family_lattice(family, d, g)
     if case.route == "contradiction":
-        return _v5_non_realizable(family, d, g)
+        return _v5_non_realizable(lattice)
     checks = [
-        _lattice_signature_check(family, d, g),
+        _lattice_signature_check(lattice),
         _knutsen_check(family),
     ]
     if case.construction == "residual":
         checks.extend(_v5_residual_construction(family, case))
     else:
-        checks.extend(_hyperplane_irreducibility(family, d, g))
+        checks.extend(_hyperplane_irreducibility(family, lattice, d, g))
         checks.extend(_v5_bundle_checks())
         checks.append(cited(
             name="surface-embeds-in-quintic-del-pezzo",
@@ -350,8 +349,7 @@ def _v5_residual_construction(family: FamilySpec, case) -> list[CheckOutcome]:
     seed_lattice = make_family_lattice(family, seed_d, seed_g)
     residual = DivisorClass(2, -1)
     degree = seed_lattice.degree(residual)
-    square = seed_lattice.pair(residual, residual)
-    genus = square // 2 + 1
+    square, genus = square_and_genus(seed_lattice, residual)
     checks = [cited(
         name="seed-blowup-exists",
         rule="classification-table-row",
@@ -360,9 +358,10 @@ def _v5_residual_construction(family: FamilySpec, case) -> list[CheckOutcome]:
                    "already-settled table row"),
         inputs={"seed_d": seed_d, "seed_g": seed_g},
     )]
-    checks.append(derived(
+    checks.append(CheckOutcome(
         name="residual-member-invariants",
         rule="residual-class-arithmetic",
+        kind=DERIVED,
         passed=(degree, genus) == (case.d, case.g),
         inputs={"seed_d": seed_d, "seed_g": seed_g,
                 "residual_class": class_witness(residual)},
@@ -385,11 +384,10 @@ def _v5_residual_construction(family: FamilySpec, case) -> list[CheckOutcome]:
     return checks
 
 
-def _v5_non_realizable(family: FamilySpec, d: int, g: int):
+def _v5_non_realizable(lattice: IntersectionLattice):
     """Degree comparison killing the (14, 10) configuration."""
-    lattice = make_family_lattice(family, d, g)
     checks = [
-        _lattice_signature_check(family, d, g),
+        _lattice_signature_check(lattice),
         cited(
             name="anticanonical-system-free-on-blowup",
             rule="classification-freeness",
@@ -400,8 +398,7 @@ def _v5_non_realizable(family: FamilySpec, d: int, g: int):
     ]
     residual = DivisorClass(2, -1)
     degree = lattice.degree(residual)
-    square = lattice.pair(residual, residual)
-    genus = square // 2 + 1
+    square, genus = square_and_genus(lattice, residual)
     checks.append(verified(
         name="residual-member-invariants",
         rule="residual-class-arithmetic",
@@ -498,10 +495,11 @@ def _x14_bundle_checks() -> list[CheckOutcome]:
 def x14_pipeline(case) -> tuple[list[CheckOutcome], list[str]]:
     family = FAMILIES["x14"]
     d, g = case.d, case.g
+    lattice = make_family_lattice(family, d, g)
     if case.route == "contradiction":
-        return _x14_non_realizable(family, d, g)
+        return _x14_non_realizable(lattice)
     checks = [
-        _lattice_signature_check(family, d, g),
+        _lattice_signature_check(lattice),
         _knutsen_check(family),
     ]
     report = tetragonal_certificate(d, g)
@@ -528,15 +526,14 @@ def x14_pipeline(case) -> tuple[list[CheckOutcome], list[str]]:
     return checks, discrepancies
 
 
-def _x14_non_realizable(family: FamilySpec, d: int, g: int):
-    lattice = make_family_lattice(family, d, g)
+def _x14_non_realizable(lattice: IntersectionLattice):
     curve = DivisorClass(0, 1)
     square = lattice.pair(curve, curve)
     sections = k3_h0(lattice, curve, nef_hint=True)
     degree_on_section = lattice.degree(curve)
     series = LinearSeries(sections - 1, degree_on_section)
     checks = [
-        _lattice_signature_check(family, d, g),
+        _lattice_signature_check(lattice),
         cited(
             name="anticanonical-system-free-on-blowup",
             rule="classification-freeness",

@@ -9,6 +9,7 @@ maximum (m-1)(m-2)/2 for irreducible curves of degree m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .lattice import FamilySpec
 from .riemannroch import plane_curve_genus
@@ -68,3 +69,10 @@ def admissible_table(family: FamilySpec, d: int, g: int) -> tuple[SecantCandidat
             table.append(SecantCandidate(m, p_a, s * m + 1))
     table.sort(key=lambda c: (c.p_a, c.m))
     return tuple(table)
+
+
+def trisecant_count(d: int, g: int) -> int:
+    """Trisecant lines to a degree-d genus-g curve in 4-space."""
+    if d < 3:
+        raise ValueError("need d >= 3")
+    return comb(d - 2, 3) - g * (d - 4)

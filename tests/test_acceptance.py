@@ -227,7 +227,7 @@ def test_criterion_9_oracle_equivalence(capsys):
 
 
 def test_criterion_10_structural_invariants(capsys):
-    from fanocert.catalog import anticanonical_cube
+    from fanocert.lattice import anticanonical_cube
 
     ok = True
     sample = [DivisorClass(a, b) for a in range(-8, 9) for b in range(-8, 9)]

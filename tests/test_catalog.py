@@ -4,11 +4,11 @@ from importlib import resources
 
 import pytest
 
-from fanocert.catalog import (CaseTableError, anticanonical_cube, load_cases,
-                              run_all, trisecant_count, verify_case)
+from fanocert.catalog import CaseTableError, load_cases, run_all, verify_case
 from fanocert.cli import main
-from fanocert.lattice import FAMILIES
+from fanocert.lattice import FAMILIES, anticanonical_cube
 from fanocert.report import report_to_json
+from fanocert.secant import trisecant_count
 
 EXPECTED_VERDICTS = {
     "quadric": {
@@ -319,6 +319,26 @@ def test_cli_exit_codes(tmp_path, capsys):
         main(["verify", "--family", "nonexistent"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("family, d, g, error", [
+    ("quadric", 2, 0, "ValueError: need d >= 3"),
+    ("v4", 15, 0, "FreenessInapplicableError: "),
+])
+def test_pipeline_error_is_an_internal_error(tmp_path, capsys, family, d, g, error):
+    # exit 1 means a mismatch under --strict; an exception escaping a
+    # pipeline is reported on one line and exits 3
+    table = {"version": 1, "cases": [{"id": 1, "family": family, "d": d, "g": g,
+                                      "expected": "Realizable"}]}
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(table))
+    assert main(["verify", "--table", str(path)]) == 3
+    assert main(["verify", "--table", str(path), "--strict"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1]
+    assert lines[0].startswith(f"fanocert: internal error: {error}")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_json_output_is_stable(tmp_path, capsys):

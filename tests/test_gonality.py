@@ -1,6 +1,6 @@
 import pytest
 
-from fanocert.gonality import (DonorWindowEmptyError, default_window,
+from fanocert.gonality import (DONOR_DEGREES, SECTION_GENUS, DonorWindowEmptyError,
                                fixed_moving_bound, tetragonal_certificate)
 from fanocert.lattice import FAMILIES, DivisorClass, make_family_lattice
 
@@ -10,10 +10,9 @@ def family_members(fam, k_range):
 
 
 def test_window_constants_come_from_family_spec():
-    window = default_window()
-    assert window.section_genus == FAMILIES["x14"].section_genus == 8
-    assert window.min_degree == 4
-    assert window.max_degree == 7
+    assert SECTION_GENUS == FAMILIES["x14"].section_genus == 8
+    assert DONOR_DEGREES[0] == 4
+    assert DONOR_DEGREES[-1] == 7
 
 
 def test_4_0_families_match_reference_parametrization():

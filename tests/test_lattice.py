@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fanocert.catalog import anticanonical_cube, load_cases
+from fanocert.catalog import load_cases
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
-                              LatticeSignatureError, make_family_lattice, pair,
-                              square_and_genus)
+                              LatticeSignatureError, anticanonical_cube,
+                              make_family_lattice, pair, square_and_genus)
 
 coeff = st.integers(min_value=-100, max_value=100)
 

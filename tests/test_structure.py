@@ -1,0 +1,62 @@
+"""Module layout: imports at module level only, no catalog import in
+pipelines, and one lattice per pipeline run."""
+import ast
+from collections import Counter
+from pathlib import Path
+
+import fanocert
+from fanocert import pipelines
+from fanocert.catalog import load_cases
+from fanocert.lattice import make_family_lattice
+
+PACKAGE = Path(fanocert.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imports(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_imports_sit_at_module_level():
+    assert len(SOURCES) > 10
+    nested = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        nested += [f"{path.name}:{node.lineno}" for node in _imports(tree)
+                   if id(node) not in top]
+    assert nested == []
+
+
+def test_pipelines_do_not_import_catalog():
+    tree = ast.parse((PACKAGE / "pipelines.py").read_text())
+    names = set()
+    for node in _imports(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        names.update(alias.name for alias in node.names)
+    assert "lattice" in names
+    assert not [name for name in names if "catalog" in name.split(".")]
+
+
+def test_each_pipeline_builds_its_lattice_once(monkeypatch):
+    built = []
+
+    def counting(family, d, g):
+        built.append((family.name, d, g))
+        return make_family_lattice(family, d, g)
+
+    monkeypatch.setattr(pipelines, "make_family_lattice", counting)
+    residual_rows = 0
+    for case in load_cases():
+        built.clear()
+        pipelines.PIPELINES[case.family](case)
+        if case.family == "sporadic":
+            expected = []
+        elif case.construction == "residual":
+            residual_rows += 1
+            expected = [(case.family, case.d, case.g), (case.family, case.seed_d, case.seed_g)]
+        else:
+            expected = [(case.family, case.d, case.g)]
+        assert Counter(built) == Counter(expected), case.label()
+    assert residual_rows == 2
