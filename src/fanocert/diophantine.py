@@ -53,27 +53,15 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class DegreeSquareProblem:
-    """Find all classes of fixed polarization degree and fixed square."""
-
-    lattice: IntersectionLattice
-    degree: int
-    square: int
-
-
-@dataclass(frozen=True)
 class LinearFamily:
     """Arithmetic progression base + k*step of lattice classes.
 
-    ``value`` records the linear-form target the family solves, and
-    ``k_min``/``k_max`` an optional half-line restriction on the parameter.
+    ``value`` records the linear-form target the family solves.
     """
 
     base: DivisorClass
     step: DivisorClass
     value: int
-    k_min: int | None = None
-    k_max: int | None = None
 
     def __post_init__(self):
         if self.step.a == 0 and self.step.b == 0:
@@ -81,13 +69,6 @@ class LinearFamily:
 
     def member(self, k: int) -> DivisorClass:
         return self.base + k * self.step
-
-    def in_window(self, k: int) -> bool:
-        if self.k_min is not None and k < self.k_min:
-            return False
-        if self.k_max is not None and k > self.k_max:
-            return False
-        return True
 
     def index_of(self, cls) -> int | None:
         """Parameter k with member(k) == cls, or None."""
@@ -101,7 +82,7 @@ class LinearFamily:
             if diff.b % self.step.b:
                 return None
             k = diff.b // self.step.b
-        return k if self.member(k) == cls and self.in_window(k) else None
+        return k if self.member(k) == cls else None
 
     def square_polynomial(self, lattice: IntersectionLattice) -> tuple[int, int, int]:
         """Coefficients (A, B, C) with member(k)^2 = A k^2 + B k + C."""
@@ -111,13 +92,8 @@ class LinearFamily:
         return a, b, c
 
     def to_witness(self) -> dict:
-        data = {"base": class_witness(self.base), "step": class_witness(self.step),
+        return {"base": class_witness(self.base), "step": class_witness(self.step),
                 "value": self.value}
-        if self.k_min is not None:
-            data["k_min"] = self.k_min
-        if self.k_max is not None:
-            data["k_max"] = self.k_max
-        return data
 
 
 def _extended_gcd(x: int, y: int) -> tuple[int, int, int]:
@@ -184,18 +160,11 @@ def _parabola_window(quad_a: int, quad_b: int, disc: int) -> tuple[int, int]:
     return low_num // den - 1, -(-high_num // den) + 1
 
 
-def solve_degree_square(problem: DegreeSquareProblem) -> tuple[DivisorClass, ...]:
-    """All integer classes with the given polarization degree and square.
-
-    A one-query call of ``solve_degree_squares``.
-    """
-    return solve_degree_squares(problem.lattice, [(problem.degree, problem.square)])[0]
-
-
 def solve_degree_squares(lattice: IntersectionLattice,
                          queries) -> tuple[tuple[DivisorClass, ...], ...]:
-    """``solve_degree_square`` for many (degree, square) pairs of one lattice.
+    """All integer classes of each given polarization degree and square.
 
+    ``queries`` is an iterable of (degree, square) pairs of one lattice.
     Returns one tuple of classes per query, in query order, each sorted by
     (a, b).  The degree line is solved once per call and each distinct
     degree's quadratic once; a query then costs one discriminant and one
@@ -329,31 +298,13 @@ def band_empty(form1: tuple[int, int], range1: Interval,
     )
 
 
-def family_solutions(lhs: tuple[int, int], values, side: tuple[int, int],
-                     side_bound: int) -> tuple[LinearFamily, ...]:
-    """Solution families of lhs . (a,b) = v for each v, filtered by a side form.
-
-    The side constraint side . (a,b) >= side_bound is linear along each
-    family, hence either holds identically, fails identically, or restricts
-    the parameter to a half-line recorded on the family.
-    """
+def family_solutions(lhs: tuple[int, int], values) -> tuple[LinearFamily, ...]:
+    """Solution families of lhs . (a,b) = v, one per value v with integer points."""
     families = []
     for value in values:
         line = _line_solutions(lhs[0], lhs[1], value)
-        if line is None:
-            continue
-        base, step = line
-        c0 = side[0] * base.a + side[1] * base.b
-        c1 = side[0] * step.a + side[1] * step.b
-        k_min = k_max = None
-        if c1 == 0:
-            if c0 < side_bound:
-                continue
-        elif c1 > 0:
-            k_min = -((c0 - side_bound) // c1)
-        else:
-            k_max = (side_bound - c0) // c1
-        families.append(LinearFamily(base, step, value, k_min, k_max))
+        if line is not None:
+            families.append(LinearFamily(*line, value))
     return tuple(families)
 
 
@@ -362,8 +313,8 @@ def family_quadratic_max(lattice: IntersectionLattice, family: LinearFamily,
     """Exact maximum of the square over the family's integer parameters.
 
     Requires a negative leading coefficient (step of negative square); the
-    maximum then sits at one of the admissible integers nearest the real
-    vertex, walking outward past any excluded parameters.
+    maximum then sits at one of the integers nearest the real vertex,
+    walking outward past the finitely many excluded parameters.
     """
     quad_a, quad_b, quad_c = family.square_polynomial(lattice)
     if quad_a >= 0:
@@ -372,34 +323,17 @@ def family_quadratic_max(lattice: IntersectionLattice, family: LinearFamily,
         )
     vertex_floor = -quad_b // (2 * quad_a)
     vertex_ceil = -(quad_b // (2 * quad_a))
-
-    def admissible(k: int) -> bool:
-        return family.in_window(k) and k not in exclude
-
-    candidates = []
-    k = vertex_floor
-    while not admissible(k):
-        k -= 1
-        if family.k_min is not None and k < family.k_min:
-            k = None
-            break
-    if k is not None:
-        candidates.append(k)
-    k = max(vertex_ceil, vertex_floor + 1)
-    while not admissible(k):
-        k += 1
-        if family.k_max is not None and k > family.k_max:
-            k = None
-            break
-    if k is not None:
-        candidates.append(k)
-    if not candidates:
-        raise FamilyMaxUndefinedError("family window is empty after exclusions")
+    below = vertex_floor
+    while below in exclude:
+        below -= 1
+    above = max(vertex_ceil, vertex_floor + 1)
+    while above in exclude:
+        above += 1
 
     def value(k: int) -> int:
         return quad_a * k * k + quad_b * k + quad_c
 
-    best = max(candidates, key=value)
+    best = max((below, above), key=value)
     return value(best), best
 
 

@@ -12,6 +12,10 @@ the donor to be reducible or rigid, and the missing component types (lines,
 conics, short elliptic classes) are ruled out by lattice searches.  Solutions
 the square analysis cannot kill are singled out as specials and eliminated
 individually.
+
+Since (T - D).T = T^2 - D.T with T^2 = h^2 = 14, the first inequality only
+says D.T <= 14, which every degree of the window meets, so each solution
+family is a whole progression rather than a half-line.
 """
 from __future__ import annotations
 
@@ -98,14 +102,11 @@ def _special_parameters(lattice: IntersectionLattice, family: LinearFamily,
     if disc < 0:
         return ()
     lo, hi = _parabola_window(quad_a, quad_b, disc)
-    ks = [k for k in range(lo, hi + 1)
-          if family.in_window(k)
-          and quad_a * k * k + quad_b * k + quad_c >= 0]
-    return tuple(ks)
+    return tuple(k for k in range(lo, hi + 1)
+                 if quad_a * k * k + quad_b * k + quad_c >= 0)
 
 
-def _eliminate_special(lattice: IntersectionLattice, cls: DivisorClass,
-                       square: int, t_degree: int) -> SpecialSolution:
+def _eliminate_special(cls: DivisorClass, square: int, t_degree: int) -> SpecialSolution:
     if square == -2:
         return SpecialSolution(
             cls, square, t_degree, elimination="rigid-class", kind=VERIFIED,
@@ -160,12 +161,8 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
     h2 = family_spec.h_square
 
     degree_form = (h2, d)
-    families = family_solutions(
-        lhs=degree_form,
-        values=DONOR_DEGREES,
-        side=(-h2, -d),
-        side_bound=-h2,
-    )
+    # (T - D).T = h^2 - D.T, so the side condition is D.T <= h^2.
+    families = family_solutions(degree_form, [v for v in DONOR_DEGREES if v <= h2])
     if not families:
         raise DonorWindowEmptyError(
             f"x14 (d={d}, g={g}): no donor degree in the window "
@@ -189,7 +186,7 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
         for k in sks:
             cls = fam.member(k)
             square = lattice.pair(cls, cls)
-            specials.append(_eliminate_special(lattice, cls, square, fam.value))
+            specials.append(_eliminate_special(cls, square, fam.value))
         max_square, attained = family_quadratic_max(lattice, fam, exclude=set(sks))
         analyses.append(FamilyAnalysis(fam, sks, max_square, attained))
 

@@ -157,10 +157,6 @@ def make_family_lattice(family: FamilySpec, d: int, g: int) -> IntersectionLatti
     return lattice
 
 
-def pair(lattice: IntersectionLattice, d1, d2) -> int:
-    return lattice.pair(d1, d2)
-
-
 def square_and_genus(lattice: IntersectionLattice, divisor) -> tuple[int, int]:
     """Self-intersection and adjunction genus (square/2 + 1) of a class."""
     square = lattice.pair(divisor, divisor)

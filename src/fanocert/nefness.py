@@ -84,8 +84,6 @@ def _freeness_budget(family: FamilySpec, lattice: IntersectionLattice) -> Freene
             "does not apply as stated"
         )
     k = (square + 2) // 2
-    if k < 2:
-        raise FreenessInapplicableError(f"elliptic multiplicity k={k} < 2")
     h_dot_d = lattice.degree(adjoint)
     return FreenessBudget(k=k, h_dot_d=h_dot_d, gamma_budget=h_dot_d - 3 * k)
 

@@ -10,9 +10,8 @@ read it.  Nothing here imports ``catalog``, which imports ``PIPELINES``.
 """
 from __future__ import annotations
 
-from .diophantine import (DegreeSquareProblem, Interval, band_empty,
-                          curve_class_search, effective_decompositions,
-                          solve_degree_square)
+from .diophantine import (Interval, band_empty, curve_class_search,
+                          effective_decompositions, solve_degree_squares)
 from .gonality import tetragonal_certificate
 from .lattice import (FAMILIES, SPORADIC_AMBIENT_DEGREE, DivisorClass, FamilySpec,
                       IntersectionLattice, anticanonical_cube, make_family_lattice,
@@ -122,7 +121,7 @@ def quadric_pipeline(case) -> tuple[list[CheckOutcome], list[str]]:
         nef_certificate(family, d, g),
         free_certificate(family, d, g),
     ]
-    plane_cubic = solve_degree_square(DegreeSquareProblem(lattice, 3, 0))
+    plane_cubic = solve_degree_squares(lattice, [(3, 0)])[0]
     checks.append(verified(
         name="singular-ambient-excluded",
         rule="plane-cubic-class-search",
@@ -209,10 +208,7 @@ def _hyperplane_irreducibility(family: FamilySpec, lattice: IntersectionLattice,
         complement = DivisorClass(1, 0) - part
         part_decomp = effective_decompositions(lattice, part)
         comp_decomp = effective_decompositions(lattice, complement)
-        part_deg = lattice.degree(part)
-        comp_deg = lattice.degree(complement)
-        eliminated = ((part_deg < 1 or not part_decomp)
-                      or (comp_deg < 1 or not comp_decomp))
+        eliminated = not part_decomp or not comp_decomp
         all_eliminated = all_eliminated and eliminated
         witnesses.append({
             "class": class_witness(part),
@@ -232,11 +228,11 @@ def _hyperplane_irreducibility(family: FamilySpec, lattice: IntersectionLattice,
     residual = DivisorClass(1, -1)
     res_deg = lattice.degree(residual)
     res_square = lattice.pair(residual, residual)
-    decomp = effective_decompositions(lattice, residual) if res_deg >= 1 else ()
+    decomp = effective_decompositions(lattice, residual)
     checks.append(verified(
         name="section-minus-curve-not-effective",
         rule="effective-decomposition-search",
-        passed=res_deg < 1 or not decomp,
+        passed=not decomp,
         inputs={"class": class_witness(residual)},
         result={"degree": res_deg, "square": res_square,
                 "decompositions_found": len(decomp)},

@@ -9,12 +9,11 @@ from fractions import Fraction
 
 from fanocert.catalog import load_cases, run_all
 from fanocert.cli import main
-from fanocert.diophantine import (DegreeSquareProblem, curve_class_search,
-                                  family_quadratic_max, family_solutions,
-                                  solve_degree_square)
+from fanocert.diophantine import (curve_class_search, family_quadratic_max,
+                                  family_solutions, solve_degree_squares)
 from fanocert.gonality import fixed_moving_bound, tetragonal_certificate
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
-                              make_family_lattice, pair, square_and_genus)
+                              make_family_lattice, square_and_genus)
 from fanocert.nefness import freeness_budget, free_certificate
 from fanocert.report import report_to_json
 from fanocert.ruled import hirzebruch_search, noether_contradiction, p2_square_ten
@@ -49,14 +48,14 @@ def test_criterion_1_golden_verdict_table(capsys):
 
 def test_criterion_2_witness_classes(capsys):
     quadric = make_family_lattice(FAMILIES["quadric"], 13, 14)
-    hits = solve_degree_square(DegreeSquareProblem(quadric, 1, -2))
+    hits = solve_degree_squares(quadric, [(1, -2)])[0]
     ok = hits == (DivisorClass(-2, 1),)
-    ok = ok and pair(quadric, hits[0], DivisorClass(0, 1)) == 0
+    ok = ok and quadric.pair(hits[0], DivisorClass(0, 1)) == 0
 
     v4 = make_family_lattice(FAMILIES["v4"], 10, 6)
-    hits4 = solve_degree_square(DegreeSquareProblem(v4, 2, -2))
+    hits4 = solve_degree_squares(v4, [(2, -2)])[0]
     ok = ok and hits4 == (DivisorClass(-1, 1),)
-    ok = ok and pair(v4, hits4[0], DivisorClass(0, 1)) == 0
+    ok = ok and v4.pair(hits4[0], DivisorClass(0, 1)) == 0
     with capsys.disabled():
         _emit(2, "solver witnesses (-2,1) and (-1,1) with elimination value 0", ok)
 
@@ -183,7 +182,7 @@ def test_criterion_9_oracle_equivalence(capsys):
             b = rest // d
             if abs(b) <= window and lattice.pair((a, b), (a, b)) == square:
                 brute.append(DivisorClass(a, b))
-        solved = [c for c in solve_degree_square(DegreeSquareProblem(lattice, degree, square))
+        solved = [c for c in solve_degree_squares(lattice, [(degree, square)])[0]
                   if abs(c.a) <= window and abs(c.b) <= window]
         ok = ok and solved == sorted(brute, key=lambda c: (c.a, c.b))
 
@@ -208,7 +207,7 @@ def test_criterion_9_oracle_equivalence(capsys):
     while checked < 250:
         lattice = _random_lattice(rng)
         p, q = rng.randint(1, 12), rng.randint(1, 12)
-        families = family_solutions((p, q), [rng.randint(-20, 20)], (0, 1), -10**6)
+        families = family_solutions((p, q), [rng.randint(-20, 20)])
         if not families:
             continue
         fam = families[0]
@@ -241,7 +240,7 @@ def test_criterion_10_structural_invariants(capsys):
             square, _ = square_and_genus(lattice, cls)
             ok = ok and square % 2 == 0
         adjoint = family.adjoint_class
-        ok = ok and pair(lattice, adjoint, adjoint) == anticanonical_cube(family, case.d, case.g)
+        ok = ok and lattice.pair(adjoint, adjoint) == anticanonical_cube(family, case.d, case.g)
 
     first = report_to_json(run_all())
     second = report_to_json(run_all())

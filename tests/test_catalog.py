@@ -269,7 +269,7 @@ def test_verify_case_detects_regressions():
 
 
 def test_certificate_witnesses_reverify_through_pairing():
-    from fanocert.lattice import DivisorClass, make_family_lattice, pair
+    from fanocert.lattice import DivisorClass, make_family_lattice
 
     for cert in run_all().certificates:
         if cert.case.family == "sporadic":
@@ -282,8 +282,8 @@ def test_certificate_witnesses_reverify_through_pairing():
             for witness in check.witnesses:
                 cls = DivisorClass(*witness["class"])
                 assert lattice.degree(cls) == witness["degree"]
-                assert pair(lattice, cls, cls) == 2 * witness["arithmetic_genus"] - 2
-                assert pair(lattice, cls, DivisorClass(0, 1)) == witness["meets_curve"]
+                assert lattice.pair(cls, cls) == 2 * witness["arithmetic_genus"] - 2
+                assert lattice.pair(cls, DivisorClass(0, 1)) == witness["meets_curve"]
 
 
 def test_cli_exit_codes(tmp_path, capsys):

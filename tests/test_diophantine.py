@@ -4,13 +4,13 @@ from math import gcd, isqrt
 
 import pytest
 
-from fanocert.diophantine import (DegreeSquareProblem, DependentFormsError,
-                                  FamilyMaxUndefinedError, Interval, LinearFamily,
-                                  band_empty, curve_class_search,
-                                  effective_decompositions, family_quadratic_max,
-                                  family_solutions, solve_degree_square,
+from fanocert.diophantine import (DependentFormsError, FamilyMaxUndefinedError,
+                                  Interval, LinearFamily, band_empty,
+                                  curve_class_search, effective_decompositions,
+                                  family_quadratic_max, family_solutions,
                                   solve_degree_squares)
 from fanocert.diophantine import _line_solutions
+from fanocert.gonality import DONOR_DEGREES, DonorWindowEmptyError, tetragonal_certificate
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
                               LatticeSignatureError, as_class, make_family_lattice)
 
@@ -64,11 +64,11 @@ def in_window(cls, window=WINDOW):
 
 def test_solve_degree_square_reference_values():
     quadric = make_family_lattice(FAMILIES["quadric"], 13, 14)
-    assert solve_degree_square(DegreeSquareProblem(quadric, 1, -2)) == (DivisorClass(-2, 1),)
+    assert solve_degree_squares(quadric, [(1, -2)])[0] == (DivisorClass(-2, 1),)
     v4 = make_family_lattice(FAMILIES["v4"], 10, 6)
-    assert solve_degree_square(DegreeSquareProblem(v4, 2, -2)) == (DivisorClass(-1, 1),)
+    assert solve_degree_squares(v4, [(2, -2)])[0] == (DivisorClass(-1, 1),)
     quadric92 = make_family_lattice(FAMILIES["quadric"], 9, 2)
-    assert solve_degree_square(DegreeSquareProblem(quadric92, 1, -2)) == ()
+    assert solve_degree_squares(quadric92, [(1, -2)])[0] == ()
     assert brute_degree_square(quadric92, 1, -2, window=200) == []
 
 
@@ -78,7 +78,7 @@ def test_solve_degree_square_matches_brute_force():
         lattice = random_hyperbolic_lattice(rng)
         degree = rng.randint(-30, 30)
         square = 2 * rng.randint(-40, 40)
-        solved = solve_degree_square(DegreeSquareProblem(lattice, degree, square))
+        solved = solve_degree_squares(lattice, [(degree, square)])[0]
         for cls in solved:
             assert lattice.degree(cls) == degree
             assert lattice.pair(cls, cls) == square
@@ -99,7 +99,7 @@ def test_solve_degree_square_full_plane_scan():
              if lattice.degree(DivisorClass(a, b)) == degree
              and lattice.pair(DivisorClass(a, b), DivisorClass(a, b)) == square),
             key=lambda c: (c.a, c.b))
-        solved = solve_degree_square(DegreeSquareProblem(lattice, degree, square))
+        solved = solve_degree_squares(lattice, [(degree, square)])[0]
         assert [c for c in solved if abs(c.a) <= 25 and abs(c.b) <= 25] == expected
 
 
@@ -110,20 +110,19 @@ def _int_sqrt_if_square(value: int) -> int | None:
     return root if root * root == value else None
 
 
-def reference_solve_degree_square(problem: DegreeSquareProblem) -> tuple[DivisorClass, ...]:
+def reference_solve_degree_square(lattice, degree, square) -> tuple[DivisorClass, ...]:
     """The original one-query solver, kept verbatim as the oracle."""
-    lattice = problem.lattice
     if lattice.det >= 0:
         raise LatticeSignatureError("degree/square search needs det < 0")
     h2 = lattice.gram[0][0]
     d = lattice.gram[0][1]
-    line = _line_solutions(h2, d, problem.degree)
+    line = _line_solutions(h2, d, degree)
     if line is None:
         return ()
     base, step = line
     quad_a = lattice.pair(step, step)
     quad_b = 2 * lattice.pair(base, step)
-    quad_c = lattice.pair(base, base) - problem.square
+    quad_c = lattice.pair(base, base) - square
     disc = quad_b * quad_b - 4 * quad_a * quad_c
     root = _int_sqrt_if_square(disc)
     if root is None:
@@ -163,7 +162,7 @@ def test_solve_degree_squares_matches_reference():
             else:
                 degree = rng.randint(-30, 30)
             queries.append((degree, square))
-        expected = tuple(reference_solve_degree_square(DegreeSquareProblem(lattice, *q))
+        expected = tuple(reference_solve_degree_square(lattice, *q)
                          for q in queries)
         assert solve_degree_squares(lattice, queries) == expected
         assert solve_degree_squares(lattice, iter(queries)) == expected
@@ -188,8 +187,6 @@ def test_solve_degree_squares_signature_guard():
             solve_degree_squares(lattice, [(1, -2)])
         with pytest.raises(LatticeSignatureError):
             solve_degree_squares(lattice, [])
-        with pytest.raises(LatticeSignatureError):
-            solve_degree_square(DegreeSquareProblem(lattice, 1, -2))
 
 
 def test_curve_class_search_reference_values():
@@ -258,30 +255,67 @@ def test_band_witnesses_satisfy_constraints():
 
 
 def test_family_solutions_reference_families():
-    families = family_solutions((14, 4), range(4, 8), (-14, -4), -14)
+    families = family_solutions((14, 4), range(4, 8))
     data = {(f.base.coords(), f.step.coords(), f.value) for f in families}
     assert data == {((0, 1), (2, -7), 4), ((1, -2), (2, -7), 6)}
-    for fam in families:
-        assert fam.k_min is None and fam.k_max is None
 
-    families = family_solutions((14, 5), range(4, 8), (-14, -5), -14)
+    families = family_solutions((14, 5), range(4, 8))
     assert len(families) == 4
     members = {fam.value: fam for fam in families}
     assert members[5].index_of(DivisorClass(0, 1)) is not None
     assert members[4].index_of(DivisorClass(1, -2)) is not None
 
-    assert family_solutions((2, 0), [1], (0, 1), -100) == ()
+    assert family_solutions((2, 0), [1]) == ()
 
 
-def test_family_solutions_half_line_constraint():
-    # side form not parallel to the solved form: a genuine half-line appears
-    families = family_solutions((1, 0), [2], (0, 1), 0)
-    assert len(families) == 1
-    fam = families[0]
-    assert fam.member(0).a == 2
-    ks = [k for k in range(-10, 11) if fam.in_window(k)]
-    assert all(fam.member(k).b >= 0 for k in ks)
-    assert fam.k_min is not None or fam.k_max is not None
+def reference_family_solutions(lhs, values, side, side_bound):
+    """The original side-filtered family solver, kept verbatim as the oracle.
+
+    It returns (base, step, value, k_min, k_max) tuples where the original
+    built a ``LinearFamily`` carrying the half-line bounds.
+    """
+    families = []
+    for value in values:
+        line = _line_solutions(lhs[0], lhs[1], value)
+        if line is None:
+            continue
+        base, step = line
+        c0 = side[0] * base.a + side[1] * base.b
+        c1 = side[0] * step.a + side[1] * step.b
+        k_min = k_max = None
+        if c1 == 0:
+            if c0 < side_bound:
+                continue
+        elif c1 > 0:
+            k_min = -((c0 - side_bound) // c1)
+        else:
+            k_max = (side_bound - c0) // c1
+        families.append((base, step, value, k_min, k_max))
+    return tuple(families)
+
+
+def test_donor_families_match_side_filtered_reference_on_x14_census():
+    h2 = FAMILIES["x14"].h_square
+    pairs = families_seen = 0
+    for name, d, g, _ in census_lattices():
+        if name != "x14":
+            continue
+        pairs += 1
+        expected = reference_family_solutions((h2, d), DONOR_DEGREES, (-h2, -d), -h2)
+        # the side form is -1 times the degree form, so no half-line appears
+        assert all(k_min is None and k_max is None for *_, k_min, k_max in expected)
+        expected = [(base, step, value) for base, step, value, _, _ in expected]
+        found = family_solutions((h2, d), [v for v in DONOR_DEGREES if v <= h2])
+        assert [(f.base, f.step, f.value) for f in found] == expected, (d, g)
+        try:
+            report = tetragonal_certificate(d, g)
+        except DonorWindowEmptyError:
+            assert expected == [], (d, g)
+            continue
+        assert [(a.family.base, a.family.step, a.family.value)
+                for a in report.families] == expected, (d, g)
+        families_seen += len(expected)
+    assert pairs == 290 and families_seen > 0
 
 
 def test_family_quadratic_max_reference_values():
@@ -303,7 +337,7 @@ def test_family_quadratic_max_matches_brute_force():
         lattice = random_hyperbolic_lattice(rng)
         p, q = rng.randint(1, 12), rng.randint(1, 12)
         value = rng.randint(-20, 20)
-        families = family_solutions((p, q), [value], (0, 1), -10**6)
+        families = family_solutions((p, q), [value])
         if not families:
             continue
         fam = families[0]
@@ -317,6 +351,31 @@ def test_family_quadratic_max_matches_brute_force():
         brute = max((lattice.pair(fam.member(k), fam.member(k)), k)
                     for k in range(-1000, 1001) if k not in exclude)
         assert best == brute[0]
+        assert lattice.pair(fam.member(at), fam.member(at)) == best
+        checked += 1
+
+
+def test_family_quadratic_max_walks_past_excluded_vertex():
+    # exclusions cover the integers nearest the vertex, on one side or both
+    rng = random.Random(0xFA2608)
+    checked = 0
+    while checked < 200:
+        lattice = random_hyperbolic_lattice(rng)
+        families = family_solutions((rng.randint(1, 12), rng.randint(1, 12)),
+                                    [rng.randint(-20, 20)])
+        if not families:
+            continue
+        fam = families[0]
+        quad_a, quad_b, _ = fam.square_polynomial(lattice)
+        if quad_a >= 0 or abs(Fraction(-quad_b, 2 * quad_a)) > 500:
+            continue
+        vertex = -quad_b // (2 * quad_a)
+        exclude = set(range(vertex - rng.randint(0, 3), vertex + rng.randint(1, 4)))
+        best, at = family_quadratic_max(lattice, fam, exclude=exclude)
+        brute = max(lattice.pair(fam.member(k), fam.member(k))
+                    for k in range(-1000, 1001) if k not in exclude)
+        assert at not in exclude
+        assert best == brute
         assert lattice.pair(fam.member(at), fam.member(at)) == best
         checked += 1
 

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from fanocert.catalog import load_cases
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
                               LatticeSignatureError, anticanonical_cube,
-                              make_family_lattice, pair, square_and_genus)
+                              make_family_lattice, square_and_genus)
 
 coeff = st.integers(min_value=-100, max_value=100)
 
@@ -42,10 +42,10 @@ def test_rejects_bad_inputs():
 
 def test_pair_values():
     quadric = make_family_lattice(FAMILIES["quadric"], 13, 14)
-    assert pair(quadric, (1, 0), (1, 0)) == 6
-    assert pair(quadric, (-2, 1), (0, 1)) == 0
+    assert quadric.pair((1, 0), (1, 0)) == 6
+    assert quadric.pair((-2, 1), (0, 1)) == 0
     v4 = make_family_lattice(FAMILIES["v4"], 10, 6)
-    assert pair(v4, (-1, 1), (0, 1)) == 0
+    assert v4.pair((-1, 1), (0, 1)) == 0
 
 
 def test_square_and_genus():
@@ -61,7 +61,7 @@ def test_square_and_genus():
 def test_pair_symmetric(a1, b1, a2, b2):
     lattice = make_family_lattice(FAMILIES["quadric"], 9, 2)
     x, y = DivisorClass(a1, b1), DivisorClass(a2, b2)
-    assert pair(lattice, x, y) == pair(lattice, y, x)
+    assert lattice.pair(x, y) == lattice.pair(y, x)
 
 
 @given(coeff, coeff, coeff, coeff, coeff, coeff, st.integers(-5, 5), st.integers(-5, 5))
@@ -69,7 +69,7 @@ def test_pair_bilinear(a1, b1, a2, b2, a3, b3, lam, mu):
     lattice = make_family_lattice(FAMILIES["v5"], 9, 1)
     x, y, z = DivisorClass(a1, b1), DivisorClass(a2, b2), DivisorClass(a3, b3)
     combo = DivisorClass(lam * x.a + mu * y.a, lam * x.b + mu * y.b)
-    assert pair(lattice, combo, z) == lam * pair(lattice, x, z) + mu * pair(lattice, y, z)
+    assert lattice.pair(combo, z) == lam * lattice.pair(x, z) + mu * lattice.pair(y, z)
 
 
 def test_even_squares_on_catalog_lattices():
@@ -90,7 +90,7 @@ def test_catalog_determinants_negative():
 def test_adjoint_square_matches_anticanonical_cube():
     for family, d, g, lattice in catalog_lattices():
         adjoint = family.adjoint_class
-        assert pair(lattice, adjoint, adjoint) == anticanonical_cube(family, d, g)
+        assert lattice.pair(adjoint, adjoint) == anticanonical_cube(family, d, g)
 
 
 def test_family_constants():

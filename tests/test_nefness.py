@@ -1,7 +1,6 @@
 import pytest
 
 from fanocert.catalog import load_cases
-from fanocert.diophantine import DegreeSquareProblem
 from fanocert.lattice import FAMILIES, DivisorClass, make_family_lattice
 from fanocert.nefness import (FreenessInapplicableError, _table_kind, free_certificate,
                               freeness_budget, nef_certificate)
@@ -124,8 +123,7 @@ def reference_nef_certificate(family, d, g):
     witnesses = []
     all_eliminated = True
     for cand in table:
-        classes = reference_solve_degree_square(
-            DegreeSquareProblem(lattice, cand.m, 2 * cand.p_a - 2))
+        classes = reference_solve_degree_square(lattice, cand.m, 2 * cand.p_a - 2)
         for cls in classes:
             meets = lattice.pair(cls, curve)
             eliminated = meets < cand.secancy
@@ -159,7 +157,7 @@ def reference_free_certificate(family, d, g):
     if budget.gamma_budget > 0:
         for degree in range(1, budget.gamma_budget + 1):
             searched.append(degree)
-            for cls in reference_solve_degree_square(DegreeSquareProblem(lattice, degree, -2)):
+            for cls in reference_solve_degree_square(lattice, degree, -2):
                 witnesses.append({"class": class_witness(cls),
                                   "polarization_degree": degree})
     return CheckOutcome(
