@@ -1,12 +1,10 @@
 """Bounded exact integer searches on rank-2 lattices.
 
-All solvers work over the integers alone: search windows come from
-``math.isqrt`` of a discriminant and floor/ceiling integer division, and no
-floating point or ``fractions.Fraction`` appears anywhere.  Degree
-constraints cut out a line in the class lattice, and the intersection form
-restricted to such a line is a downward parabola whenever the lattice has
-signature (1,1), so every search window below is finite and derived from
-discriminants rather than guessed.
+All solvers work over the integers alone: bounds come from ``math.isqrt``
+and floor division, never from floating point or ``fractions.Fraction``.  A
+degree constraint cuts out a line in the class lattice; when det < 0 and
+H^2 > 0 the square along that line is a downward parabola, so "square >= m"
+is one exact integer range of the line's parameter (``_nonnegative_range``).
 """
 from __future__ import annotations
 
@@ -127,37 +125,56 @@ def _line(coeff_a: int, coeff_b: int) -> tuple[int, int, int, int, int]:
     return g, u, v, step_a, step_b
 
 
-def _line_solutions(coeff_a: int, coeff_b: int, target: int) -> tuple[DivisorClass, DivisorClass] | None:
-    """Canonical (base, step) for the solutions of coeff_a*a + coeff_b*b = target.
+def _line_base(line, target: int) -> tuple[int, int] | None:
+    """Canonical base (a, b) of ``_line`` output ``line`` at ``target``.
 
-    Returns None when no integer solutions exist.  The step is ``_line``'s;
-    the base is reduced so that its fast coordinate lies in [0, step
-    coordinate).
+    None when the target is off the gcd; the fast coordinate lies in [0, step).
     """
-    g, u, v, step_a, step_b = _line(coeff_a, coeff_b)
+    g, u, v, step_a, step_b = line
     if target % g:
         return None
     scale = target // g
     base_a, base_b = u * scale, v * scale
     shift = base_a // step_a if step_a else base_b // step_b
-    return (DivisorClass(base_a - shift * step_a, base_b - shift * step_b),
-            DivisorClass(step_a, step_b))
+    return base_a - shift * step_a, base_b - shift * step_b
 
 
-def _parabola_window(quad_a: int, quad_b: int, disc: int) -> tuple[int, int]:
-    """Integer window [lo, hi] around the real roots of quad_a*k^2 + quad_b*k + c.
+def _line_solutions(coeff_a: int, coeff_b: int, target: int) -> tuple[DivisorClass, DivisorClass] | None:
+    """Canonical (base, step) for the solutions of coeff_a*a + coeff_b*b = target."""
+    line = _line(coeff_a, coeff_b)
+    base = _line_base(line, target)
+    if base is None:
+        return None
+    *_, step_a, step_b = line
+    return DivisorClass(*base), DivisorClass(step_a, step_b)
 
-    ``disc`` is the parabola's discriminant (>= 0).  The roots are widened to
-    (-quad_b -+ (isqrt(disc) + 1)) / (2*quad_a), rounded outward and padded
-    by one on each side, so every k with a nonnegative value lies inside
-    when quad_a < 0.
+
+def _nonnegative_range(quad_a: int, quad_b: int, quad_c: int) -> range:
+    """Exactly the integers k with quad_a*k^2 + quad_b*k + quad_c >= 0.
+
+    Needs quad_a < 0.  The real roots are (quad_b -+ sqrt(disc)) / den with
+    den = -2*quad_a > 0, and flooring sqrt(disc) first does not move the
+    floor of either quotient, so one ``isqrt`` and two floor divisions give
+    both ends.
     """
-    spread = isqrt(disc) + 1
-    den = 2 * quad_a
-    low_num, high_num = -quad_b - spread, -quad_b + spread
-    if den < 0:
-        low_num, high_num = high_num, low_num
-    return low_num // den - 1, -(-high_num // den) + 1
+    disc = quad_b * quad_b - 4 * quad_a * quad_c
+    if disc < 0:
+        return range(0)
+    root = isqrt(disc)
+    den = -2 * quad_a
+    return range(-((root - quad_b) // den), (quad_b + root) // den + 1)
+
+
+def _degree_line(lattice: IntersectionLattice) -> tuple[int, int, int, int, int]:
+    """``_line`` of the degree form; refuses unless det < 0 and H^2 > 0.
+
+    Only those make the square a downward parabola on every degree line.
+    """
+    (h2, d), _ = lattice.gram
+    if lattice.det >= 0 or h2 <= 0:
+        raise LatticeSignatureError(
+            f"degree-line search needs det < 0 and H^2 > 0 (det {lattice.det}, H^2 {h2})")
+    return _line(h2, d)
 
 
 def solve_degree_squares(lattice: IntersectionLattice,
@@ -172,9 +189,7 @@ def solve_degree_squares(lattice: IntersectionLattice,
     The signature hypothesis makes the leading coefficient negative, so a
     query has at most two solutions.  Nothing is kept between calls.
     """
-    if lattice.det >= 0:
-        raise LatticeSignatureError("degree/square search needs det < 0")
-    line = _line(lattice.gram[0][0], lattice.gram[0][1])
+    line = _degree_line(lattice)
     *_, step_a, step_b = line
     quadratics = {}
     solved = []
@@ -206,11 +221,10 @@ def curve_class_search(lattice: IntersectionLattice, degree: int,
     """All classes of the given polarization degree with square >= min_square.
 
     Finite because the square restricted to the degree line is a downward
-    parabola; the window comes from its discriminant.
+    parabola: the classes are one exact range of the line's parameter,
+    returned in ascending (a, b) order.
     """
-    if lattice.det >= 0:
-        raise LatticeSignatureError("curve class search needs det < 0")
-    line = _line(lattice.gram[0][0], lattice.gram[0][1])
+    line = _degree_line(lattice)
     return tuple(DivisorClass(a, b)
                  for a, b in _curve_coordinates(lattice, line, degree, min_square))
 
@@ -219,20 +233,16 @@ def _degree_quadratic(lattice: IntersectionLattice, line,
                       degree: int) -> tuple[int, int, int, int, int] | None:
     """Square along the degree line: (base_a, base_b, quad_a, quad_b, base_sq).
 
-    ``line`` is ``_line`` of the polarization's degree form and base is the
-    canonical point of ``_line_solutions`` at ``degree``, so that
+    ``line`` is ``_line`` of the polarization's degree form and base is its
+    ``_line_base`` at ``degree``, so that
     (base + k*step)^2 = quad_a k^2 + quad_b k + base_sq.  None when the
-    degree has no integer point.  The reduction is repeated here in plain
-    ints: ``_curve_coordinates`` runs once per degree of every decomposition
-    pool, and a call into a shared reduction made it about 10% slower.
+    degree has no integer point.
     """
-    g, u, v, step_a, step_b = line
-    if degree % g:
+    base = _line_base(line, degree)
+    if base is None:
         return None
-    scale = degree // g
-    base_a, base_b = u * scale, v * scale
-    shift = base_a // step_a if step_a else base_b // step_b
-    base_a, base_b = base_a - shift * step_a, base_b - shift * step_b
+    base_a, base_b = base
+    *_, step_a, step_b = line
     (_, q), (_, s) = lattice.gram
     # The step has degree 0, so it pairs with any (a, b) as
     # b * (q*step_a + s*step_b); the base has the given degree, so
@@ -254,14 +264,8 @@ def _curve_coordinates(lattice: IntersectionLattice, line, degree: int,
         return []
     base_a, base_b, quad_a, quad_b, base_sq = quad
     *_, step_a, step_b = line
-    quad_c = base_sq - min_square
-    disc = quad_b * quad_b - 4 * quad_a * quad_c
-    if disc < 0:
-        return []
-    # Conservative integer window around the real roots, then exact filter.
-    lo, hi = _parabola_window(quad_a, quad_b, disc)
-    return [(base_a + k * step_a, base_b + k * step_b) for k in range(lo, hi + 1)
-            if quad_a * k * k + quad_b * k + quad_c >= 0]
+    return [(base_a + k * step_a, base_b + k * step_b)
+            for k in _nonnegative_range(quad_a, quad_b, base_sq - min_square)]
 
 
 def band_empty(form1: tuple[int, int], range1: Interval,
@@ -356,11 +360,9 @@ def effective_decompositions(lattice: IntersectionLattice, target,
     total = lattice.degree(target)
     if total < 1:
         return ()
-    if lattice.det >= 0:
-        raise LatticeSignatureError("curve class search needs det < 0")
     # The degree line is solved once: only its base moves with the degree,
     # and only multiples of its gcd carry integer points.
-    line = _line(lattice.gram[0][0], lattice.gram[0][1])
+    line = _degree_line(lattice)
     degree_step = line[0]
     pool: list[tuple[int, int, int, DivisorClass]] = []
     for deg in range(total - total % degree_step, 0, -degree_step):

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diophantine import (LinearFamily, _parabola_window, curve_class_search,
-                          family_quadratic_max, family_solutions)
-from .lattice import FAMILIES, DivisorClass, IntersectionLattice, make_family_lattice
+from .diophantine import (LinearFamily, curve_class_search, family_quadratic_max,
+                          family_solutions)
+from .lattice import FAMILIES, DivisorClass, make_family_lattice
 from .outcome import CheckOutcome, CITED, VERIFIED, cited, class_witness, verified
 
 
@@ -91,19 +91,6 @@ class TetragonalReport:
 
     def outcomes(self) -> tuple[CheckOutcome, ...]:
         return self.checks
-
-
-def _special_parameters(lattice: IntersectionLattice, family: LinearFamily,
-                        threshold: int) -> tuple[int, ...]:
-    """Parameters k with member(k)^2 >= threshold (finitely many, A < 0)."""
-    quad_a, quad_b, quad_c = family.square_polynomial(lattice)
-    quad_c -= threshold
-    disc = quad_b * quad_b - 4 * quad_a * quad_c
-    if disc < 0:
-        return ()
-    lo, hi = _parabola_window(quad_a, quad_b, disc)
-    return tuple(k for k in range(lo, hi + 1)
-                 if quad_a * k * k + quad_b * k + quad_c >= 0)
 
 
 def _eliminate_special(cls: DivisorClass, square: int, t_degree: int) -> SpecialSolution:
@@ -182,9 +169,12 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
     analyses = []
     specials = []
     for fam in families:
-        sks = _special_parameters(lattice, fam, threshold)
-        for k in sks:
-            cls = fam.member(k)
+        # A family of value v is the degree-v line with the same canonical
+        # base and step, so its specials (square >= threshold) are a curve
+        # class search, in ascending k.
+        found = curve_class_search(lattice, fam.value, threshold)
+        sks = tuple(fam.index_of(cls) for cls in found)
+        for cls in found:
             square = lattice.pair(cls, cls)
             specials.append(_eliminate_special(cls, square, fam.value))
         max_square, attained = family_quadratic_max(lattice, fam, exclude=set(sks))

@@ -215,7 +215,7 @@ def test_criterion_9_oracle_equivalence(capsys):
         if quad_a >= 0 or abs(Fraction(-quad_b, 2 * quad_a)) > 500:
             continue
         best, _ = family_quadratic_max(lattice, fam)
-        brute = max(lattice.pair(fam.member(k), fam.member(k))
+        brute = max(lattice.pair(member := fam.member(k), member)
                     for k in range(-1000, 1001))
         ok = ok and best == brute
         checked += 1

@@ -9,7 +9,7 @@ from fanocert.diophantine import (DependentFormsError, FamilyMaxUndefinedError,
                                   curve_class_search, effective_decompositions,
                                   family_quadratic_max, family_solutions,
                                   solve_degree_squares)
-from fanocert.diophantine import _line_solutions
+from fanocert.diophantine import _line_solutions, _nonnegative_range
 from fanocert.gonality import DONOR_DEGREES, DonorWindowEmptyError, tetragonal_certificate
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
                               LatticeSignatureError, as_class, make_family_lattice)
@@ -189,6 +189,52 @@ def test_solve_degree_squares_signature_guard():
             solve_degree_squares(lattice, [])
 
 
+def test_searches_refuse_nonpositive_polarization():
+    # det < 0 but H^2 = 0 (the square is linear on a degree line) or H^2 < 0
+    # (an upward parabola: (0, 1) has degree 1 and square 2)
+    for gram in (((0, 1), (1, 0)), ((-2, 1), (1, 2))):
+        lattice = IntersectionLattice(gram)
+        assert lattice.det < 0 and lattice.gram[0][0] <= 0
+        with pytest.raises(LatticeSignatureError):
+            solve_degree_squares(lattice, [(1, 2)])
+        with pytest.raises(LatticeSignatureError):
+            curve_class_search(lattice, 1, -2)
+        with pytest.raises(LatticeSignatureError):
+            effective_decompositions(lattice, DivisorClass(0, 1))
+
+
+def test_nonnegative_range_matches_brute_force():
+    rng = random.Random(0xFA2609)
+    box = range(-500, 501)
+    negative = double = integer_ends = 0
+    for _ in range(1000):
+        quad_a = -rng.randint(1, 40)
+        roll = rng.random()
+        if roll < 0.3:
+            # integer roots r1 <= r2, so both ends are roots themselves
+            r1, r2 = sorted((rng.randint(-200, 200), rng.randint(-200, 200)))
+            quad_b, quad_c = -quad_a * (r1 + r2), quad_a * r1 * r2
+        elif roll < 0.4:
+            # a double root, possibly off the integers
+            num, den = rng.randint(-400, 400), rng.randint(1, 3)
+            quad_b, quad_c = -2 * quad_a * den * num, quad_a * num * num
+            quad_a *= den * den
+        else:
+            # vertex within 200 of 0 and peak at most 60,000, so every
+            # nonnegative k lies in the box
+            quad_b, quad_c = rng.randint(-400, 400), rng.randint(-20000, 20000)
+        found = list(_nonnegative_range(quad_a, quad_b, quad_c))
+        assert found == [k for k in box if quad_a * k * k + quad_b * k + quad_c >= 0]
+        disc = quad_b * quad_b - 4 * quad_a * quad_c
+        negative += disc < 0
+        double += disc == 0
+        integer_ends += (disc > 0 and len(found) > 1
+                         and quad_a * found[0] ** 2 + quad_b * found[0] + quad_c == 0
+                         and quad_a * found[-1] ** 2 + quad_b * found[-1] + quad_c == 0)
+    # empty parabolas, tangent ones and ones whose ends sit exactly on roots
+    assert min(negative, double, integer_ends) > 0
+
+
 def test_curve_class_search_reference_values():
     v5 = make_family_lattice(FAMILIES["v5"], 7, 0)
     assert curve_class_search(v5, 1, -2) == ()
@@ -348,7 +394,7 @@ def test_family_quadratic_max_matches_brute_force():
         if rng.random() < 0.5:
             exclude = {rng.randint(-2, 2)}
         best, at = family_quadratic_max(lattice, fam, exclude=exclude)
-        brute = max((lattice.pair(fam.member(k), fam.member(k)), k)
+        brute = max((lattice.pair(member := fam.member(k), member), k)
                     for k in range(-1000, 1001) if k not in exclude)
         assert best == brute[0]
         assert lattice.pair(fam.member(at), fam.member(at)) == best
@@ -372,7 +418,7 @@ def test_family_quadratic_max_walks_past_excluded_vertex():
         vertex = -quad_b // (2 * quad_a)
         exclude = set(range(vertex - rng.randint(0, 3), vertex + rng.randint(1, 4)))
         best, at = family_quadratic_max(lattice, fam, exclude=exclude)
-        brute = max(lattice.pair(fam.member(k), fam.member(k))
+        brute = max(lattice.pair(member := fam.member(k), member)
                     for k in range(-1000, 1001) if k not in exclude)
         assert at not in exclude
         assert best == brute

@@ -1,5 +1,6 @@
-"""Module layout: imports at module level only, no catalog import in
-pipelines, and one lattice per pipeline run."""
+"""Module layout: imports at module level only, no private names shared
+between modules, no catalog import in pipelines, and one lattice per
+pipeline run."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -26,6 +27,19 @@ def test_imports_sit_at_module_level():
         nested += [f"{path.name}:{node.lineno}" for node in _imports(tree)
                    if id(node) not in top]
     assert nested == []
+
+
+def test_modules_import_no_private_names_from_each_other():
+    private = []
+    for path in SOURCES:
+        for node in _imports(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "fanocert":
+                continue
+            private += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                        if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_pipelines_do_not_import_catalog():
