@@ -4,8 +4,9 @@
                     [--explain] [--strict] [--json PATH] [--table PATH]
 
 Exit codes: 0 when every computed verdict matches the table, 1 when a
-mismatch occurs under --strict, 2 on usage or table errors, 3 when a case
-raises any other error (an internal error, reported on one line).
+mismatch occurs under --strict, 2 on usage, table or report-file errors, 3 on
+an internal error, reported on one line: a case raises any other error, or
+the report holds a value it refuses (``ReportValueError``).
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import argparse
 import sys
 
 from .catalog import FAMILY_NAMES, CaseTableError, run_all
-from .report import write_report
+from .report import ReportValueError, write_report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,6 +50,11 @@ def _print_certificate(cert, explain: bool) -> None:
             print(f"    flagged: {note}")
 
 
+def _internal_error(exc: Exception) -> int:
+    print(f"fanocert: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 3
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -59,8 +65,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fanocert: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"fanocert: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _internal_error(exc)
 
     if args.case is not None and not report.certificates:
         print(f"warning: no case with id {args.case} in the table", file=sys.stderr)
@@ -78,6 +83,8 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"fanocert: cannot write report: {exc}", file=sys.stderr)
             return 2
+        except ReportValueError as exc:
+            return _internal_error(exc)
 
     if args.strict and not report.all_match:
         return 1

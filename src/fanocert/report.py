@@ -1,13 +1,15 @@
 """JSON report emission.
 
-The report schema is versioned and uses integers and strings only; a float
-anywhere is a bug, and the serializer refuses to emit one.  Field order is
-fixed by construction, which together with the deterministic case order makes
-consecutive runs byte-identical.
+The report schema is versioned and uses integers and strings only.  One
+recursive writer walks the report once and emits exactly the bytes of
+``json.dumps(data, indent=2)``; on the way it refuses, with the JSON path of
+the offending node, a float, a dict key that is not a string, or a value of
+any other type.  Field order is fixed by construction, which together with
+the deterministic case order makes consecutive runs byte-identical.
 """
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .catalog import Report
 
@@ -15,23 +17,75 @@ REPORT_VERSION = 1
 
 
 class ReportValueError(TypeError):
-    """A non-integer numeric value reached the report serializer."""
+    """A value the integer-only report cannot hold reached the serializer.
+
+    ``steps`` is its JSON path, innermost step first, gathered only as the
+    error unwinds through the writer.
+    """
+
+    def __init__(self, what: str, rule: str = ""):
+        super().__init__(what, rule)
+        self.steps: list[str] = []
+
+    def __str__(self) -> str:
+        what, rule = self.args
+        return f"{what} at ${''.join(reversed(self.steps))}{rule}"
 
 
-def _check_values(node, path: str = "$"):
-    if isinstance(node, bool) or node is None or isinstance(node, (int, str)):
-        return
-    if isinstance(node, float):
-        raise ReportValueError(f"float at {path}; reports are integer-only")
-    if isinstance(node, (list, tuple)):
-        for idx, item in enumerate(node):
-            _check_values(item, f"{path}[{idx}]")
-        return
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _check_values(value, f"{path}.{key}")
-        return
-    raise ReportValueError(f"unserializable value of type {type(node)} at {path}")
+def _encode(node, indent: str, out: list) -> None:
+    """Append the ``indent=2`` JSON text of ``node``, nested at ``indent``.
+
+    Each container item is followed by a separator; the last one is then
+    overwritten by the closing bracket.
+    """
+    if isinstance(node, str):
+        out.append(_quote(node))
+    elif node is None:
+        out.append("null")
+    elif node is True:
+        out.append("true")
+    elif node is False:
+        out.append("false")
+    elif isinstance(node, int):
+        out.append(int.__repr__(node))
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
+        try:
+            for step, item in enumerate(node):
+                _encode(item, inner, out)
+                out.append(sep)
+        except ReportValueError as exc:
+            exc.steps.append(f"[{step}]")
+            raise
+        out[-1] = "\n" + indent + "]"
+    elif isinstance(node, dict):
+        if not node:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        out.append("{\n" + inner)
+        try:
+            for key, value in node.items():
+                if not isinstance(key, str):
+                    raise ReportValueError(f"{type(key).__name__} key {key!r}",
+                                           "; report keys are strings")
+                out.append(_quote(key) + ": ")
+                _encode(value, inner, out)
+                out.append(sep)
+        except ReportValueError as exc:
+            exc.steps.append(f".{key}")
+            raise
+        out[-1] = "\n" + indent + "}"
+    elif isinstance(node, float):
+        raise ReportValueError("float", "; reports are integer-only")
+    else:
+        raise ReportValueError(f"unserializable value of type {type(node)}")
 
 
 def report_to_dict(report: Report) -> dict:
@@ -43,11 +97,14 @@ def report_to_dict(report: Report) -> dict:
 
 
 def report_to_json(report: Report) -> str:
-    data = report_to_dict(report)
-    _check_values(data)
-    return json.dumps(data, indent=2) + "\n"
+    out: list[str] = []
+    _encode(report_to_dict(report), "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_report(report: Report, path: str) -> None:
+    # serialize before opening, so a refused report leaves the file untouched
+    payload = report_to_json(report)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(report_to_json(report))
+        handle.write(payload)

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from fanocert.catalog import CaseTableError, load_cases, run_all, verify_case
+from fanocert.catalog import CaseTableError, Report, load_cases, run_all, verify_case
 from fanocert.cli import main
 from fanocert.lattice import FAMILIES, anticanonical_cube
 from fanocert.report import report_to_json
@@ -355,3 +355,28 @@ def test_cli_explain_lists_checks(capsys):
     captured = capsys.readouterr()
     assert "degree-exceeds-linear-section" in captured.out
     assert "NotRealizable" in captured.out
+
+
+def test_cli_report_file_matches_golden_hash(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["verify", "--all", "--strict", "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256
+
+
+def test_refused_report_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    # a refused value is an internal error (exit 3), and the report file is
+    # left as it was rather than truncated
+    summary = {"cases": 0, "pass": 0, "mismatch": 0, "open": 0, "flagged": 0,
+               "ratio": 0.5}
+    monkeypatch.setattr("fanocert.cli.run_all",
+                        lambda **_: Report(certificates=(), summary=summary))
+    path = tmp_path / "report.json"
+    path.write_bytes(b'{"version": 1}\n')
+    assert main(["verify", "--all", "--json", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "fanocert: internal error: ReportValueError: "
+        "float at $.summary.ratio; reports are integer-only"]
+    assert "Traceback" not in captured.err
+    assert path.read_bytes() == b'{"version": 1}\n'

@@ -288,15 +288,19 @@ def test_band_witnesses_satisfy_constraints():
         r2 = Interval(rng.randint(-8, 0), rng.randint(1, 8),
                       rng.random() < 0.5, rng.random() < 0.5)
         outcome = band_empty(f1, r1, f2, r2)
-        # oracle: scan a box large enough to hold the whole region
+        # oracle: scan a box large enough to hold the whole region, stepping
+        # u = f1 . (a, b) and v = f2 . (a, b) along b instead of multiplying
         oracle = []
         ints1, ints2 = r1.integers(), r2.integers()
+        lo1, hi1, lo2, hi2 = ints1.start, ints1.stop, ints2.start, ints2.stop
         for a in range(-200, 201):
+            u = f1[0] * a - 200 * f1[1]
+            v = f2[0] * a - 200 * f2[1]
             for b in range(-200, 201):
-                u = f1[0] * a + f1[1] * b
-                v = f2[0] * a + f2[1] * b
-                if ints1.start <= u < ints1.stop and ints2.start <= v < ints2.stop:
+                if lo1 <= u < hi1 and lo2 <= v < hi2:
                     oracle.append([a, b])
+                u += f1[1]
+                v += f2[1]
         assert sorted(list(w) for w in outcome.witnesses) == sorted(oracle)
 
 
