@@ -2,7 +2,7 @@
 
 from .catalog import CaseRecord, Certificate, Report, load_cases, run_all, verify_case
 from .diophantine import (Interval, LinearFamily, band_empty, curve_class_search,
-                          effective_decompositions, family_quadratic_max,
+                          curve_classes, effective_decompositions, family_quadratic_max,
                           family_solutions, solve_degree_squares)
 from .gonality import TetragonalReport, fixed_moving_bound, tetragonal_certificate
 from .lattice import (FAMILIES, DivisorClass, FamilySpec, IntersectionLattice,
@@ -16,7 +16,6 @@ from .riemannroch import (LinearSeries, brill_noether, ideal_curve_bound, k3_h0,
 from .ruled import (RuledLattice, hirzebruch_search, noether_contradiction,
                     p2_square_ten)
 from .schubert import SchubertProblem, SchubertSplit, surface_class_split
-from .secant import (SecantCandidate, admissible_table, genus_cap, max_secant_degree,
-                     trisecant_count)
+from .secant import admissible_table, genus_cap, max_secant_degree, trisecant_count
 
 __version__ = "0.1.0"

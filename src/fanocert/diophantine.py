@@ -5,11 +5,16 @@ and floor division, never from floating point or ``fractions.Fraction``.  A
 degree constraint cuts out a line in the class lattice; when det < 0 and
 H^2 > 0 the square along that line is a downward parabola, so "square >= m"
 is one exact integer range of the line's parameter (``_nonnegative_range``).
+
+Two searches walk degree lines, each solving the line once per call:
+``curve_classes`` sweeps a list of degrees for "square >= m" and
+``solve_degree_squares`` answers exact-square queries.  Every other class
+search (``curve_class_search``, the decomposition pool) calls the sweep.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 from .lattice import DivisorClass, IntersectionLattice, LatticeSignatureError, as_class
 from .outcome import CheckOutcome, VERIFIED, class_witness
@@ -139,16 +144,6 @@ def _line_base(line, target: int) -> tuple[int, int] | None:
     return base_a - shift * step_a, base_b - shift * step_b
 
 
-def _line_solutions(coeff_a: int, coeff_b: int, target: int) -> tuple[DivisorClass, DivisorClass] | None:
-    """Canonical (base, step) for the solutions of coeff_a*a + coeff_b*b = target."""
-    line = _line(coeff_a, coeff_b)
-    base = _line_base(line, target)
-    if base is None:
-        return None
-    *_, step_a, step_b = line
-    return DivisorClass(*base), DivisorClass(step_a, step_b)
-
-
 def _nonnegative_range(quad_a: int, quad_b: int, quad_c: int) -> range:
     """Exactly the integers k with quad_a*k^2 + quad_b*k + quad_c >= 0.
 
@@ -216,19 +211,6 @@ def solve_degree_squares(lattice: IntersectionLattice,
     return tuple(solved)
 
 
-def curve_class_search(lattice: IntersectionLattice, degree: int,
-                       min_square: int) -> tuple[DivisorClass, ...]:
-    """All classes of the given polarization degree with square >= min_square.
-
-    Finite because the square restricted to the degree line is a downward
-    parabola: the classes are one exact range of the line's parameter,
-    returned in ascending (a, b) order.
-    """
-    line = _degree_line(lattice)
-    return tuple(DivisorClass(a, b)
-                 for a, b in _curve_coordinates(lattice, line, degree, min_square))
-
-
 def _degree_quadratic(lattice: IntersectionLattice, line,
                       degree: int) -> tuple[int, int, int, int, int] | None:
     """Square along the degree line: (base_a, base_b, quad_a, quad_b, base_sq).
@@ -252,20 +234,39 @@ def _degree_quadratic(lattice: IntersectionLattice, line,
             base_a * degree + base_b * (q * base_a + s * base_b))
 
 
-def _curve_coordinates(lattice: IntersectionLattice, line, degree: int,
-                       min_square: int) -> list[tuple[int, int]]:
-    """(a, b) of the classes with square >= min_square on the degree line.
+def curve_classes(lattice: IntersectionLattice, degrees,
+                  min_square: int) -> list[tuple[int, int, int, int]]:
+    """Every class of each listed polarization degree with square >= min_square.
 
-    ``line`` is ``_line`` of the polarization's degree form.  The points come
-    in ascending (a, b) order, since the step is lexicographically positive.
+    Returns plain-int (degree, a, b, square) tuples: the listed degrees in
+    the order given, and within a degree ascending (a, b), since the line's
+    step is lexicographically positive.  Degrees off the degree form's gcd
+    contribute nothing.  The degree line is solved once per call; each
+    degree then costs one exact range of the line's parameter, finite
+    because the square along the line is a downward parabola.
     """
-    quad = _degree_quadratic(lattice, line, degree)
-    if quad is None:
-        return []
-    base_a, base_b, quad_a, quad_b, base_sq = quad
+    line = _degree_line(lattice)
     *_, step_a, step_b = line
-    return [(base_a + k * step_a, base_b + k * step_b)
-            for k in _nonnegative_range(quad_a, quad_b, base_sq - min_square)]
+    found = []
+    for degree in degrees:
+        quad = _degree_quadratic(lattice, line, degree)
+        if quad is None:
+            continue
+        base_a, base_b, quad_a, quad_b, base_sq = quad
+        for k in _nonnegative_range(quad_a, quad_b, base_sq - min_square):
+            found.append((degree, base_a + k * step_a, base_b + k * step_b,
+                          (quad_a * k + quad_b) * k + base_sq))
+    return found
+
+
+def curve_class_search(lattice: IntersectionLattice, degree: int,
+                       min_square: int) -> tuple[DivisorClass, ...]:
+    """All classes of the given polarization degree with square >= min_square.
+
+    One degree of ``curve_classes``, boxed, in ascending (a, b) order.
+    """
+    return tuple(DivisorClass(a, b)
+                 for _, a, b, _ in curve_classes(lattice, (degree,), min_square))
 
 
 def band_empty(form1: tuple[int, int], range1: Interval,
@@ -303,12 +304,17 @@ def band_empty(form1: tuple[int, int], range1: Interval,
 
 
 def family_solutions(lhs: tuple[int, int], values) -> tuple[LinearFamily, ...]:
-    """Solution families of lhs . (a,b) = v, one per value v with integer points."""
+    """Solution families of lhs . (a,b) = v, one per value v with integer points.
+
+    The line is solved once; only its base moves with the value.
+    """
+    line = _line(*lhs)
+    step = DivisorClass(*line[3:])
     families = []
     for value in values:
-        line = _line_solutions(lhs[0], lhs[1], value)
-        if line is not None:
-            families.append(LinearFamily(*line, value))
+        base = _line_base(line, value)
+        if base is not None:
+            families.append(LinearFamily(DivisorClass(*base), step, value))
     return tuple(families)
 
 
@@ -360,14 +366,11 @@ def effective_decompositions(lattice: IntersectionLattice, target,
     total = lattice.degree(target)
     if total < 1:
         return ()
-    # The degree line is solved once: only its base moves with the degree,
-    # and only multiples of its gcd carry integer points.
-    line = _degree_line(lattice)
-    degree_step = line[0]
-    pool: list[tuple[int, int, int, DivisorClass]] = []
-    for deg in range(total - total % degree_step, 0, -degree_step):
-        for a, b in _curve_coordinates(lattice, line, deg, -2):
-            pool.append((deg, a, b, DivisorClass(a, b)))
+    # Only multiples of the degree form's gcd carry integer points; it is
+    # positive here, since total >= 1 is a value of the form.
+    step = gcd(*lattice.gram[0])
+    pool = [(deg, a, b, DivisorClass(a, b)) for deg, a, b, _
+            in curve_classes(lattice, range(total - total % step, 0, -step), -2)]
     if not pool:
         return ()
     # Candidates of least and greatest slope b/deg.  Every candidate has

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diophantine import (LinearFamily, curve_class_search, family_quadratic_max,
+from .diophantine import (LinearFamily, curve_classes, family_quadratic_max,
                           family_solutions)
 from .lattice import FAMILIES, DivisorClass, make_family_lattice
 from .outcome import CheckOutcome, CITED, VERIFIED, cited, class_witness, verified
@@ -166,22 +166,22 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
         multiplicity_cap = max_value - 3
         threshold = -2 * multiplicity_cap * multiplicity_cap + 1
 
+    # A family of value v is the degree-v line with the same canonical base
+    # and step, so its specials (square >= threshold) are that degree's
+    # curve classes, in ascending k; one sweep serves every family.
+    found = curve_classes(lattice, [fam.value for fam in families], threshold)
+    specials = [_eliminate_special(DivisorClass(a, b), square, value)
+                for value, a, b, square in found]
     analyses = []
-    specials = []
     for fam in families:
-        # A family of value v is the degree-v line with the same canonical
-        # base and step, so its specials (square >= threshold) are a curve
-        # class search, in ascending k.
-        found = curve_class_search(lattice, fam.value, threshold)
-        sks = tuple(fam.index_of(cls) for cls in found)
-        for cls in found:
-            square = lattice.pair(cls, cls)
-            specials.append(_eliminate_special(cls, square, fam.value))
+        sks = tuple(fam.index_of(special.cls) for special in specials
+                    if special.t_degree == fam.value)
         max_square, attained = family_quadratic_max(lattice, fam, exclude=set(sks))
         analyses.append(FamilyAnalysis(fam, sks, max_square, attained))
 
-    line_classes = curve_class_search(lattice, 1, -2)
-    conic_classes = curve_class_search(lattice, 2, -2)
+    short = curve_classes(lattice, (1, 2), -2)
+    line_classes = tuple(DivisorClass(a, b) for degree, a, b, _ in short if degree == 1)
+    conic_classes = tuple(DivisorClass(a, b) for degree, a, b, _ in short if degree == 2)
 
     checks: list[CheckOutcome] = []
     discrepancies: list[str] = []

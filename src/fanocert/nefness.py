@@ -9,15 +9,20 @@ squares pins k, and the polarization degree budget left for G is
 H.(sH - C) - 3k; if positive, a (-2)-class of that small degree must exist,
 which the lattice search decides.
 
-Each certificate builds its lattice once and solves all of its degree/square
-queries in one ``solve_degree_squares`` call: nefness the whole secant table,
-freeness the (-2)-classes of every degree up to the budget.
+Each certificate builds its lattice once and makes one lattice search.
+Nefness sweeps the secant table's degrees for classes of square >= -2 with
+one ``curve_classes`` call and keeps a class of degree m and square
+2 p_a - 2 when (m, p_a) is in the table.  Freeness asks
+``solve_degree_squares`` for the (-2)-classes of every degree up to the
+budget.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .diophantine import solve_degree_squares
+from .diophantine import curve_classes, solve_degree_squares
 from .lattice import DivisorClass, FamilySpec, IntersectionLattice, make_family_lattice
 from .outcome import CheckOutcome, DERIVED, VERIFIED, class_witness
 from .secant import admissible_table
@@ -38,34 +43,48 @@ def _table_kind(family: FamilySpec) -> str:
     return DERIVED if family.derived_constants else VERIFIED
 
 
+# Sort key of a secant-table entry (m, p_a, secancy): the table's (p_a, m).
+_GENUS_FIRST = itemgetter(1, 0)
+
+
 def nef_certificate(family: FamilySpec, d: int, g: int) -> CheckOutcome:
     """Search out every admissible obstructor and eliminate it by secancy."""
     lattice = make_family_lattice(family, d, g)
     curve = DivisorClass(0, 1)
     table = admissible_table(family, d, g)
+    # Genus-0 entries lead the table, one per degree it lists: the degrees to
+    # sweep.  A class of degree m and square 2 p_a - 2 >= -2 obstructs when
+    # (m, p_a) is an entry, found by bisection; the hits, sorted by
+    # (p_a, m, a, b), come out in table order.
+    genus_zero = table[:bisect_left(table, (1, 0), key=_GENUS_FIRST)]
+    degrees = [entry[0] for entry in genus_zero]
+    hits = []
+    for m, a, b, square in curve_classes(lattice, degrees, -2):
+        key = (square // 2 + 1, m)
+        at = bisect_left(table, key, key=_GENUS_FIRST)
+        if at < len(table) and _GENUS_FIRST(table[at]) == key:
+            hits.append((*key, a, b, table[at][2]))
+    hits.sort()
     witnesses = []
     all_eliminated = True
-    solved = solve_degree_squares(lattice, [(c.m, 2 * c.p_a - 2) for c in table])
-    for cand, classes in zip(table, solved):
-        for cls in classes:
-            meets = lattice.pair(cls, curve)
-            eliminated = meets < cand.secancy
-            all_eliminated = all_eliminated and eliminated
-            witnesses.append({
-                "class": class_witness(cls),
-                "degree": cand.m,
-                "arithmetic_genus": cand.p_a,
-                "meets_curve": meets,
-                "secancy_required": cand.secancy,
-                "eliminated": eliminated,
-            })
+    for p_a, m, a, b, secancy in hits:
+        meets = lattice.pair((a, b), curve)
+        eliminated = meets < secancy
+        all_eliminated = all_eliminated and eliminated
+        witnesses.append({
+            "class": [a, b],
+            "degree": m,
+            "arithmetic_genus": p_a,
+            "meets_curve": meets,
+            "secancy_required": secancy,
+            "eliminated": eliminated,
+        })
     return CheckOutcome(
         name="adjoint-class-nef",
         rule="secant-obstruction-search",
         kind=_table_kind(family),
         passed=all_eliminated,
-        inputs={"family": family.name, "d": d, "g": g,
-                "candidates": [[c.m, c.p_a, c.secancy] for c in table]},
+        inputs={"family": family.name, "d": d, "g": g, "candidates": table},
         result={"witness_count": len(witnesses)},
         witnesses=tuple(witnesses),
     )

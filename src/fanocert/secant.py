@@ -4,11 +4,11 @@ A curve of degree m meeting the blown-up curve in at least s*m + 1 points is
 the only way the adjoint class can fail to be nef.  Its degree is capped by
 the cutting bound of the family, and its arithmetic genus by the index-style
 inequality p_a <= (d+m)^2 / (2 H^2) + 1 - g - s*m together with the classical
-maximum (m-1)(m-2)/2 for irreducible curves of degree m.
+maximum (m-1)(m-2)/2 for irreducible curves of degree m.  A table lists
+plain (m, p_a, secancy) tuples, built directly in (p_a, m) order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .lattice import FamilySpec
@@ -17,19 +17,6 @@ from .riemannroch import plane_curve_genus
 
 class SecantBoundError(ValueError):
     """The curve degree reaches the cutting bound; no residual room is left."""
-
-
-@dataclass(frozen=True)
-class SecantCandidate:
-    """Degree, arithmetic genus and required secancy of a potential obstructor."""
-
-    m: int
-    p_a: int
-    secancy: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.p_a < 0:
-            raise ValueError("need m >= 1 and p_a >= 0")
 
 
 def max_secant_degree(family: FamilySpec, d: int) -> int:
@@ -52,23 +39,27 @@ def genus_cap(family: FamilySpec, d: int, g: int, m: int) -> int:
             + 1 - g - family.index_multiplier * m)
 
 
-def admissible_table(family: FamilySpec, d: int, g: int) -> tuple[SecantCandidate, ...]:
-    """All (m, p_a) a nef-obstructing curve could have for this case.
+def admissible_table(family: FamilySpec, d: int,
+                     g: int) -> tuple[tuple[int, int, int], ...]:
+    """All (m, p_a, secancy) a nef-obstructing curve could have for this case.
 
-    Candidates with m = 3, p_a = 1 are dropped when s*3 + 1 > d: a genus-one
-    cubic is a plane curve and cannot meet the degree-d curve in more points
-    than its own degree provides.
+    Entries are plain-int tuples in (p_a, m) order, secancy s*m + 1 being
+    the number of points the curve must meet the degree-d curve in.  A
+    degree's genera run from 0 to its cap, so every degree listed has a
+    genus-0 entry.  The entry m = 3, p_a = 1 is dropped when s*3 + 1 > d: a
+    genus-one cubic is a plane curve and cannot meet the degree-d curve in
+    more points than its own degree provides.
     """
     s = family.index_multiplier
-    table = []
+    caps = []
     for m in range(1, max_secant_degree(family, d) + 1):
         cap = min(genus_cap(family, d, g, m), plane_curve_genus(m))
-        for p_a in range(0, cap + 1):
-            if m == 3 and p_a == 1 and 3 * s + 1 > d:
-                continue
-            table.append(SecantCandidate(m, p_a, s * m + 1))
-    table.sort(key=lambda c: (c.p_a, c.m))
-    return tuple(table)
+        if m == 3 and 3 * s + 1 > d:
+            cap = min(cap, 0)
+        caps.append((m, cap, s * m + 1))
+    top = max(cap for _, cap, _ in caps)
+    return tuple([(m, p_a, secancy) for p_a in range(top + 1)
+                  for m, cap, secancy in caps if cap >= p_a])
 
 
 def trisecant_count(d: int, g: int) -> int:

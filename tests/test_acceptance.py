@@ -84,10 +84,10 @@ def test_criterion_3_freeness_budgets(capsys):
 def test_criterion_4_secant_tables(capsys):
     ok = True
     for (d, g), expected in QUADRIC_TABLES.items():
-        got = [(c.m, c.p_a) for c in admissible_table(FAMILIES["quadric"], d, g)]
+        got = [(m, p_a) for m, p_a, _ in admissible_table(FAMILIES["quadric"], d, g)]
         ok = ok and got == sorted(expected, key=lambda t: (t[1], t[0]))
     for (d, g), expected in V4_TABLES.items():
-        got = [(c.m, c.p_a) for c in admissible_table(FAMILIES["v4"], d, g)]
+        got = [(m, p_a) for m, p_a, _ in admissible_table(FAMILIES["v4"], d, g)]
         ok = ok and got == sorted(expected, key=lambda t: (t[1], t[0]))
     cert72 = run_all(case_id=72).certificates[0]
     flagged = any("secant table note" in note for note in cert72.discrepancies)

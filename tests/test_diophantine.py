@@ -6,10 +6,11 @@ import pytest
 
 from fanocert.diophantine import (DependentFormsError, FamilyMaxUndefinedError,
                                   Interval, LinearFamily, band_empty,
-                                  curve_class_search, effective_decompositions,
+                                  curve_class_search, curve_classes,
+                                  effective_decompositions,
                                   family_quadratic_max, family_solutions,
                                   solve_degree_squares)
-from fanocert.diophantine import _line_solutions, _nonnegative_range
+from fanocert.diophantine import _line, _line_base, _nonnegative_range
 from fanocert.gonality import DONOR_DEGREES, DonorWindowEmptyError, tetragonal_certificate
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
                               LatticeSignatureError, as_class, make_family_lattice)
@@ -108,6 +109,15 @@ def _int_sqrt_if_square(value: int) -> int | None:
         return None
     root = isqrt(value)
     return root if root * root == value else None
+
+
+def _line_solutions(coeff_a, coeff_b, target):
+    """Canonical (base, step) for the solutions of coeff_a*a + coeff_b*b = target."""
+    line = _line(coeff_a, coeff_b)
+    base = _line_base(line, target)
+    if base is None:
+        return None
+    return DivisorClass(*base), DivisorClass(*line[3:])
 
 
 def reference_solve_degree_square(lattice, degree, square) -> tuple[DivisorClass, ...]:
@@ -257,6 +267,52 @@ def test_curve_class_search_matches_brute_force():
             assert lattice.pair(cls, cls) >= min_square
         expected = brute_curve_search(lattice, degree, min_square)
         assert [c for c in found if in_window(c)] == expected
+
+
+def brute_curve_classes(lattice, degree, min_square):
+    """(degree, a, b, square) of every class with square >= min_square, by (a, b).
+
+    Hodge index bounds the scan: with det < 0 a class of degree δ has
+    square (δ^2 + det b^2) / H^2, so square >= min_square forces
+    b^2 <= (δ^2 - H^2 min_square) / -det; one point more on each side is
+    scanned, and a is then fixed by the degree.
+    """
+    h2, d = lattice.gram[0]
+    bound = isqrt(max(0, degree * degree - h2 * min_square) // -lattice.det) + 1
+    found = []
+    for b in range(-bound, bound + 1):
+        if (degree - d * b) % h2:
+            continue
+        cls = DivisorClass((degree - d * b) // h2, b)
+        square = lattice.pair(cls, cls)
+        if square >= min_square:
+            found.append((degree, cls.a, cls.b, square))
+    return sorted(found)
+
+
+def test_curve_classes_matches_brute_force():
+    rng = random.Random(0xFA2608)
+    repeated = descending = off_gcd = deep = found_any = 0
+    for _ in range(300):
+        lattice = random_hyperbolic_lattice(rng)
+        if rng.random() < 0.5:
+            # repeats and unordered degrees, drawn from a narrow range
+            degrees = [rng.randint(-6, 12) for _ in range(rng.randint(0, 8))]
+        else:
+            top = rng.randint(1, 25)
+            degrees = list(range(top, rng.randint(-5, top), -rng.randint(1, 3)))
+            descending += len(degrees) > 1
+        min_square = -2 if rng.random() < 0.5 else rng.randint(-60, -3)
+        found = curve_classes(lattice, degrees, min_square)
+        expected = [cls for degree in degrees
+                    for cls in brute_curve_classes(lattice, degree, min_square)]
+        assert found == expected, (lattice.gram, degrees, min_square)
+        step = gcd(*lattice.gram[0])
+        repeated += len(set(degrees)) < len(degrees)
+        off_gcd += any(degree % step for degree in degrees)
+        deep += min_square < -2 and bool(found)
+        found_any += bool(found)
+    assert min(repeated, descending, off_gcd, deep) > 0 and found_any > 100
 
 
 def test_band_reference_regions():

@@ -1,11 +1,14 @@
+from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
 import pytest
 
 from fanocert.lattice import FAMILIES
+from fanocert.riemannroch import plane_curve_genus
 from fanocert.secant import (SecantBoundError, admissible_table, genus_cap,
                              max_secant_degree)
+from test_diophantine import census_lattices
 
 # Frozen reference tables: the printed obstruction case lists, one entry per
 # (degree, arithmetic genus), ordered rational entries first.
@@ -38,7 +41,7 @@ V4_TABLES = {
 
 
 def table_pairs(family, d, g):
-    return [(c.m, c.p_a) for c in admissible_table(family, d, g)]
+    return [(m, p_a) for m, p_a, _ in admissible_table(family, d, g)]
 
 
 def test_max_secant_degree():
@@ -79,10 +82,10 @@ def test_v4_tables_golden():
 
 
 def test_secancy_values():
-    for cand in admissible_table(FAMILIES["quadric"], 8, 0):
-        assert cand.secancy == 3 * cand.m + 1
-    for cand in admissible_table(FAMILIES["x14"], 5, 0):
-        assert cand.secancy == cand.m + 1
+    for m, _, secancy in admissible_table(FAMILIES["quadric"], 8, 0):
+        assert secancy == 3 * m + 1
+    for m, _, secancy in admissible_table(FAMILIES["x14"], 5, 0):
+        assert secancy == m + 1
 
 
 def test_plane_cubic_rule_boundary():
@@ -113,8 +116,8 @@ def test_x14_cap_turns_back_up_but_stays_sound():
     family = FAMILIES["x14"]
     caps = [genus_cap(family, 5, 0, m) for m in range(1, 24)]
     assert caps[0] == 1 and min(caps) < 0 and caps[-1] == 6
-    for cand in admissible_table(family, 5, 0):
-        assert 0 <= cand.p_a <= genus_cap(family, 5, 0, cand.m)
+    for m, p_a, _ in admissible_table(family, 5, 0):
+        assert 0 <= p_a <= genus_cap(family, 5, 0, m)
 
 
 def test_tables_never_exceed_cap():
@@ -124,6 +127,49 @@ def test_tables_never_exceed_cap():
         if case.family == "sporadic":
             continue
         family = FAMILIES[case.family]
-        for cand in admissible_table(family, case.d, case.g):
-            assert cand.p_a <= genus_cap(family, case.d, case.g, cand.m)
-            assert 1 <= cand.m <= max_secant_degree(family, case.d)
+        for m, p_a, _ in admissible_table(family, case.d, case.g):
+            assert p_a <= genus_cap(family, case.d, case.g, m)
+            assert 1 <= m <= max_secant_degree(family, case.d)
+
+
+@dataclass(frozen=True)
+class SecantCandidate:
+    """Degree, arithmetic genus and required secancy of a potential obstructor."""
+
+    m: int
+    p_a: int
+    secancy: int
+
+    def __post_init__(self):
+        if self.m < 1 or self.p_a < 0:
+            raise ValueError("need m >= 1 and p_a >= 0")
+
+
+def reference_admissible_table(family, d, g):
+    """The original dataclass-and-sort table, kept verbatim as the oracle."""
+    s = family.index_multiplier
+    table = []
+    for m in range(1, max_secant_degree(family, d) + 1):
+        cap = min(genus_cap(family, d, g, m), plane_curve_genus(m))
+        for p_a in range(0, cap + 1):
+            if m == 3 and p_a == 1 and 3 * s + 1 > d:
+                continue
+            table.append(SecantCandidate(m, p_a, s * m + 1))
+    table.sort(key=lambda c: (c.p_a, c.m))
+    return tuple(table)
+
+
+def test_admissible_table_matches_reference():
+    pairs = entries = holes = 0
+    for name, d, g, _ in census_lattices():
+        family = FAMILIES[name]
+        expected = [(c.m, c.p_a, c.secancy)
+                    for c in reference_admissible_table(family, d, g)]
+        table = admissible_table(family, d, g)
+        assert type(table) is tuple and list(table) == expected, (name, d, g)
+        pairs += 1
+        entries += len(table)
+        holes += (3 * family.index_multiplier + 1 > d
+                  and min(genus_cap(family, d, g, 3), 1) >= 1)
+    # the census pairs, their secant entries, and tables the (3, 1) hole cuts
+    assert (pairs, entries) == (721, 13586) and holes > 0

@@ -1,6 +1,6 @@
 """Module layout: imports at module level only, no private names shared
-between modules, no catalog import in pipelines, and one lattice per
-pipeline run."""
+between modules, no catalog import in pipelines, one lattice per pipeline
+run, and one class-search primitive in diophantine."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -40,6 +40,17 @@ def test_modules_import_no_private_names_from_each_other():
             private += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                         if alias.name.startswith("_")]
     assert private == []
+
+
+def test_only_the_class_searches_walk_degree_quadratics():
+    # curve_classes (square >= m) and solve_degree_squares (square == m) are
+    # the only searches along a degree line; everything else calls them.
+    tree = ast.parse((PACKAGE / "diophantine.py").read_text())
+    callers = {func.name for func in tree.body if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "_degree_quadratic"}
+    assert callers == {"curve_classes", "solve_degree_squares"}
 
 
 def test_pipelines_do_not_import_catalog():
