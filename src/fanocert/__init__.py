@@ -1,14 +1,13 @@
 """Exact-arithmetic certification of the E1-E1 Sarkisov link case analysis."""
 
 from .catalog import CaseRecord, Certificate, Report, load_cases, run_all, verify_case
-from .diophantine import (Interval, LinearFamily, band_empty, curve_class_search,
-                          curve_classes, effective_decompositions, family_quadratic_max,
-                          family_solutions, solve_degree_squares)
+from .diophantine import (Interval, LinearFamily, band_empty, curve_classes,
+                          effective_decompositions, family_quadratic_max, family_solutions)
 from .gonality import TetragonalReport, fixed_moving_bound, tetragonal_certificate
 from .lattice import (FAMILIES, DivisorClass, FamilySpec, IntersectionLattice,
                       LatticeSignatureError, anticanonical_cube, make_family_lattice,
                       square_and_genus)
-from .nefness import FreenessBudget, free_certificate, freeness_budget, nef_certificate
+from .nefness import free_certificate, nef_certificate
 from .outcome import CheckOutcome
 from .riemannroch import (LinearSeries, brill_noether, ideal_curve_bound, k3_h0,
                           monomial_count, plane_curve_genus, residual_series,

@@ -53,6 +53,11 @@ class CaseRecord:
             raise CaseTableError("sporadic cases need an ambient")
         if self.family == "sporadic" and self.ambient not in SPORADIC_AMBIENT_DEGREE:
             raise CaseTableError(f"unknown sporadic ambient {self.ambient!r}")
+        # The sporadic pipeline argues about twisted cubics, (d, g) = (3, 0),
+        # and never reads d or g, so any other pair would pass unexamined.
+        if self.family == "sporadic" and (self.d, self.g) != (3, 0):
+            raise CaseTableError(
+                f"sporadic cases need (d,g)=(3,0), got ({self.d},{self.g})")
         if self.construction == "residual" and (self.seed_d is None or self.seed_g is None):
             raise CaseTableError("residual constructions need seed invariants")
 

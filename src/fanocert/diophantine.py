@@ -6,10 +6,10 @@ degree constraint cuts out a line in the class lattice; when det < 0 and
 H^2 > 0 the square along that line is a downward parabola, so "square >= m"
 is one exact integer range of the line's parameter (``_nonnegative_range``).
 
-Two searches walk degree lines, each solving the line once per call:
-``curve_classes`` sweeps a list of degrees for "square >= m" and
-``solve_degree_squares`` answers exact-square queries.  Every other class
-search (``curve_class_search``, the decomposition pool) calls the sweep.
+One search walks degree lines: ``curve_classes`` sweeps a list of degrees
+for "square >= m", solving the line once per call.  Every class search by
+degree goes through it, the decomposition pool included; an exact-square
+search keeps the sweep's classes of that square.
 """
 from __future__ import annotations
 
@@ -172,68 +172,6 @@ def _degree_line(lattice: IntersectionLattice) -> tuple[int, int, int, int, int]
     return _line(h2, d)
 
 
-def solve_degree_squares(lattice: IntersectionLattice,
-                         queries) -> tuple[tuple[DivisorClass, ...], ...]:
-    """All integer classes of each given polarization degree and square.
-
-    ``queries`` is an iterable of (degree, square) pairs of one lattice.
-    Returns one tuple of classes per query, in query order, each sorted by
-    (a, b).  The degree line is solved once per call and each distinct
-    degree's quadratic once; a query then costs one discriminant and one
-    exact square root, since only the constant term moves with the square.
-    The signature hypothesis makes the leading coefficient negative, so a
-    query has at most two solutions.  Nothing is kept between calls.
-    """
-    line = _degree_line(lattice)
-    *_, step_a, step_b = line
-    quadratics = {}
-    solved = []
-    for degree, square in queries:
-        if degree not in quadratics:
-            quadratics[degree] = _degree_quadratic(lattice, line, degree)
-        quad = quadratics[degree]
-        if quad is None:
-            solved.append(())
-            continue
-        base_a, base_b, quad_a, quad_b, base_sq = quad
-        disc = quad_b * quad_b - 4 * quad_a * (base_sq - square)
-        root = isqrt(disc) if disc >= 0 else None
-        if root is None or root * root != disc:
-            solved.append(())
-            continue
-        den = 2 * quad_a
-        hits = set()
-        for num in (-quad_b - root, -quad_b + root):
-            if num % den == 0:
-                k = num // den
-                hits.add((base_a + k * step_a, base_b + k * step_b))
-        solved.append(tuple(DivisorClass(a, b) for a, b in sorted(hits)))
-    return tuple(solved)
-
-
-def _degree_quadratic(lattice: IntersectionLattice, line,
-                      degree: int) -> tuple[int, int, int, int, int] | None:
-    """Square along the degree line: (base_a, base_b, quad_a, quad_b, base_sq).
-
-    ``line`` is ``_line`` of the polarization's degree form and base is its
-    ``_line_base`` at ``degree``, so that
-    (base + k*step)^2 = quad_a k^2 + quad_b k + base_sq.  None when the
-    degree has no integer point.
-    """
-    base = _line_base(line, degree)
-    if base is None:
-        return None
-    base_a, base_b = base
-    *_, step_a, step_b = line
-    (_, q), (_, s) = lattice.gram
-    # The step has degree 0, so it pairs with any (a, b) as
-    # b * (q*step_a + s*step_b); the base has the given degree, so
-    # base^2 = base_a*degree + base_b*(base.C).
-    step_c = q * step_a + s * step_b
-    return (base_a, base_b, step_b * step_c, 2 * base_b * step_c,
-            base_a * degree + base_b * (q * base_a + s * base_b))
-
-
 def curve_classes(lattice: IntersectionLattice, degrees,
                   min_square: int) -> list[tuple[int, int, int, int]]:
     """Every class of each listed polarization degree with square >= min_square.
@@ -243,30 +181,30 @@ def curve_classes(lattice: IntersectionLattice, degrees,
     step is lexicographically positive.  Degrees off the degree form's gcd
     contribute nothing.  The degree line is solved once per call; each
     degree then costs one exact range of the line's parameter, finite
-    because the square along the line is a downward parabola.
+    because the square along the line is a downward parabola.  An exact
+    square is the caller's filter on the last field.
     """
     line = _degree_line(lattice)
     *_, step_a, step_b = line
+    (_, q), (_, s) = lattice.gram
+    # The step has degree 0, so it pairs with any (a, b) as b * step_c, and
+    # (base + k*step)^2 = quad_a k^2 + quad_b k + base^2 with only quad_b and
+    # base^2 moving with the degree.
+    step_c = q * step_a + s * step_b
+    quad_a = step_b * step_c
     found = []
     for degree in degrees:
-        quad = _degree_quadratic(lattice, line, degree)
-        if quad is None:
+        base = _line_base(line, degree)
+        if base is None:
             continue
-        base_a, base_b, quad_a, quad_b, base_sq = quad
+        base_a, base_b = base
+        quad_b = 2 * base_b * step_c
+        # The base has the given degree, so base^2 = base_a*degree + base_b*(base.C).
+        base_sq = base_a * degree + base_b * (q * base_a + s * base_b)
         for k in _nonnegative_range(quad_a, quad_b, base_sq - min_square):
             found.append((degree, base_a + k * step_a, base_b + k * step_b,
                           (quad_a * k + quad_b) * k + base_sq))
     return found
-
-
-def curve_class_search(lattice: IntersectionLattice, degree: int,
-                       min_square: int) -> tuple[DivisorClass, ...]:
-    """All classes of the given polarization degree with square >= min_square.
-
-    One degree of ``curve_classes``, boxed, in ascending (a, b) order.
-    """
-    return tuple(DivisorClass(a, b)
-                 for _, a, b, _ in curve_classes(lattice, (degree,), min_square))
 
 
 def band_empty(form1: tuple[int, int], range1: Interval,

@@ -9,34 +9,25 @@ squares pins k, and the polarization degree budget left for G is
 H.(sH - C) - 3k; if positive, a (-2)-class of that small degree must exist,
 which the lattice search decides.
 
-Each certificate builds its lattice once and makes one lattice search.
-Nefness sweeps the secant table's degrees for classes of square >= -2 with
-one ``curve_classes`` call and keeps a class of degree m and square
-2 p_a - 2 when (m, p_a) is in the table.  Freeness asks
-``solve_degree_squares`` for the (-2)-classes of every degree up to the
-budget.
+Each certificate builds its lattice once and makes one ``curve_classes``
+sweep for classes of square >= -2.  Nefness sweeps the secant table's
+degrees and keeps a class of degree m and square 2 p_a - 2 when (m, p_a) is
+in the table.  Freeness sweeps every degree up to the budget and keeps the
+(-2)-classes.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import itemgetter
 
-from .diophantine import curve_classes, solve_degree_squares
-from .lattice import DivisorClass, FamilySpec, IntersectionLattice, make_family_lattice
-from .outcome import CheckOutcome, DERIVED, VERIFIED, class_witness
+from .diophantine import curve_classes
+from .lattice import DivisorClass, FamilySpec, make_family_lattice
+from .outcome import CheckOutcome, DERIVED, VERIFIED
 from .secant import admissible_table
 
 
 class FreenessInapplicableError(ValueError):
     """The decomposition criterion needs square >= 2 (elliptic multiplicity k >= 2)."""
-
-
-@dataclass(frozen=True)
-class FreenessBudget:
-    k: int
-    h_dot_d: int
-    gamma_budget: int
 
 
 def _table_kind(family: FamilySpec) -> str:
@@ -90,11 +81,9 @@ def nef_certificate(family: FamilySpec, d: int, g: int) -> CheckOutcome:
     )
 
 
-def freeness_budget(family: FamilySpec, d: int, g: int) -> FreenessBudget:
-    return _freeness_budget(family, make_family_lattice(family, d, g))
-
-
-def _freeness_budget(family: FamilySpec, lattice: IntersectionLattice) -> FreenessBudget:
+def free_certificate(family: FamilySpec, d: int, g: int) -> CheckOutcome:
+    """Rule out the elliptic-plus-rational decomposition of a non-free class."""
+    lattice = make_family_lattice(family, d, g)
     adjoint = family.adjoint_class
     square = lattice.pair(adjoint, adjoint)
     if square < 2:
@@ -104,26 +93,20 @@ def _freeness_budget(family: FamilySpec, lattice: IntersectionLattice) -> Freene
         )
     k = (square + 2) // 2
     h_dot_d = lattice.degree(adjoint)
-    return FreenessBudget(k=k, h_dot_d=h_dot_d, gamma_budget=h_dot_d - 3 * k)
-
-
-def free_certificate(family: FamilySpec, d: int, g: int) -> CheckOutcome:
-    """Rule out the elliptic-plus-rational decomposition of a non-free class."""
-    lattice = make_family_lattice(family, d, g)
-    budget = _freeness_budget(family, lattice)
-    searched = list(range(1, budget.gamma_budget + 1))
-    solved = solve_degree_squares(lattice, [(degree, -2) for degree in searched])
-    witnesses = [{"class": class_witness(cls), "polarization_degree": degree}
-                 for degree, classes in zip(searched, solved) for cls in classes]
+    budget = h_dot_d - 3 * k
+    searched = list(range(1, budget + 1))
+    witnesses = [{"class": [a, b], "polarization_degree": degree}
+                 for degree, a, b, class_square in curve_classes(lattice, searched, -2)
+                 if class_square == -2]
     return CheckOutcome(
         name="adjoint-class-free",
         rule="elliptic-decomposition-budget",
         kind=_table_kind(family),
         passed=not witnesses,
         inputs={"family": family.name, "d": d, "g": g},
-        result={"elliptic_multiplicity": budget.k,
-                "adjoint_polarization_degree": budget.h_dot_d,
-                "rational_part_budget": budget.gamma_budget,
+        result={"elliptic_multiplicity": k,
+                "adjoint_polarization_degree": h_dot_d,
+                "rational_part_budget": budget,
                 "searched_degrees": searched},
         witnesses=tuple(witnesses),
     )

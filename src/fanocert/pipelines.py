@@ -10,8 +10,7 @@ read it.  Nothing here imports ``catalog``, which imports ``PIPELINES``.
 """
 from __future__ import annotations
 
-from .diophantine import (Interval, band_empty, curve_class_search,
-                          effective_decompositions, solve_degree_squares)
+from .diophantine import Interval, band_empty, curve_classes, effective_decompositions
 from .gonality import tetragonal_certificate
 from .lattice import (FAMILIES, SPORADIC_AMBIENT_DEGREE, DivisorClass, FamilySpec,
                       IntersectionLattice, anticanonical_cube, make_family_lattice,
@@ -121,14 +120,15 @@ def quadric_pipeline(case) -> tuple[list[CheckOutcome], list[str]]:
         nef_certificate(family, d, g),
         free_certificate(family, d, g),
     ]
-    plane_cubic = solve_degree_squares(lattice, [(3, 0)])[0]
+    plane_cubic = [[a, b] for _, a, b, square in curve_classes(lattice, (3,), 0)
+                   if square == 0]
     checks.append(verified(
         name="singular-ambient-excluded",
         rule="plane-cubic-class-search",
         passed=not plane_cubic,
         inputs={"degree": 3, "square": 0},
         result={"classes_found": len(plane_cubic)},
-        witnesses=tuple(class_witness(c) for c in plane_cubic),
+        witnesses=tuple(plane_cubic),
         notes=("a singular containing quadric would cut a plane cubic of "
                "square 0 and degree 3 on the surface",),
     ))
@@ -237,13 +237,13 @@ def _hyperplane_irreducibility(family: FamilySpec, lattice: IntersectionLattice,
         result={"degree": res_deg, "square": res_square,
                 "decompositions_found": len(decomp)},
     ))
-    lines = curve_class_search(lattice, 1, -2)
+    lines = [[a, b] for _, a, b, _ in curve_classes(lattice, (1,), -2)]
     checks.append(verified(
         name="no-line-classes",
         rule="short-curve-search",
         passed=not lines,
         inputs={"degree": 1, "min_square": -2},
-        witnesses=tuple(class_witness(c) for c in lines),
+        witnesses=tuple(lines),
     ))
     return checks
 

@@ -9,12 +9,11 @@ from fractions import Fraction
 
 from fanocert.catalog import load_cases, run_all
 from fanocert.cli import main
-from fanocert.diophantine import (curve_class_search, family_quadratic_max,
-                                  family_solutions, solve_degree_squares)
+from fanocert.diophantine import curve_classes, family_quadratic_max, family_solutions
 from fanocert.gonality import fixed_moving_bound, tetragonal_certificate
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
                               make_family_lattice, square_and_genus)
-from fanocert.nefness import freeness_budget, free_certificate
+from fanocert.nefness import free_certificate
 from fanocert.report import report_to_json
 from fanocert.ruled import hirzebruch_search, noether_contradiction, p2_square_ten
 from fanocert.schubert import SchubertProblem, surface_class_split
@@ -46,18 +45,24 @@ def test_criterion_1_golden_verdict_table(capsys):
               and "mismatch=0" in output)
 
 
+def _square_classes(lattice, degree, square):
+    """Classes of one degree and exact square: the sweep at that square, filtered."""
+    return tuple(DivisorClass(a, b) for _, a, b, found
+                 in curve_classes(lattice, (degree,), square) if found == square)
+
+
 def test_criterion_2_witness_classes(capsys):
     quadric = make_family_lattice(FAMILIES["quadric"], 13, 14)
-    hits = solve_degree_squares(quadric, [(1, -2)])[0]
+    hits = _square_classes(quadric, 1, -2)
     ok = hits == (DivisorClass(-2, 1),)
     ok = ok and quadric.pair(hits[0], DivisorClass(0, 1)) == 0
 
     v4 = make_family_lattice(FAMILIES["v4"], 10, 6)
-    hits4 = solve_degree_squares(v4, [(2, -2)])[0]
+    hits4 = _square_classes(v4, 2, -2)
     ok = ok and hits4 == (DivisorClass(-1, 1),)
     ok = ok and v4.pair(hits4[0], DivisorClass(0, 1)) == 0
     with capsys.disabled():
-        _emit(2, "solver witnesses (-2,1) and (-1,1) with elimination value 0", ok)
+        _emit(2, "sweep witnesses (-2,1) and (-1,1) with elimination value 0", ok)
 
 
 def test_criterion_3_freeness_budgets(capsys):
@@ -65,16 +70,16 @@ def test_criterion_3_freeness_budgets(capsys):
     positive = set()
     for case in load_cases():
         if case.family == "quadric":
-            budget = freeness_budget(FAMILIES["quadric"], case.d, case.g)
-            ok = ok and budget.k == 27 + case.g - 3 * case.d
-            if budget.gamma_budget > 0:
+            outcome = free_certificate(FAMILIES["quadric"], case.d, case.g)
+            ok = ok and outcome.result["elliptic_multiplicity"] == 27 + case.g - 3 * case.d
+            if outcome.result["rational_part_budget"] > 0:
                 positive.add((case.d, case.g))
-                ok = ok and free_certificate(FAMILIES["quadric"], case.d, case.g).witnesses == ()
+                ok = ok and outcome.witnesses == ()
         elif case.family == "v4":
-            budget = freeness_budget(FAMILIES["v4"], case.d, case.g)
-            ok = ok and budget.k == 16 - 2 * case.d + case.g
-            if budget.gamma_budget > 0:
-                ok = ok and free_certificate(FAMILIES["v4"], case.d, case.g).witnesses == ()
+            outcome = free_certificate(FAMILIES["v4"], case.d, case.g)
+            ok = ok and outcome.result["elliptic_multiplicity"] == 16 - 2 * case.d + case.g
+            if outcome.result["rational_part_budget"] > 0:
+                ok = ok and outcome.witnesses == ()
     ok = ok and positive == {(9, 2), (10, 5), (11, 8), (8, 0)}
     with capsys.disabled():
         _emit(3, "k formulas, positive budgets exactly on the four cases, "
@@ -182,7 +187,7 @@ def test_criterion_9_oracle_equivalence(capsys):
             b = rest // d
             if abs(b) <= window and lattice.pair((a, b), (a, b)) == square:
                 brute.append(DivisorClass(a, b))
-        solved = [c for c in solve_degree_squares(lattice, [(degree, square)])[0]
+        solved = [c for c in _square_classes(lattice, degree, square)
                   if abs(c.a) <= window and abs(c.b) <= window]
         ok = ok and solved == sorted(brute, key=lambda c: (c.a, c.b))
 
@@ -199,8 +204,9 @@ def test_criterion_9_oracle_equivalence(capsys):
             b = rest // d
             if abs(b) <= window and lattice.pair((a, b), (a, b)) >= floor_square:
                 brute.append(DivisorClass(a, b))
-        found = [c for c in curve_class_search(lattice, degree, floor_square)
-                 if abs(c.a) <= window and abs(c.b) <= window]
+        found = [DivisorClass(a, b)
+                 for _, a, b, _ in curve_classes(lattice, (degree,), floor_square)
+                 if abs(a) <= window and abs(b) <= window]
         ok = ok and found == sorted(brute, key=lambda c: (c.a, c.b))
 
     checked = 0

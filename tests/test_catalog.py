@@ -262,6 +262,25 @@ def test_unknown_sporadic_ambient_is_a_table_error(tmp_path, capsys):
     assert "X12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d, g", [(5, 1), (3, 1), (4, 0)])
+def test_sporadic_row_off_the_twisted_cubic_is_a_table_error(tmp_path, capsys, d, g):
+    # The sporadic pipeline never reads d or g, so an unrefused row off
+    # (3, 0) would be certified Realizable without a single check on it.
+    table = _embedded_entries()
+    table["cases"] = [c for c in table["cases"] if c["id"] != 3]
+    table["cases"].append({"id": 3, "family": "sporadic", "d": d, "g": g,
+                           "ambient": "X10", "expected": "Realizable"})
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(table))
+    message = rf"^sporadic cases need \(d,g\)=\(3,0\), got \({d},{g}\)$"
+    with pytest.raises(CaseTableError, match=message):
+        load_cases(str(path))
+    assert main(["verify", "--table", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and f"({d},{g})" in captured.err
+
+
 def test_verify_case_detects_regressions():
     case = load_cases()[0]
     cert = verify_case(case)

@@ -5,11 +5,9 @@ from math import gcd, isqrt
 import pytest
 
 from fanocert.diophantine import (DependentFormsError, FamilyMaxUndefinedError,
-                                  Interval, LinearFamily, band_empty,
-                                  curve_class_search, curve_classes,
+                                  Interval, LinearFamily, band_empty, curve_classes,
                                   effective_decompositions,
-                                  family_quadratic_max, family_solutions,
-                                  solve_degree_squares)
+                                  family_quadratic_max, family_solutions)
 from fanocert.diophantine import _line, _line_base, _nonnegative_range
 from fanocert.gonality import DONOR_DEGREES, DonorWindowEmptyError, tetragonal_certificate
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
@@ -63,13 +61,25 @@ def in_window(cls, window=WINDOW):
     return abs(cls.a) <= window and abs(cls.b) <= window
 
 
+def sweep_square(lattice, degree, square) -> tuple[DivisorClass, ...]:
+    """The classes of one degree and exact square: the sweep at that square, filtered."""
+    return tuple(DivisorClass(a, b) for _, a, b, found
+                 in curve_classes(lattice, (degree,), square) if found == square)
+
+
+def sweep_degree(lattice, degree, min_square) -> tuple[DivisorClass, ...]:
+    """The classes of one degree and square >= min_square, boxed, by (a, b)."""
+    return tuple(DivisorClass(a, b)
+                 for _, a, b, _ in curve_classes(lattice, (degree,), min_square))
+
+
 def test_solve_degree_square_reference_values():
     quadric = make_family_lattice(FAMILIES["quadric"], 13, 14)
-    assert solve_degree_squares(quadric, [(1, -2)])[0] == (DivisorClass(-2, 1),)
+    assert sweep_square(quadric, 1, -2) == (DivisorClass(-2, 1),)
     v4 = make_family_lattice(FAMILIES["v4"], 10, 6)
-    assert solve_degree_squares(v4, [(2, -2)])[0] == (DivisorClass(-1, 1),)
+    assert sweep_square(v4, 2, -2) == (DivisorClass(-1, 1),)
     quadric92 = make_family_lattice(FAMILIES["quadric"], 9, 2)
-    assert solve_degree_squares(quadric92, [(1, -2)])[0] == ()
+    assert sweep_square(quadric92, 1, -2) == ()
     assert brute_degree_square(quadric92, 1, -2, window=200) == []
 
 
@@ -79,7 +89,7 @@ def test_solve_degree_square_matches_brute_force():
         lattice = random_hyperbolic_lattice(rng)
         degree = rng.randint(-30, 30)
         square = 2 * rng.randint(-40, 40)
-        solved = solve_degree_squares(lattice, [(degree, square)])[0]
+        solved = sweep_square(lattice, degree, square)
         for cls in solved:
             assert lattice.degree(cls) == degree
             assert lattice.pair(cls, cls) == square
@@ -100,7 +110,7 @@ def test_solve_degree_square_full_plane_scan():
              if lattice.degree(DivisorClass(a, b)) == degree
              and lattice.pair(DivisorClass(a, b), DivisorClass(a, b)) == square),
             key=lambda c: (c.a, c.b))
-        solved = solve_degree_squares(lattice, [(degree, square)])[0]
+        solved = sweep_square(lattice, degree, square)
         assert [c for c in solved if abs(c.a) <= 25 and abs(c.b) <= 25] == expected
 
 
@@ -150,6 +160,8 @@ def reference_solve_degree_square(lattice, degree, square) -> tuple[DivisorClass
 
 
 def test_solve_degree_squares_matches_reference():
+    # Exact-square queries answered by the sweep, filtered to the square,
+    # one query at a time and all at once, against the one-query oracle.
     rng = random.Random(0xFA2607)
     hits = misses = off_gcd = repeated = two_roots = 0
     for _ in range(250):
@@ -174,10 +186,14 @@ def test_solve_degree_squares_matches_reference():
             queries.append((degree, square))
         expected = tuple(reference_solve_degree_square(lattice, *q)
                          for q in queries)
-        assert solve_degree_squares(lattice, queries) == expected
-        assert solve_degree_squares(lattice, iter(queries)) == expected
-        assert solve_degree_squares(lattice, []) == ()
+        assert tuple(sweep_square(lattice, *q) for q in queries) == expected
         degrees = [q[0] for q in queries]
+        swept = curve_classes(lattice, iter(dict.fromkeys(degrees)),
+                              min(q[1] for q in queries))
+        assert tuple(tuple(DivisorClass(a, b) for degree, a, b, square in swept
+                           if (degree, square) == query)
+                     for query in queries) == expected
+        assert curve_classes(lattice, [], -2) == []
         repeated += len(set(degrees)) < len(degrees)
         off_gcd += sum(degree % step != 0 for degree in degrees)
         hits += sum(bool(found) for found in expected)
@@ -194,9 +210,9 @@ def test_solve_degree_squares_signature_guard():
         lattice = IntersectionLattice(gram)
         assert lattice.det >= 0
         with pytest.raises(LatticeSignatureError):
-            solve_degree_squares(lattice, [(1, -2)])
+            curve_classes(lattice, (1,), -2)
         with pytest.raises(LatticeSignatureError):
-            solve_degree_squares(lattice, [])
+            curve_classes(lattice, (), -2)
 
 
 def test_searches_refuse_nonpositive_polarization():
@@ -206,9 +222,9 @@ def test_searches_refuse_nonpositive_polarization():
         lattice = IntersectionLattice(gram)
         assert lattice.det < 0 and lattice.gram[0][0] <= 0
         with pytest.raises(LatticeSignatureError):
-            solve_degree_squares(lattice, [(1, 2)])
+            curve_classes(lattice, (1,), 2)
         with pytest.raises(LatticeSignatureError):
-            curve_class_search(lattice, 1, -2)
+            curve_classes(lattice, (1,), -2)
         with pytest.raises(LatticeSignatureError):
             effective_decompositions(lattice, DivisorClass(0, 1))
 
@@ -247,11 +263,11 @@ def test_nonnegative_range_matches_brute_force():
 
 def test_curve_class_search_reference_values():
     v5 = make_family_lattice(FAMILIES["v5"], 7, 0)
-    assert curve_class_search(v5, 1, -2) == ()
+    assert sweep_degree(v5, 1, -2) == ()
     x14 = make_family_lattice(FAMILIES["x14"], 4, 0)
-    assert curve_class_search(x14, 2, -2) == ()
+    assert sweep_degree(x14, 2, -2) == ()
     quadric = make_family_lattice(FAMILIES["quadric"], 8, 0)
-    found = curve_class_search(quadric, 8, -2)
+    found = sweep_degree(quadric, 8, -2)
     assert DivisorClass(0, 1) in found
 
 
@@ -261,7 +277,7 @@ def test_curve_class_search_matches_brute_force():
         lattice = random_hyperbolic_lattice(rng)
         degree = rng.randint(-20, 20)
         min_square = rng.randint(-24, 12)
-        found = curve_class_search(lattice, degree, min_square)
+        found = sweep_degree(lattice, degree, min_square)
         for cls in found:
             assert lattice.degree(cls) == degree
             assert lattice.pair(cls, cls) >= min_square
@@ -506,14 +522,17 @@ def test_effective_decompositions():
 
 
 def reference_effective_decompositions(lattice, target, limit=32):
-    """The original pool-plus-recursion search, kept verbatim as the oracle."""
+    """The original pool-plus-recursion search, kept as the oracle.
+
+    Verbatim but for the pool's per-degree search, now one degree of the sweep.
+    """
     target = as_class(target)
     total = lattice.degree(target)
     if total < 1:
         return ()
     pool = []
     for deg in range(1, total + 1):
-        for cls in curve_class_search(lattice, deg, -2):
+        for cls in sweep_degree(lattice, deg, -2):
             pool.append((deg, cls))
     pool.sort(key=lambda item: (-item[0], item[1].a, item[1].b))
     results: list[tuple[DivisorClass, ...]] = []

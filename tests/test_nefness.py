@@ -3,9 +3,10 @@ import json
 import pytest
 
 from fanocert.catalog import load_cases
-from fanocert.lattice import FAMILIES, DivisorClass, make_family_lattice
+from fanocert.diophantine import curve_classes
+from fanocert.lattice import FAMILIES, DivisorClass, FamilySpec, make_family_lattice
 from fanocert.nefness import (FreenessInapplicableError, _table_kind, free_certificate,
-                              freeness_budget, nef_certificate)
+                              nef_certificate)
 from fanocert.outcome import CheckOutcome, class_witness
 from fanocert.secant import admissible_table
 from test_diophantine import census_lattices, reference_solve_degree_square
@@ -62,23 +63,23 @@ def test_nef_kind_tracks_derived_constants():
 
 def test_budget_formulas():
     for d, g in QUADRIC_PAIRS:
-        budget = freeness_budget(FAMILIES["quadric"], d, g)
-        assert budget.k == 27 + g - 3 * d
-        assert budget.h_dot_d == 18 - d
-        assert budget.k >= 2
+        result = free_certificate(FAMILIES["quadric"], d, g).result
+        assert result["elliptic_multiplicity"] == 27 + g - 3 * d
+        assert result["adjoint_polarization_degree"] == 18 - d
+        assert result["elliptic_multiplicity"] >= 2
     for d, g in V4_PAIRS:
-        budget = freeness_budget(FAMILIES["v4"], d, g)
-        assert budget.k == 16 - 2 * d + g
-        assert budget.h_dot_d == 16 - d
+        result = free_certificate(FAMILIES["v4"], d, g).result
+        assert result["elliptic_multiplicity"] == 16 - 2 * d + g
+        assert result["adjoint_polarization_degree"] == 16 - d
 
 
 def test_positive_budget_cases_exactly():
-    positive = {(d, g) for d, g in QUADRIC_PAIRS
-                if freeness_budget(FAMILIES["quadric"], d, g).gamma_budget > 0}
+    budgets = {(d, g): free_certificate(FAMILIES["quadric"], d, g).result["rational_part_budget"]
+               for d, g in QUADRIC_PAIRS}
+    positive = {pair for pair, budget in budgets.items() if budget > 0}
     assert positive == {(9, 2), (10, 5), (11, 8), (8, 0)}
-    budgets = {(d, g): freeness_budget(FAMILIES["quadric"], d, g).gamma_budget
-               for d, g in positive}
-    assert budgets == {(9, 2): 3, (10, 5): 2, (11, 8): 1, (8, 0): 1}
+    assert {pair: budgets[pair] for pair in positive} == {
+        (9, 2): 3, (10, 5): 2, (11, 8): 1, (8, 0): 1}
 
 
 def test_free_reference_cases():
@@ -114,7 +115,7 @@ def test_freeness_requires_positive_square():
     flat = FamilySpec("quadric", 6, 3, 18, 54)
     with pytest.raises(FreenessInapplicableError):
         # (3H - C)^2 = 54 - 6d + 2g - 2; d=10, g=4 gives 54 - 60 + 8 - 2 = 0
-        freeness_budget(flat, 10, 4)
+        free_certificate(flat, 10, 4)
 
 
 def reference_nef_certificate(family, d, g):
@@ -153,11 +154,17 @@ def reference_nef_certificate(family, d, g):
 def reference_free_certificate(family, d, g):
     """The original per-degree freeness search over the reference solver."""
     lattice = make_family_lattice(family, d, g)
-    budget = freeness_budget(family, d, g)
+    adjoint = family.adjoint_class
+    square = lattice.pair(adjoint, adjoint)
+    if square < 2:
+        raise FreenessInapplicableError(f"adjoint square {square} < 2")
+    k = (square + 2) // 2
+    h_dot_d = lattice.degree(adjoint)
+    gamma_budget = h_dot_d - 3 * k
     witnesses = []
     searched = []
-    if budget.gamma_budget > 0:
-        for degree in range(1, budget.gamma_budget + 1):
+    if gamma_budget > 0:
+        for degree in range(1, gamma_budget + 1):
             searched.append(degree)
             for cls in reference_solve_degree_square(lattice, degree, -2):
                 witnesses.append({"class": class_witness(cls),
@@ -168,9 +175,9 @@ def reference_free_certificate(family, d, g):
         kind=_table_kind(family),
         passed=not witnesses,
         inputs={"family": family.name, "d": d, "g": g},
-        result={"elliptic_multiplicity": budget.k,
-                "adjoint_polarization_degree": budget.h_dot_d,
-                "rational_part_budget": budget.gamma_budget,
+        result={"elliptic_multiplicity": k,
+                "adjoint_polarization_degree": h_dot_d,
+                "rational_part_budget": gamma_budget,
                 "searched_degrees": searched},
         witnesses=tuple(witnesses),
     )
@@ -198,3 +205,26 @@ def test_certificates_match_reference_on_census():
     assert pairs == 721
     # the 560 freeness refusals of the census, and certificates with witnesses
     assert refused == 560 and witnessed > 0
+
+
+def test_free_certificate_matches_reference_off_the_catalog():
+    # On the census the budget degrees carry no class of square >= -2, so
+    # synthetic families supply both (-2)-witnesses and classes of square
+    # >= 0 that the freeness search must leave out.
+    witnessed = nonnegative = 0
+    for h_square in (12, 16, 22, 30):
+        for multiplier in (1, 3):
+            family = FamilySpec("quadric", h_square, multiplier, 18, 54)
+            for d in range(1, 31):
+                for g in range(11):
+                    expected = _json_or_refusal(reference_free_certificate, family, d, g)
+                    assert _json_or_refusal(free_certificate, family, d, g) == expected, \
+                        (h_square, multiplier, d, g)
+                    if not isinstance(expected, str):
+                        continue
+                    result = json.loads(expected)
+                    witnessed += bool(result["witnesses"])
+                    swept = curve_classes(make_family_lattice(family, d, g),
+                                          result["result"]["searched_degrees"], -2)
+                    nonnegative += any(square > -2 for *_, square in swept)
+    assert witnessed > 0 and nonnegative > 0

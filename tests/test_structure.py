@@ -42,15 +42,24 @@ def test_modules_import_no_private_names_from_each_other():
     assert private == []
 
 
-def test_only_the_class_searches_walk_degree_quadratics():
-    # curve_classes (square >= m) and solve_degree_squares (square == m) are
-    # the only searches along a degree line; everything else calls them.
-    tree = ast.parse((PACKAGE / "diophantine.py").read_text())
-    callers = {func.name for func in tree.body if isinstance(func, ast.FunctionDef)
-               for node in ast.walk(func)
-               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-               and node.func.id == "_degree_quadratic"}
-    assert callers == {"curve_classes", "solve_degree_squares"}
+def test_only_curve_classes_walks_a_degree_line():
+    # curve_classes is the one search along a degree line: it alone holds the
+    # signature guard (_degree_line) and the exact "square >= m" range
+    # (_nonnegative_range).  Exact-square and one-degree searches filter or
+    # call the sweep, so a second line walker here would be a twin to keep
+    # in step with it.
+    callers = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in ("_degree_line", "_nonnegative_range")):
+                    callers.setdefault(node.func.id, set()).add(f"{path.stem}.{func.name}")
+    assert callers == {"_degree_line": {"diophantine.curve_classes"},
+                       "_nonnegative_range": {"diophantine.curve_classes"}}
 
 
 def test_pipelines_do_not_import_catalog():
