@@ -14,7 +14,7 @@ from .riemannroch import (LinearSeries, brill_noether, ideal_curve_bound, k3_h0,
                           span_dimension_bound)
 from .ruled import (RuledLattice, hirzebruch_search, noether_contradiction,
                     p2_square_ten)
-from .schubert import SchubertProblem, SchubertSplit, surface_class_split
+from .schubert import surface_class_split
 from .secant import admissible_table, genus_cap, max_secant_degree, trisecant_count
 
 __version__ = "0.1.0"

@@ -104,15 +104,16 @@ class Report:
 
 
 def _integer_field(entry: dict, key: str) -> int:
-    """``entry[key]`` as an int; any value that is not an integer is a table error."""
+    """``entry[key]`` as an int; any value that is not an integer is a table error.
+
+    JSON numbers with an integral value are integers; booleans and strings
+    are not, although ``int`` would convert them.
+    """
     value = entry[key]
-    try:
-        number = int(value)
-    except (ValueError, OverflowError):
-        number = None
-    if number is None or (isinstance(value, float) and number != value):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
         raise CaseTableError(f"case field {key!r} must be an integer, got {value!r}")
-    return number
+    return int(value)
 
 
 def _record_from_entry(entry: dict) -> CaseRecord:
@@ -135,19 +136,29 @@ def _record_from_entry(entry: dict) -> CaseRecord:
 
 
 def load_cases(path: str | None = None) -> tuple[CaseRecord, ...]:
-    """Embedded table, or an override file with the same JSON schema."""
-    if path is None:
-        payload = resources.files("fanocert").joinpath("data/cases.json").read_text()
-    else:
-        with open(path, encoding="utf-8") as handle:
-            payload = handle.read()
+    """Embedded table, or an override file with the same JSON schema.
+
+    Each (case id, family) pair may appear once.
+    """
     try:
+        if path is None:
+            payload = resources.files("fanocert").joinpath("data/cases.json").read_text()
+        else:
+            with open(path, encoding="utf-8") as handle:
+                payload = handle.read()
         table = json.loads(payload)
         entries = table["cases"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CaseTableError(f"unreadable case table: {exc}") from exc
-    records = tuple(_record_from_entry(entry) for entry in entries)
-    return tuple(sorted(records, key=lambda r: (r.case_id, r.family)))
+    if not isinstance(entries, list):
+        raise CaseTableError(f"unreadable case table: 'cases' must be a list, got {entries!r}")
+    records = sorted((_record_from_entry(entry) for entry in entries),
+                     key=lambda r: (r.case_id, r.family))
+    for before, after in zip(records, records[1:]):
+        if (before.case_id, before.family) == (after.case_id, after.family):
+            raise CaseTableError(
+                f"duplicate case row: id {after.case_id}, family {after.family!r}")
+    return tuple(records)
 
 
 def verify_case(case: CaseRecord) -> Certificate:

@@ -13,18 +13,23 @@ conics, short elliptic classes) are ruled out by lattice searches.  Solutions
 the square analysis cannot kill are singled out as specials and eliminated
 individually.
 
+The certificate is its checks: the per-family maxima are the ``max_square``,
+``attained_at`` and ``excluded_k`` of the ``donor-family-squares-negative``
+witnesses, each special is a ``special-donor-(a,b)`` check with its
+``square``, ``t_degree`` and ``elimination``, and the fixed/moving part
+contradiction is ``fixed-moving-square-contradiction``.
+
 Since (T - D).T = T^2 - D.T with T^2 = h^2 = 14, the first inequality only
 says D.T <= 14, which every degree of the window meets, so each solution
 family is a whole progression rather than a half-line.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .diophantine import (LinearFamily, curve_classes, family_quadratic_max,
-                          family_solutions)
-from .lattice import FAMILIES, DivisorClass, make_family_lattice
-from .outcome import CheckOutcome, CITED, VERIFIED, cited, class_witness, verified
+from .diophantine import curve_classes, family_quadratic_max, family_solutions
+from .lattice import FAMILIES, make_family_lattice
+from .outcome import CheckOutcome, CITED, VERIFIED, cited, verified
 
 
 class DonorWindowEmptyError(ValueError):
@@ -38,80 +43,32 @@ DONOR_DEGREES = range(4, SECTION_GENUS)
 
 
 @dataclass(frozen=True)
-class SpecialSolution:
-    cls: DivisorClass
-    square: int
-    t_degree: int
-    elimination: str
-    kind: str
-    note: str = ""
-
-    def to_witness(self) -> dict:
-        data = {"class": class_witness(self.cls), "square": self.square,
-                "t_degree": self.t_degree, "elimination": self.elimination}
-        if self.note:
-            data["note"] = self.note
-        return data
-
-
-@dataclass(frozen=True)
-class FamilyAnalysis:
-    family: LinearFamily
-    special_ks: tuple[int, ...]
-    max_square: int
-    attained_at: int
-
-    def to_witness(self) -> dict:
-        data = self.family.to_witness()
-        data["max_square"] = self.max_square
-        data["attained_at"] = self.attained_at
-        if self.special_ks:
-            data["excluded_k"] = list(self.special_ks)
-        return data
-
-
-@dataclass
 class TetragonalReport:
-    d: int
-    g: int
-    route: str
-    families: tuple[FamilyAnalysis, ...]
-    specials: tuple[SpecialSolution, ...]
-    line_classes: tuple[DivisorClass, ...]
-    conic_classes: tuple[DivisorClass, ...]
-    square_cap: int | None
-    multiplicity_cap: int | None
-    bound: CheckOutcome | None
-    discrepancies: tuple[str, ...] = ()
-    checks: tuple[CheckOutcome, ...] = field(default_factory=tuple)
+    """The checks of one certificate and the gaps they flag."""
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+    checks: tuple[CheckOutcome, ...]
+    discrepancies: tuple[str, ...]
 
     def outcomes(self) -> tuple[CheckOutcome, ...]:
         return self.checks
 
 
-def _eliminate_special(cls: DivisorClass, square: int, t_degree: int) -> SpecialSolution:
+def _eliminate_special(square: int, t_degree: int) -> tuple[str, str, str]:
+    """(elimination, kind, note) of a donor the square analysis leaves open."""
     if square == -2:
-        return SpecialSolution(
-            cls, square, t_degree, elimination="rigid-class", kind=VERIFIED,
-            note="square -2 classes are rigid (one section), so the class cannot move")
+        return ("rigid-class", VERIFIED,
+                "square -2 classes are rigid (one section), so the class cannot move")
     if square < -2 and t_degree - 3 <= 2:
-        return SpecialSolution(
-            cls, square, t_degree, elimination="short-fixed-part", kind=VERIFIED,
-            note="a moving part needs degree >= 3 (no curves of degree <= 2 exist), "
-                 "leaving a fixed part of degree <= 2, and no line or conic class exists")
+        return ("short-fixed-part", VERIFIED,
+                "a moving part needs degree >= 3 (no curves of degree <= 2 exist), "
+                "leaving a fixed part of degree <= 2, and no line or conic class exists")
     if square >= 0:
-        return SpecialSolution(
-            cls, square, t_degree, elimination="curve-class-donor", kind=CITED,
-            note="square >= 0: the rigidity elimination does not apply; for an "
-                 "irreducible class of square 0 the section count is 2, so the "
-                 "exclusion of this donor is recorded as a cited rule")
-    return SpecialSolution(
-        cls, square, t_degree, elimination="unresolved", kind=CITED,
-        note="no arithmetic elimination available for this solution")
+        return ("curve-class-donor", CITED,
+                "square >= 0: the rigidity elimination does not apply; for an "
+                "irreducible class of square 0 the section count is 2, so the "
+                "exclusion of this donor is recorded as a cited rule")
+    return ("unresolved", CITED,
+            "no arithmetic elimination available for this solution")
 
 
 def fixed_moving_bound(square_cap: int, t_f_max: int,
@@ -158,9 +115,7 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
         )
     max_value = max(f.value for f in families)
     if max_value <= 6:
-        route = "conic"
-        multiplicity_cap = None
-        threshold = 0
+        route, threshold = "conic", 0
     else:
         route = "fixed-moving"
         multiplicity_cap = max_value - 3
@@ -169,19 +124,23 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
     # A family of value v is the degree-v line with the same canonical base
     # and step, so its specials (square >= threshold) are that degree's
     # curve classes, in ascending k; one sweep serves every family.
-    found = curve_classes(lattice, [fam.value for fam in families], threshold)
-    specials = [_eliminate_special(DivisorClass(a, b), square, value)
-                for value, a, b, square in found]
-    analyses = []
+    specials = curve_classes(lattice, [fam.value for fam in families], threshold)
+    family_witnesses = []
     for fam in families:
-        sks = tuple(fam.index_of(special.cls) for special in specials
-                    if special.t_degree == fam.value)
-        max_square, attained = family_quadratic_max(lattice, fam, exclude=set(sks))
-        analyses.append(FamilyAnalysis(fam, sks, max_square, attained))
+        excluded = [fam.index_of((a, b)) for value, a, b, _ in specials
+                    if value == fam.value]
+        max_square, attained = family_quadratic_max(lattice, fam, exclude=set(excluded))
+        witness = fam.to_witness()
+        witness["max_square"] = max_square
+        witness["attained_at"] = attained
+        if excluded:
+            witness["excluded_k"] = excluded
+        family_witnesses.append(witness)
+    max_squares = [w["max_square"] for w in family_witnesses]
 
     short = curve_classes(lattice, (1, 2), -2)
-    line_classes = tuple(DivisorClass(a, b) for degree, a, b, _ in short if degree == 1)
-    conic_classes = tuple(DivisorClass(a, b) for degree, a, b, _ in short if degree == 2)
+    lines = [[a, b] for degree, a, b, _ in short if degree == 1]
+    conics = [[a, b] for degree, a, b, _ in short if degree == 2]
 
     checks: list[CheckOutcome] = []
     discrepancies: list[str] = []
@@ -189,34 +148,29 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
     checks.append(verified(
         name="donor-family-squares-negative",
         rule="donor-system-enumeration",
-        passed=all(fa.max_square < 0 for fa in analyses),
+        passed=all(square < 0 for square in max_squares),
         inputs={"d": d, "g": g, "degree_window": [DONOR_DEGREES[0], DONOR_DEGREES[-1]],
                 "section_genus": SECTION_GENUS, "route": route},
-        result={"family_count": len(analyses),
-                "max_squares": [fa.max_square for fa in analyses]},
-        witnesses=tuple(fa.to_witness() for fa in analyses),
+        result={"family_count": len(families), "max_squares": max_squares},
+        witnesses=tuple(family_witnesses),
     ))
     checks.append(verified(
         name="no-line-classes",
         rule="short-curve-search",
-        passed=not line_classes,
+        passed=not lines,
         inputs={"degree": 1, "min_square": -2},
-        witnesses=tuple(class_witness(c) for c in line_classes),
+        witnesses=tuple(lines),
     ))
     checks.append(verified(
         name="no-conic-classes",
         rule="short-curve-search",
-        passed=not conic_classes,
+        passed=not conics,
         inputs={"degree": 2, "min_square": -2},
-        witnesses=tuple(class_witness(c) for c in conic_classes),
+        witnesses=tuple(conics),
     ))
 
-    square_cap = None
-    bound = None
     if route == "fixed-moving":
-        square_cap = max(fa.max_square for fa in analyses)
-        bound = fixed_moving_bound(square_cap, max_value - 3, multiplicity_cap)
-        checks.append(bound)
+        checks.append(fixed_moving_bound(max(max_squares), max_value - 3, multiplicity_cap))
         checks.append(verified(
             name="fixed-part-cannot-contain-curve",
             rule="fixed-part-degree-cap",
@@ -230,45 +184,33 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
                       "besides the blown-up curve, so the fixed part is a multiple "
                       "of a single reduced rational curve",
         ))
-    else:
-        values_present = sorted({fa.family.value for fa in analyses})
-        if any(v >= 6 for v in values_present):
-            gap = ("reducible donors of section degree 6 admit a split into two "
-                   "degree-3 components, which the degree-1 and degree-2 searches "
-                   "do not exclude; recorded as a gap, not silently closed")
-            discrepancies.append(gap)
-            checks.append(cited(
-                name="no-split-into-two-cubics",
-                rule="component-split-gap",
-                statement=gap,
-            ))
+    elif max_value >= 6:
+        gap = ("reducible donors of section degree 6 admit a split into two "
+               "degree-3 components, which the degree-1 and degree-2 searches "
+               "do not exclude; recorded as a gap, not silently closed")
+        discrepancies.append(gap)
+        checks.append(cited(
+            name="no-split-into-two-cubics",
+            rule="component-split-gap",
+            statement=gap,
+        ))
 
-    for special in specials:
-        outcome = CheckOutcome(
-            name=f"special-donor-({special.cls.a},{special.cls.b})",
+    for value, a, b, square in specials:
+        elimination, kind, note = _eliminate_special(square, value)
+        checks.append(CheckOutcome(
+            name=f"special-donor-({a},{b})",
             rule="special-solution-elimination",
-            kind=special.kind,
-            passed=special.elimination != "unresolved",
-            inputs={"t_degree": special.t_degree},
-            result={"square": special.square, "elimination": special.elimination},
-            witnesses=(special.to_witness(),),
-            notes=(special.note,) if special.note else (),
-        )
-        checks.append(outcome)
-        if special.kind == CITED:
+            kind=kind,
+            passed=elimination != "unresolved",
+            inputs={"t_degree": value},
+            result={"square": square, "elimination": elimination},
+            witnesses=({"class": [a, b], "square": square, "t_degree": value,
+                        "elimination": elimination, "note": note},),
+            notes=(note,),
+        ))
+        if kind == CITED:
             discrepancies.append(
-                f"special donor ({special.cls.a},{special.cls.b}) with square "
-                f"{special.square} eliminated only by a cited rule")
+                f"special donor ({a},{b}) with square {square} eliminated only "
+                f"by a cited rule")
 
-    return TetragonalReport(
-        d=d, g=g, route=route,
-        families=tuple(analyses),
-        specials=tuple(specials),
-        line_classes=line_classes,
-        conic_classes=conic_classes,
-        square_cap=square_cap,
-        multiplicity_cap=multiplicity_cap,
-        bound=bound,
-        discrepancies=tuple(discrepancies),
-        checks=tuple(checks),
-    )
+    return TetragonalReport(checks=tuple(checks), discrepancies=tuple(discrepancies))

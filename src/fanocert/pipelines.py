@@ -21,7 +21,7 @@ from .riemannroch import (LinearSeries, brill_noether, ideal_curve_bound, k3_h0,
                           monomial_count, plane_curve_genus, residual_series,
                           span_dimension_bound)
 from .ruled import hirzebruch_search, noether_contradiction, p2_square_ten
-from .schubert import SchubertProblem, surface_class_split
+from .schubert import surface_class_split
 from .secant import trisecant_count
 
 # Genus threshold for the bisecant-exclusion rule on prime Fano threefolds.
@@ -250,8 +250,8 @@ def _hyperplane_irreducibility(family: FamilySpec, lattice: IntersectionLattice,
 
 def _v5_bundle_checks() -> list[CheckOutcome]:
     """Class arithmetic of the rank-2 bundle mapping the surface to G(1,4)."""
-    splits = surface_class_split(SchubertProblem(c2_value=4, t_square=10))
-    split_data = [[s.deg_alpha, s.a, s.b] for s in splits]
+    splits = surface_class_split(c2_value=4, t_square=10)
+    split_data = [list(split) for split in splits]
     checks = [verified(
         name="surface-class-splits-in-grassmannian",
         rule="schubert-class-split",
@@ -259,12 +259,12 @@ def _v5_bundle_checks() -> list[CheckOutcome]:
         inputs={"c2": 4, "t_square": 10},
         result={"splits": split_data},
     )]
-    degree2 = next(s for s in splits if s.deg_alpha == 2)
+    degree2 = next(split for split in splits if split[0] == 2)
     checks.append(verified(
         name="degree-two-span-three-branch-contradiction",
         rule="linear-subvariety-class",
-        passed=(degree2.a, degree2.b) != (5, 0),
-        inputs={"split": [degree2.deg_alpha, degree2.a, degree2.b]},
+        passed=degree2[1:] != (5, 0),
+        inputs={"split": list(degree2)},
         result={"forced_class": [5, 0]},
         notes=("a degree-5 surface cut on a maximal linear subvariety would "
                "have class coefficients (5, 0), incompatible with the split",),
@@ -469,8 +469,7 @@ def _x14_bundle_checks() -> list[CheckOutcome]:
         passed=sections == 6,
         result={"h0": sections},
     ))
-    splits = surface_class_split(SchubertProblem(c2_value=5, t_square=14))
-    split_data = [[s.deg_alpha, s.a, s.b] for s in splits]
+    split_data = [list(split) for split in surface_class_split(c2_value=5, t_square=14)]
     checks.append(verified(
         name="surface-class-splits-in-grassmannian",
         rule="schubert-class-split",

@@ -5,44 +5,26 @@ in the Schubert basis.  Pushing forward the second Chern class gives
 deg(map) * b, and the self-intersection of the first gives
 deg(map) * (a + b), since both basis classes meet the hyperplane class with
 multiplicity one.  Enumerating the divisors of the latter lists every split.
+The pipelines emit the splits as the ``splits`` result of the
+``surface-class-splits-in-grassmannian`` check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+def surface_class_split(c2_value: int, t_square: int) -> tuple[tuple[int, int, int], ...]:
+    """All (deg, a, b) with deg*b = c2_value and deg*(a+b) = t_square, a, b >= 0.
 
-@dataclass(frozen=True)
-class SchubertProblem:
-    """Push-forward of c2 and the square of c1 (the polarization square)."""
-
-    c2_value: int
-    t_square: int
-
-    def __post_init__(self):
-        if self.c2_value < 1 or self.t_square < 1:
-            raise ValueError("need c2_value >= 1 and t_square >= 1")
-
-
-@dataclass(frozen=True)
-class SchubertSplit:
-    deg_alpha: int
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError("Schubert coefficients must be nonnegative")
-
-
-def surface_class_split(problem: SchubertProblem) -> tuple[SchubertSplit, ...]:
-    """All (deg, a, b) with deg*b = c2 and deg*(a+b) = t_square, a, b >= 0."""
+    ``c2_value`` is the push-forward of c2 and ``t_square`` the square of c1
+    (the polarization square); the splits come in ascending ``deg``.
+    """
+    if c2_value < 1 or t_square < 1:
+        raise ValueError("need c2_value >= 1 and t_square >= 1")
     splits = []
-    for deg in range(1, problem.t_square + 1):
-        if problem.t_square % deg or problem.c2_value % deg:
+    for deg in range(1, t_square + 1):
+        if t_square % deg or c2_value % deg:
             continue
-        b = problem.c2_value // deg
-        a = problem.t_square // deg - b
-        if a < 0:
-            continue
-        splits.append(SchubertSplit(deg, a, b))
+        b = c2_value // deg
+        a = t_square // deg - b
+        if a >= 0:
+            splits.append((deg, a, b))
     return tuple(splits)

@@ -16,7 +16,7 @@ from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
 from fanocert.nefness import free_certificate
 from fanocert.report import report_to_json
 from fanocert.ruled import hirzebruch_search, noether_contradiction, p2_square_ten
-from fanocert.schubert import SchubertProblem, surface_class_split
+from fanocert.schubert import surface_class_split
 from fanocert.secant import admissible_table
 
 from test_secant import QUADRIC_TABLES, V4_TABLES
@@ -102,30 +102,30 @@ def test_criterion_4_secant_tables(capsys):
 
 
 def test_criterion_5_schubert_splits(capsys):
-    s1 = surface_class_split(SchubertProblem(4, 10))
-    s2 = surface_class_split(SchubertProblem(5, 14))
-    ok = [(s.deg_alpha, s.a, s.b) for s in s1] == [(1, 6, 4), (2, 3, 2)]
-    ok = ok and [(s.deg_alpha, s.a, s.b) for s in s2] == [(1, 9, 5)]
+    ok = surface_class_split(4, 10) == ((1, 6, 4), (2, 3, 2))
+    ok = ok and surface_class_split(5, 14) == ((1, 9, 5),)
     with capsys.disabled():
         _emit(5, "class splits {(1,6,4),(2,3,2)} and {(1,9,5)}", ok)
 
 
 def test_criterion_6_gonality(capsys):
     report = tetragonal_certificate(4, 0)
+    by_name = {c.name: c for c in report.checks}
     ks = range(-50, 51)
     reference = ({(2 * k, 1 - 7 * k) for k in ks}
                  | {(2 * k + 1, -2 - 7 * k) for k in ks})
     computed = set()
-    for analysis in report.families:
-        computed |= {analysis.family.member(k).coords() for k in ks}
-    ok = computed == reference and report.passed
+    for w in by_name["donor-family-squares-negative"].witnesses:
+        base, step = DivisorClass(*w["base"]), DivisorClass(*w["step"])
+        computed |= {(base + k * step).coords() for k in ks}
+    ok = computed == reference and all(c.passed for c in report.checks)
 
-    report50 = tetragonal_certificate(5, 0)
-    specials = {s.cls.coords(): s for s in report50.specials}
-    ok = ok and set(specials) == {(0, 1), (1, -2)}
-    ok = ok and specials[(1, -2)].square == -14
-    ok = ok and specials[(1, -2)].t_degree == 4
-    ok = ok and report50.square_cap == -58
+    by_name = {c.name: c for c in tetragonal_certificate(5, 0).checks}
+    specials = {name for name in by_name if name.startswith("special-donor-")}
+    ok = ok and specials == {"special-donor-(0,1)", "special-donor-(1,-2)"}
+    ok = ok and by_name["special-donor-(1,-2)"].result["square"] == -14
+    ok = ok and by_name["special-donor-(1,-2)"].inputs["t_degree"] == 4
+    ok = ok and by_name["fixed-moving-square-contradiction"].inputs["square_cap"] == -58
     bound = fixed_moving_bound(-58, 4, 4)
     ok = ok and bound.passed and bound.result["split_square_floor"] == -32
     with capsys.disabled():

@@ -200,7 +200,7 @@ def test_table_override(tmp_path):
         "version": 1,
         "cases": [
             {"id": 48, "family": "quadric", "d": 13, "g": 14, "expected": "Realizable"},
-            {"id": 48, "family": "quadric", "d": 13, "g": 14, "expected": "Open"},
+            {"id": 148, "family": "quadric", "d": 13, "g": 14, "expected": "Open"},
         ],
     }
     path = tmp_path / "override.json"
@@ -211,14 +211,17 @@ def test_table_override(tmp_path):
     assert report.summary["mismatch"] == 1
 
 
-def test_malformed_table_rejected(tmp_path):
+def test_malformed_table_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{\"cases\": [{\"id\": 1}]}")
-    with pytest.raises(CaseTableError):
-        load_cases(str(path))
-    path.write_text("not json")
-    with pytest.raises(CaseTableError):
-        load_cases(str(path))
+    for payload in (b'{"cases": [{"id": 1}]}', b"not json", b'{"cases": 5}',
+                    b'{"cases": null}', b'{"cases": "abc"}', b"[1]",
+                    b'{"cases": []}\xff'):
+        path.write_bytes(payload)
+        with pytest.raises(CaseTableError):
+            load_cases(str(path))
+        assert main(["verify", "--table", str(path)]) == 2, payload
+        err = capsys.readouterr().err
+        assert err.startswith("fanocert: ") and err.count("\n") == 1, payload
 
 
 def _embedded_entries():
@@ -227,7 +230,7 @@ def _embedded_entries():
 
 @pytest.mark.parametrize("key, value", [
     ("id", "abc"), ("d", "nine"), ("g", 2.5), ("d", float("nan")), ("g", float("inf")),
-    ("seed_d", "x"), ("seed_g", 1.5),
+    ("seed_d", "x"), ("seed_g", 1.5), ("id", True), ("d", "7"),
 ])
 def test_non_integer_field_is_a_table_error(tmp_path, capsys, key, value):
     table = _embedded_entries()
@@ -238,6 +241,19 @@ def test_non_integer_field_is_a_table_error(tmp_path, capsys, key, value):
         load_cases(str(path))
     assert main(["verify", "--table", str(path)]) == 2
     assert "must be an integer" in capsys.readouterr().err
+
+
+def test_duplicate_case_row_is_a_table_error(tmp_path, capsys):
+    table = _embedded_entries()
+    row = table["cases"][0]
+    table["cases"].append(dict(row))
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(table))
+    message = f"duplicate case row: id {row['id']}, family {row['family']!r}"
+    with pytest.raises(CaseTableError, match=f"^{message}$"):
+        load_cases(str(path))
+    assert main(["verify", "--table", str(path), "--case", str(row["id"])]) == 2
+    assert capsys.readouterr().err == f"fanocert: {message}\n"
 
 
 def test_schema_errors_keep_their_message(tmp_path):

@@ -434,8 +434,10 @@ def test_donor_families_match_side_filtered_reference_on_x14_census():
         except DonorWindowEmptyError:
             assert expected == [], (d, g)
             continue
-        assert [(a.family.base, a.family.step, a.family.value)
-                for a in report.families] == expected, (d, g)
+        witnesses = next(c for c in report.checks
+                         if c.name == "donor-family-squares-negative").witnesses
+        assert [(DivisorClass(*w["base"]), DivisorClass(*w["step"]), w["value"])
+                for w in witnesses] == expected, (d, g)
         families_seen += len(expected)
     assert pairs == 290 and families_seen > 0
 

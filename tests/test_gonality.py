@@ -1,12 +1,38 @@
 import pytest
 
+from fanocert.diophantine import LinearFamily
 from fanocert.gonality import (DONOR_DEGREES, SECTION_GENUS, DonorWindowEmptyError,
                                fixed_moving_bound, tetragonal_certificate)
-from fanocert.lattice import FAMILIES, DivisorClass, make_family_lattice
+from fanocert.lattice import FAMILIES, DivisorClass
+
+from test_diophantine import census_lattices
 
 
 def family_members(fam, k_range):
     return {fam.member(k).coords() for k in k_range}
+
+
+def check_named(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+def family_witnesses(report):
+    return check_named(report, "donor-family-squares-negative").witnesses
+
+
+def witness_family(witness):
+    return LinearFamily(DivisorClass(*witness["base"]), DivisorClass(*witness["step"]),
+                        witness["value"])
+
+
+def special_checks(report):
+    """The special-donor checks, keyed by the class of their witness."""
+    return {tuple(c.witnesses[0]["class"]): c for c in report.checks
+            if c.rule == "special-solution-elimination"}
+
+
+def passed(report):
+    return all(c.passed for c in report.checks)
 
 
 def test_window_constants_come_from_family_spec():
@@ -17,21 +43,23 @@ def test_window_constants_come_from_family_spec():
 
 def test_4_0_families_match_reference_parametrization():
     report = tetragonal_certificate(4, 0)
-    assert report.passed
-    assert report.route == "conic"
-    assert len(report.families) == 2
+    assert passed(report)
+    assert check_named(report, "donor-family-squares-negative").inputs["route"] == "conic"
+    witnesses = family_witnesses(report)
+    assert len(witnesses) == 2
     ks = range(-50, 51)
     reference = ({(2 * k, 1 - 7 * k) for k in ks}
                  | {(2 * k + 1, -2 - 7 * k) for k in ks})
     computed = set()
-    for analysis in report.families:
-        computed |= family_members(analysis.family, ks)
+    for witness in witnesses:
+        computed |= family_members(witness_family(witness), ks)
     assert computed == reference
     # no member escapes the square analysis for this case
-    assert report.specials == ()
-    assert {a.family.value for a in report.families} == {4, 6}
-    assert all(a.max_square < 0 for a in report.families)
-    assert max(a.max_square for a in report.families) == -2
+    assert special_checks(report) == {}
+    assert all("excluded_k" not in w for w in witnesses)
+    assert {w["value"] for w in witnesses} == {4, 6}
+    assert all(w["max_square"] < 0 for w in witnesses)
+    assert max(w["max_square"] for w in witnesses) == -2
 
 
 def test_4_0_solution_coverage_brute_force():
@@ -39,11 +67,11 @@ def test_4_0_solution_coverage_brute_force():
     d = 4
     solutions = [(a, b) for a in range(-100, 101) for b in range(-100, 101)
                  if 14 * (1 - a) - d * b >= 0 and 4 <= 14 * a + d * b <= 7]
+    families = [witness_family(w) for w in family_witnesses(report)]
+    specials = special_checks(report)
     for a, b in solutions:
-        hits = [fam for fam in (an.family for an in report.families)
-                if fam.index_of(DivisorClass(a, b)) is not None]
-        specials = [s for s in report.specials if s.cls.coords() == (a, b)]
-        assert len(hits) + len(specials) == 1, (a, b)
+        hits = [fam for fam in families if fam.index_of(DivisorClass(a, b)) is not None]
+        assert len(hits) + ((a, b) in specials) == 1, (a, b)
 
 
 def test_6_1_solution_coverage_brute_force():
@@ -52,50 +80,53 @@ def test_6_1_solution_coverage_brute_force():
     solutions = [(a, b) for a in range(-100, 101) for b in range(-100, 101)
                  if 14 * (1 - a) - d * b >= 0 and 4 <= 14 * a + d * b <= 7]
     assert solutions
+    specials = special_checks(report)
     for a, b in solutions:
-        special = any(s.cls.coords() == (a, b) for s in report.specials)
+        special = (a, b) in specials
         in_family = any(
-            (k := an.family.index_of(DivisorClass(a, b))) is not None
-            and k not in an.special_ks
-            for an in report.families)
+            (k := witness_family(w).index_of(DivisorClass(a, b))) is not None
+            and k not in w.get("excluded_k", [])
+            for w in family_witnesses(report))
         # exactly one of the two buckets covers each solution
         assert special != in_family, (a, b)
 
 
 def test_5_0_specials_and_cap():
     report = tetragonal_certificate(5, 0)
-    assert report.passed
-    assert report.route == "fixed-moving"
-    assert report.multiplicity_cap == 4
-    assert report.square_cap == -58
+    assert passed(report)
+    assert check_named(report, "donor-family-squares-negative").inputs["route"] == "fixed-moving"
+    bound = check_named(report, "fixed-moving-square-contradiction")
+    assert bound.inputs == {"square_cap": -58, "t_f_max": 4, "multiplicity_cap": 4}
+    assert bound.passed
 
-    specials = {s.cls.coords(): s for s in report.specials}
+    specials = special_checks(report)
     assert set(specials) == {(0, 1), (1, -2)}
-    assert specials[(0, 1)].square == -2
-    assert specials[(0, 1)].elimination == "rigid-class"
-    assert specials[(1, -2)].square == -14
-    assert specials[(1, -2)].t_degree == 4
-    assert specials[(1, -2)].elimination == "short-fixed-part"
-    assert report.bound is not None and report.bound.passed
+    assert specials[(0, 1)].name == "special-donor-(0,1)"
+    assert specials[(0, 1)].result["square"] == -2
+    assert specials[(0, 1)].result["elimination"] == "rigid-class"
+    assert specials[(1, -2)].result["square"] == -14
+    assert specials[(1, -2)].inputs["t_degree"] == 4
+    assert specials[(1, -2)].result["elimination"] == "short-fixed-part"
 
 
 def test_6_1_special_is_the_curve_class():
     report = tetragonal_certificate(6, 1)
-    assert report.passed
-    assert report.route == "conic"
-    specials = {s.cls.coords(): s for s in report.specials}
+    assert passed(report)
+    assert check_named(report, "donor-family-squares-negative").inputs["route"] == "conic"
+    specials = special_checks(report)
     assert set(specials) == {(0, 1)}
-    assert specials[(0, 1)].square == 0
+    assert specials[(0, 1)].result["square"] == 0
     assert specials[(0, 1)].kind == "cited-rule"
-    assert "square" in specials[(0, 1)].note
+    assert "square" in specials[(0, 1)].witnesses[0]["note"]
+    assert specials[(0, 1)].notes == (specials[(0, 1)].witnesses[0]["note"],)
     assert report.discrepancies  # the cited special is flagged
 
 
 def test_no_short_curves_on_gonality_lattices():
     for d, g in [(4, 0), (5, 0), (6, 1)]:
         report = tetragonal_certificate(d, g)
-        assert report.line_classes == ()
-        assert report.conic_classes == ()
+        assert check_named(report, "no-line-classes").witnesses == ()
+        assert check_named(report, "no-conic-classes").witnesses == ()
 
 
 def test_conic_route_flags_two_cubic_split_gap():
@@ -111,12 +142,49 @@ def test_fixed_moving_bound():
 
 
 def test_specials_reverify_against_lattice():
-    for d, g in [(5, 0), (6, 1)]:
-        lattice = make_family_lattice(FAMILIES["x14"], d, g)
-        report = tetragonal_certificate(d, g)
-        for special in report.specials:
-            assert lattice.pair(special.cls, special.cls) == special.square
-            assert lattice.degree(special.cls) == special.t_degree
+    # Every emitted donor witness of the x14 census, recomputed through the
+    # pairing: specials by their class, family maxima by a scan of k.
+    box = range(-500, 501)
+    pairs = specials_seen = excluded_seen = 0
+    for name, d, g, lattice in census_lattices():
+        if name != "x14":
+            continue
+        pairs += 1
+        try:
+            report = tetragonal_certificate(d, g)
+        except DonorWindowEmptyError:
+            continue
+        specials = special_checks(report)
+        for (a, b), check in specials.items():
+            witness, = check.witnesses
+            cls = DivisorClass(a, b)
+            assert check.name == f"special-donor-({a},{b})"
+            assert lattice.pair(cls, cls) == witness["square"] == check.result["square"]
+            assert lattice.degree(cls) == witness["t_degree"] == check.inputs["t_degree"]
+            assert witness["elimination"] == check.result["elimination"]
+        specials_seen += len(specials)
+        for witness in family_witnesses(report):
+            fam = witness_family(witness)
+            excluded = witness.get("excluded_k", [])
+            # the excluded parameters are exactly this family's specials
+            assert sorted(fam.member(k).coords() for k in excluded) == sorted(
+                cls for cls, check in specials.items()
+                if check.inputs["t_degree"] == witness["value"]), (d, g)
+            excluded_seen += len(excluded)
+            # the Gram form at every member of the box, stepping along the line
+            (p, q), (_, s) = lattice.gram
+            a, b = fam.member(box[0]).coords()
+            squares = {}
+            for k in box:
+                if k not in excluded:
+                    squares[k] = p * a * a + 2 * q * a * b + s * b * b
+                a, b = a + fam.step.a, b + fam.step.b
+            best = max(squares.values())
+            # concave in k: a box maximum above both ends is the global one
+            assert best > max(squares[box[0]], squares[box[-1]]), (d, g)
+            assert witness["max_square"] == best, (d, g)
+            assert squares[witness["attained_at"]] == best, (d, g)
+    assert pairs == 290 and specials_seen > 0 and excluded_seen == specials_seen
 
 
 def test_empty_donor_window_is_a_typed_refusal():
