@@ -10,6 +10,14 @@ One search walks degree lines: ``curve_classes`` sweeps a list of degrees
 for "square >= m", solving the line once per call.  Every class search by
 degree goes through it, the decomposition pool included; an exact-square
 search keeps the sweep's classes of that square.
+
+One primitive solves a linear form's level lines (``_line`` and
+``_line_base``): the sweep, the solution families and the band all use it.
+Band points come from form1's lines, one floor-division range of each
+line's parameter per value of form1.  The decomposition search runs on the
+sweep's integer tuples, refuses a target outside the candidates' slope cone
+before it starts, and builds ``DivisorClass`` objects only for what it
+returns.
 """
 from __future__ import annotations
 
@@ -212,22 +220,34 @@ def band_empty(form1: tuple[int, int], range1: Interval,
     """Enumerate integer points with form1 in range1 and form2 in range2.
 
     Passes when the region holds no integer point; otherwise the full
-    witness list is attached.  Proportional forms are rejected since the
-    region would be an unbounded strip.
+    witness list is attached, sorted.  Proportional forms are rejected since
+    the region would be an unbounded strip.  Form1's line is solved once;
+    each value of range1 is one line base, and along that line form2 moves
+    by a nonzero constant per step (det != 0), so the points with form2 in
+    range2 are one floor-division range of the line's parameter.
     """
     p, q = form1
     r, s = form2
     det = p * s - q * r
     if det == 0:
         raise DependentFormsError("band forms are linearly dependent")
+    line = _line(p, q)
+    *_, step_a, step_b = line
+    climb = r * step_a + s * step_b
+    if climb < 0:
+        step_a, step_b, climb = -step_a, -step_b, -climb
+    ints2 = range2.integers()
+    lo2, hi2 = ints2.start, ints2.stop
     witnesses = []
     for u in range1.integers():
-        for v in range2.integers():
-            a_num = u * s - v * q
-            b_num = v * p - u * r
-            if a_num % det or b_num % det:
-                continue
-            witnesses.append([a_num // det, b_num // det])
+        base = _line_base(line, u)
+        if base is None:
+            continue
+        base_a, base_b = base
+        value = r * base_a + s * base_b
+        # lo2 <= value + k*climb < hi2, with climb > 0
+        for k in range(-((value - lo2) // climb), -((value - hi2) // climb)):
+            witnesses.append([base_a + k * step_a, base_b + k * step_b])
     witnesses.sort()
     return CheckOutcome(
         name="integer-points-in-band",
@@ -299,48 +319,57 @@ def effective_decompositions(lattice: IntersectionLattice, target,
     depth first: it extends the current partial decomposition by each
     candidate at or after the last one chosen, in that order.  The first
     ``limit`` decompositions met in this order are returned.
+
+    The search runs on the sweep's integer tuples and pool indices; a target
+    outside the candidates' slope cone is refused before it starts, and
+    ``DivisorClass`` objects are built only for emitted components.
     """
-    target = as_class(target)
-    total = lattice.degree(target)
+    target_a, target_b = as_class(target)
+    (h2, d), _ = lattice.gram
+    total = h2 * target_a + d * target_b
     if total < 1:
         return ()
     # Only multiples of the degree form's gcd carry integer points; it is
     # positive here, since total >= 1 is a value of the form.
-    step = gcd(*lattice.gram[0])
-    pool = [(deg, a, b, DivisorClass(a, b)) for deg, a, b, _
-            in curve_classes(lattice, range(total - total % step, 0, -step), -2)]
+    step = gcd(h2, d)
+    pool = curve_classes(lattice, range(total - total % step, 0, -step), -2)
     if not pool:
         return ()
     # Candidates of least and greatest slope b/deg.  Every candidate has
     # positive degree, so a sum of them with total degree r has its b
-    # between r times those two slopes; a remainder outside is a dead end.
-    low = high = pool[0]
-    for cand in pool:
-        if cand[2] * low[0] < low[2] * cand[0]:
-            low = cand
-        if cand[2] * high[0] > high[2] * cand[0]:
-            high = cand
-    results: list[tuple[DivisorClass, ...]] = []
-    chosen: list[DivisorClass] = []
+    # between r times those two slopes; a remainder outside is a dead end,
+    # the target (the first remainder) included.
+    low_deg, _, low_b, _ = pool[0]
+    high_deg, high_b = low_deg, low_b
+    for deg, _, b, _ in pool:
+        if b * low_deg < low_b * deg:
+            low_deg, low_b = deg, b
+        if b * high_deg > high_b * deg:
+            high_deg, high_b = deg, b
+    if target_b * low_deg < low_b * total or target_b * high_deg > high_b * total:
+        return ()
+    results: list[tuple[int, ...]] = []
+    chosen: list[int] = []
 
     def search(start: int, rem_a: int, rem_b: int, budget: int):
         for idx in range(start, len(pool)):
             if len(results) >= limit:
                 return
-            deg, a, b, cls = pool[idx]
+            deg, a, b, _ = pool[idx]
             if deg > budget:
                 continue
             if deg == budget:
                 # Closes the decomposition exactly when it is the remainder.
                 if a == rem_a and b == rem_b:
-                    results.append((*chosen, cls))
+                    results.append((*chosen, idx))
                 continue
-            rest_a, rest_b, rest = rem_a - a, rem_b - b, budget - deg
-            if rest_b * low[0] < low[2] * rest or rest_b * high[0] > high[2] * rest:
+            rest_b, rest = rem_b - b, budget - deg
+            if rest_b * low_deg < low_b * rest or rest_b * high_deg > high_b * rest:
                 continue
-            chosen.append(cls)
-            search(idx, rest_a, rest_b, rest)
+            chosen.append(idx)
+            search(idx, rem_a - a, rest_b, rest)
             chosen.pop()
 
-    search(0, target.a, target.b, total)
-    return tuple(results)
+    search(0, target_a, target_b, total)
+    classes = {idx: DivisorClass(*pool[idx][1:3]) for idx in set().union(*results)}
+    return tuple(tuple(classes[idx] for idx in found) for found in results)

@@ -80,7 +80,9 @@ class IntersectionLattice:
 
     def degree(self, x) -> int:
         """Pairing against the polarization (first basis vector)."""
-        return self.pair(x, DivisorClass(1, 0))
+        x = as_class(x)
+        (p, q), _ = self.gram
+        return p * x.a + q * x.b
 
 
 @dataclass(frozen=True)

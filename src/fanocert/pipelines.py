@@ -206,9 +206,8 @@ def _hyperplane_irreducibility(family: FamilySpec, lattice: IntersectionLattice,
     for point in band.witnesses:
         part = DivisorClass(point[0], point[1])
         complement = DivisorClass(1, 0) - part
-        part_decomp = effective_decompositions(lattice, part)
-        comp_decomp = effective_decompositions(lattice, complement)
-        eliminated = not part_decomp or not comp_decomp
+        eliminated = (not effective_decompositions(lattice, part)
+                      or not effective_decompositions(lattice, complement))
         all_eliminated = all_eliminated and eliminated
         witnesses.append({
             "class": class_witness(part),

@@ -12,6 +12,7 @@ from fanocert.diophantine import _line, _line_base, _nonnegative_range
 from fanocert.gonality import DONOR_DEGREES, DonorWindowEmptyError, tetragonal_certificate
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
                               LatticeSignatureError, as_class, make_family_lattice)
+from fanocert.outcome import VERIFIED, CheckOutcome
 
 WINDOW = 50
 
@@ -376,6 +377,80 @@ def test_band_witnesses_satisfy_constraints():
         assert sorted(list(w) for w in outcome.witnesses) == sorted(oracle)
 
 
+def reference_band_empty(form1, range1, form2, range2):
+    """The original scan of the range1 x range2 box, kept verbatim as the oracle."""
+    p, q = form1
+    r, s = form2
+    det = p * s - q * r
+    if det == 0:
+        raise DependentFormsError("band forms are linearly dependent")
+    witnesses = []
+    for u in range1.integers():
+        for v in range2.integers():
+            a_num = u * s - v * q
+            b_num = v * p - u * r
+            if a_num % det or b_num % det:
+                continue
+            witnesses.append([a_num // det, b_num // det])
+    witnesses.sort()
+    return CheckOutcome(
+        name="integer-points-in-band",
+        rule="band-enumeration",
+        kind=VERIFIED,
+        passed=not witnesses,
+        inputs={"form1": list(form1), "range1": range1.label(),
+                "form2": list(form2), "range2": range2.label()},
+        result={"points_found": len(witnesses)},
+        witnesses=tuple(witnesses),
+    )
+
+
+def census_band(name, d, g):
+    """The hyperplane-splitting band of the v5 construction, on any family."""
+    h2 = FAMILIES[name].h_square
+    return ((h2, d), Interval.open(0, h2), (d, 2 * g - 2), Interval.closed(0, d))
+
+
+def test_band_matches_box_scan_on_census_bands():
+    count = points = 0
+    for name, d, g, _ in census_lattices():
+        band = census_band(name, d, g)
+        outcome = band_empty(*band)
+        assert outcome == reference_band_empty(*band), (name, d, g)
+        count += 1
+        points += len(outcome.witnesses)
+    assert count == 721 and points > 0
+
+
+def test_band_matches_box_scan_on_random_forms():
+    rng = random.Random(0xFA260B)
+
+    def interval():
+        lo = rng.randint(-20, 20)
+        # hi < lo, and lo == hi with an open end, give empty ranges
+        return Interval(lo, lo + rng.randint(-3, 25), rng.random() < 0.5, rng.random() < 0.5)
+
+    dependent = zero_coeff = empty = found = 0
+    for _ in range(600):
+        form1 = (rng.randint(-7, 7), rng.randint(-7, 7))
+        form2 = (rng.randint(-7, 7), rng.randint(-7, 7))
+        range1, range2 = interval(), interval()
+        try:
+            expected = reference_band_empty(form1, range1, form2, range2)
+        except DependentFormsError:
+            with pytest.raises(DependentFormsError):
+                band_empty(form1, range1, form2, range2)
+            dependent += 1
+            continue
+        assert band_empty(form1, range1, form2, range2) == expected
+        zero_coeff += 0 in form1 + form2
+        empty += not range1.integers() or not range2.integers()
+        found += bool(expected.witnesses)
+    # proportional forms, zero and negative coefficients, empty ranges and
+    # regions with points alike
+    assert min(dependent, zero_coeff, empty) > 0 and found > 100
+
+
 def test_family_solutions_reference_families():
     families = family_solutions((14, 4), range(4, 8))
     data = {(f.base.coords(), f.step.coords(), f.value) for f in families}
@@ -595,6 +670,59 @@ def test_effective_decompositions_match_reference_on_census_lattices():
         assert effective_decompositions(lattice, (1, -1)) == expected, (name, d, g)
         count += 1
     assert count == 721
+
+
+def test_effective_decompositions_match_reference_on_census_splits():
+    # Every class the v5 band step searches: band points, their complements
+    # T - point, and T - C, on all census lattices.
+    count = found = 0
+    for name, d, g, lattice in census_lattices():
+        classes = {(1, -1)}
+        for a, b in band_empty(*census_band(name, d, g)).witnesses:
+            classes.update({(a, b), (1 - a, -b)})
+        for cls in sorted(classes):
+            expected = reference_effective_decompositions(lattice, cls)
+            assert effective_decompositions(lattice, DivisorClass(*cls)) == expected, \
+                (name, d, g, cls)
+            count += 1
+            found += bool(expected)
+    assert count == 3801 and found == 837
+
+
+def test_effective_decompositions_refuse_targets_outside_the_slope_cone():
+    # On a degree-T line the candidates' extreme slopes b/deg bound b to
+    # [T*low, T*high]; the nearest points on each side of that window, just
+    # inside and just outside, search like the reference.
+    rng = random.Random(0xFA260A)
+    refused = inside = inside_found = 0
+    while refused < 120:
+        lattice = random_hyperbolic_lattice(rng)
+        h2, d = lattice.gram[0]
+        total = rng.randint(1, 10)
+        pool = curve_classes(lattice, range(total, 0, -1), -2)
+        line = _line(h2, d)
+        base = _line_base(line, total)
+        if not pool or base is None:
+            continue
+        low = min(Fraction(b, deg) for deg, _, b, _ in pool) * total
+        high = max(Fraction(b, deg) for deg, _, b, _ in pool) * total
+        step_a, step_b = line[3:]
+        members = sorted(((base[0] + k * step_a, base[1] + k * step_b)
+                          for k in range(-60, 61)), key=lambda cls: cls[1])
+        below = [cls for cls in members if cls[1] < low]
+        within = [cls for cls in members if low <= cls[1] <= high]
+        above = [cls for cls in members if cls[1] > high]
+        assert below and above
+        for cls in {below[-1], above[0], *within[:1], *within[-1:]}:
+            expected = reference_effective_decompositions(lattice, cls)
+            assert effective_decompositions(lattice, cls) == expected
+            if low <= cls[1] <= high:
+                inside += 1
+                inside_found += bool(expected)
+            else:
+                assert expected == ()
+                refused += 1
+    assert inside > 0 and inside_found > 0
 
 
 def test_effective_decompositions_signature_and_degree_guards():

@@ -72,6 +72,13 @@ def test_pair_bilinear(a1, b1, a2, b2, a3, b3, lam, mu):
     assert lattice.pair(combo, z) == lam * lattice.pair(x, z) + mu * lattice.pair(y, z)
 
 
+@given(coeff, coeff, st.sampled_from(sorted(FAMILIES)), st.integers(1, 17), st.integers(0, 3))
+def test_degree_is_pairing_with_polarization(a, b, name, d, g):
+    lattice = IntersectionLattice(((FAMILIES[name].h_square, d), (d, 2 * g - 2)))
+    expected = lattice.pair((a, b), DivisorClass(1, 0))
+    assert lattice.degree(DivisorClass(a, b)) == lattice.degree((a, b)) == expected
+
+
 def test_even_squares_on_catalog_lattices():
     sample = [DivisorClass(a, b) for a in range(-6, 7) for b in range(-6, 7)]
     for _, _, _, lattice in catalog_lattices():

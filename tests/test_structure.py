@@ -1,6 +1,6 @@
 """Module layout: imports at module level only, no private names shared
 between modules, no catalog import in pipelines, one lattice per pipeline
-run, and one class-search primitive in diophantine."""
+run, and one class-search and one line-solving primitive in diophantine."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -42,12 +42,8 @@ def test_modules_import_no_private_names_from_each_other():
     assert private == []
 
 
-def test_only_curve_classes_walks_a_degree_line():
-    # curve_classes is the one search along a degree line: it alone holds the
-    # signature guard (_degree_line) and the exact "square >= m" range
-    # (_nonnegative_range).  Exact-square and one-degree searches filter or
-    # call the sweep, so a second line walker here would be a twin to keep
-    # in step with it.
+def _callers(names) -> dict[str, set[str]]:
+    """Each name's calling functions, as module.function, across the package."""
     callers = {}
     for path in SOURCES:
         tree = ast.parse(path.read_text())
@@ -56,10 +52,33 @@ def test_only_curve_classes_walks_a_degree_line():
                 continue
             for node in ast.walk(func):
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                        and node.func.id in ("_degree_line", "_nonnegative_range")):
+                        and node.func.id in names):
                     callers.setdefault(node.func.id, set()).add(f"{path.stem}.{func.name}")
-    assert callers == {"_degree_line": {"diophantine.curve_classes"},
-                       "_nonnegative_range": {"diophantine.curve_classes"}}
+    return callers
+
+
+def test_only_curve_classes_walks_a_degree_line():
+    # curve_classes is the one search along a degree line: it alone holds the
+    # signature guard (_degree_line) and the exact "square >= m" range
+    # (_nonnegative_range).  Exact-square and one-degree searches filter or
+    # call the sweep, so a second line walker here would be a twin to keep
+    # in step with it.
+    assert _callers(("_degree_line", "_nonnegative_range")) == {
+        "_degree_line": {"diophantine.curve_classes"},
+        "_nonnegative_range": {"diophantine.curve_classes"}}
+
+
+def test_one_line_primitive_solves_linear_forms():
+    # _line (extended gcd and step) and _line_base (floor-division base) are
+    # the one solver of a linear form's level lines.  The degree sweep (via
+    # _degree_line), the solution families and the band are its only users,
+    # so no second copy of that arithmetic can drift from it.
+    assert _callers(("_extended_gcd", "_line", "_line_base")) == {
+        "_extended_gcd": {"diophantine._line"},
+        "_line": {"diophantine._degree_line", "diophantine.family_solutions",
+                  "diophantine.band_empty"},
+        "_line_base": {"diophantine.curve_classes", "diophantine.family_solutions",
+                       "diophantine.band_empty"}}
 
 
 def test_pipelines_do_not_import_catalog():
