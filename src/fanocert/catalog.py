@@ -1,7 +1,7 @@
-"""Embedded case table, verdict computation and the verification runner.
+"""Embedded case table and the runner of the proofs its rows' tags select.
 
-Data plus runner only: the formulas the pipelines evaluate live in ``lattice``
-and ``secant``, so ``pipelines`` never imports this module.
+Data plus runner only: the proofs live in ``pipelines``, which never imports
+this module, and a verdict is the conclusion of the proof that ran.
 """
 from __future__ import annotations
 
@@ -11,15 +11,12 @@ from importlib import resources
 
 from .lattice import SPORADIC_AMBIENT_DEGREE
 from .outcome import CheckOutcome
-from .pipelines import PIPELINES
+from .pipelines import NOT_REALIZABLE, OPEN, PIPELINES, REALIZABLE
 
-REALIZABLE = "Realizable"
-NOT_REALIZABLE = "NotRealizable"
-OPEN = "Open"
 UNVERIFIED = "Unverified"
 
 VERDICTS = (REALIZABLE, NOT_REALIZABLE, OPEN)
-FAMILY_NAMES = tuple(PIPELINES)
+FAMILY_NAMES = tuple(dict.fromkeys(family for family, _, _ in PIPELINES))
 
 
 class CaseTableError(ValueError):
@@ -45,21 +42,31 @@ class CaseRecord:
             raise CaseTableError(f"unknown family {self.family!r}")
         if self.expected not in VERDICTS:
             raise CaseTableError(f"unknown verdict {self.expected!r}")
-        if self.route not in ("construction", "contradiction"):
-            raise CaseTableError(f"unknown route {self.route!r}")
+        if self.proof not in PIPELINES:
+            raise CaseTableError(
+                f"family {self.family!r} has no proof with route {self.route!r} "
+                f"and construction {self.construction!r}")
         if self.smallness not in ("table-absent", "ambiguous"):
             raise CaseTableError(f"unknown smallness tag {self.smallness!r}")
+        # Only a construction ends on the smallness step that concludes Open.
+        if self.smallness == "ambiguous" and self.route != "construction":
+            raise CaseTableError(f"a {self.route} cannot conclude Open: smallness 'ambiguous'")
         if self.family == "sporadic" and not self.ambient:
             raise CaseTableError("sporadic cases need an ambient")
         if self.family == "sporadic" and self.ambient not in SPORADIC_AMBIENT_DEGREE:
             raise CaseTableError(f"unknown sporadic ambient {self.ambient!r}")
-        # The sporadic pipeline argues about twisted cubics, (d, g) = (3, 0),
+        # The sporadic construction argues about twisted cubics, (d, g) = (3, 0),
         # and never reads d or g, so any other pair would pass unexamined.
         if self.family == "sporadic" and (self.d, self.g) != (3, 0):
             raise CaseTableError(
                 f"sporadic cases need (d,g)=(3,0), got ({self.d},{self.g})")
         if self.construction == "residual" and (self.seed_d is None or self.seed_g is None):
             raise CaseTableError("residual constructions need seed invariants")
+
+    @property
+    def proof(self) -> tuple[str, str, str]:
+        """The tags that select this row's proof: a key of ``PIPELINES``."""
+        return (self.family, self.route, self.construction)
 
     def label(self) -> str:
         tag = self.family if not self.ambient else f"{self.family}/{self.ambient}"
@@ -86,7 +93,7 @@ class Certificate:
             "expected": self.case.expected,
             "computed": self.computed,
             "checks": [c.to_dict() for c in self.checks],
-            "discrepancies": list(self.discrepancies),
+            "discrepancies": self.discrepancies,
         }
         if self.case.ambient:
             data["ambient"] = self.case.ambient
@@ -162,17 +169,9 @@ def load_cases(path: str | None = None) -> tuple[CaseRecord, ...]:
 
 
 def verify_case(case: CaseRecord) -> Certificate:
-    """Run the family pipeline and compare the computed verdict."""
-    checks, discrepancies = PIPELINES[case.family](case)
-    all_passed = all(c.passed for c in checks)
-    if not all_passed:
-        computed = UNVERIFIED
-    elif case.route == "contradiction":
-        computed = NOT_REALIZABLE
-    elif case.smallness == "ambiguous":
-        computed = OPEN
-    else:
-        computed = REALIZABLE
+    """Run the row's proof; its conclusion is the verdict if every check passed."""
+    checks, discrepancies, conclusion = PIPELINES[case.proof](case)
+    computed = conclusion if all(c.passed for c in checks) else UNVERIFIED
     return Certificate(case=case, computed=computed, checks=tuple(checks),
                        discrepancies=tuple(discrepancies))
 

@@ -4,9 +4,10 @@
                     [--explain] [--strict] [--json PATH] [--table PATH]
 
 Exit codes: 0 when every computed verdict matches the table, 1 when a
-mismatch occurs under --strict, 2 on usage, table or report-file errors, 3 on
-an internal error, reported on one line: a case raises any other error, or
-the report holds a value it refuses (``ReportValueError``).
+mismatch occurs under --strict, 2 on usage, table or report-file errors (a
+row whose tags select no proof is a table error), 3 on an internal error,
+reported on one line: a case raises any other error, or the report holds a
+value it refuses (``ReportValueError``).
 """
 from __future__ import annotations
 

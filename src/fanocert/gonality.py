@@ -206,7 +206,6 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
             result={"square": square, "elimination": elimination},
             witnesses=({"class": [a, b], "square": square, "t_degree": value,
                         "elimination": elimination, "note": note},),
-            notes=(note,),
         ))
         if kind == CITED:
             discrepancies.append(

@@ -29,29 +29,27 @@ class CheckOutcome:
     inputs: dict = field(default_factory=dict)
     result: dict = field(default_factory=dict)
     witnesses: tuple = ()
-    notes: tuple = ()
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown outcome kind {self.kind!r}")
 
     def to_dict(self) -> dict:
-        """Serialize with the fixed report field order."""
+        """Serialize with the fixed report field order; the writer only reads the containers."""
         return {
             "name": self.name,
             "paper_ref": self.rule,
-            "inputs": dict(self.inputs),
+            "inputs": self.inputs,
             "result": {"status": "pass" if self.passed else "fail", **self.result},
-            "witnesses": [w for w in self.witnesses],
+            "witnesses": self.witnesses,
             "kind": self.kind,
         }
 
 
 def verified(name: str, rule: str, passed: bool, inputs: dict | None = None,
-             result: dict | None = None, witnesses: tuple = (), notes: tuple = ()) -> CheckOutcome:
+             result: dict | None = None, witnesses: tuple = ()) -> CheckOutcome:
     return CheckOutcome(name=name, rule=rule, kind=VERIFIED, passed=passed,
-                        inputs=inputs or {}, result=result or {},
-                        witnesses=witnesses, notes=notes)
+                        inputs=inputs or {}, result=result or {}, witnesses=witnesses)
 
 
 def cited(name: str, rule: str, statement: str, inputs: dict | None = None) -> CheckOutcome:

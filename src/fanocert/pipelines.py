@@ -1,12 +1,11 @@
-"""Per-family verification pipelines.
+"""Per-family verification proofs.
 
-Each pipeline re-derives every finite arithmetic claim behind its family's
-existence or non-existence argument and records the geometric steps it
-cannot decide as cited rules.  The functions return the ordered check trail
-plus any flagged gaps.
-
-A pipeline builds its case's lattice once and passes it to the checks that
-read it.  Nothing here imports ``catalog``, which imports ``PIPELINES``.
+Each proof re-derives every finite arithmetic claim behind one existence or
+non-existence argument and records the geometric steps it cannot decide as
+cited rules.  It returns the ordered check trail, any flagged gaps, and the
+verdict it concludes: Realizable or Open for a construction, NotRealizable
+for a contradiction.  A proof builds its case's lattice once.  Nothing here
+imports ``catalog``, which imports ``PIPELINES``.
 """
 from __future__ import annotations
 
@@ -23,6 +22,14 @@ from .riemannroch import (LinearSeries, brill_noether, ideal_curve_bound, k3_h0,
 from .ruled import hirzebruch_search, noether_contradiction, p2_square_ten
 from .schubert import surface_class_split
 from .secant import trisecant_count
+
+REALIZABLE = "Realizable"
+NOT_REALIZABLE = "NotRealizable"
+OPEN = "Open"
+
+# What a proof returns: its check trail, flagged gaps, and the verdict it
+# concludes if every check passes.
+ProofResult = tuple[list[CheckOutcome], list[str], str]
 
 # Genus threshold for the bisecant-exclusion rule on prime Fano threefolds.
 BISECANT_GENUS_FLOOR = 7
@@ -77,33 +84,41 @@ def _knutsen_check(family: FamilySpec) -> CheckOutcome:
     )
 
 
-def _smallness_check(open_case: bool) -> CheckOutcome:
-    if open_case:
-        return cited(
+def _closed_construction(case, checks: list[CheckOutcome], discrepancies=()) -> ProofResult:
+    """End a construction on its smallness step, whose rule decides the conclusion."""
+    if case.smallness == "ambiguous":
+        conclusion, tail = OPEN, cited(
             name="anticanonical-contraction-size",
             rule="divisorial-table-overlap",
             statement=("these invariants also appear among the divisorial-type "
                        "rows, and whether the anticanonical map contracts a "
                        "divisor or only curves is undecided; the case stays open"),
         )
-    return cited(
-        name="anticanonical-contraction-size",
-        rule="table-absence",
-        statement=("the invariants appear in no divisorial-type or non-E1 row, "
-                   "so the anticanonical contraction is small and the link is "
-                   "of E1-E1 type"),
-    )
+    else:
+        conclusion, tail = REALIZABLE, cited(
+            name="anticanonical-contraction-size",
+            rule="table-absence",
+            statement=("the invariants appear in no divisorial-type or non-E1 row, "
+                       "so the anticanonical contraction is small and the link is "
+                       "of E1-E1 type"),
+        )
+    return [*checks, tail], list(discrepancies), conclusion
 
 
-def quadric_pipeline(case) -> tuple[list[CheckOutcome], list[str]]:
+def _construction(case, family: FamilySpec, lattice: IntersectionLattice,
+                  body: list[CheckOutcome], discrepancies=()) -> ProofResult:
+    """A K3 construction: the lattice and the surface first, then ``body``."""
+    head = [_lattice_signature_check(lattice), _knutsen_check(family)]
+    return _closed_construction(case, head + body, discrepancies)
+
+
+def quadric_construction(case) -> ProofResult:
     family = FAMILIES["quadric"]
     d, g = case.d, case.g
     lattice = make_family_lattice(family, d, g)
     quadric_sections = monomial_count(4, 2) - k3_h0(lattice, DivisorClass(2, 0),
                                                     nef_hint=True)
-    checks = [
-        _lattice_signature_check(lattice),
-        _knutsen_check(family),
+    body = [
         _ideal_sections_check(lattice, d, g, ambient_dim=4, forms_degree=3),
         verified(
             name="surface-lies-on-a-quadric",
@@ -120,48 +135,45 @@ def quadric_pipeline(case) -> tuple[list[CheckOutcome], list[str]]:
         nef_certificate(family, d, g),
         free_certificate(family, d, g),
     ]
+    # A singular containing quadric would cut a plane cubic of square 0 and
+    # degree 3 on the surface.
     plane_cubic = [[a, b] for _, a, b, square in curve_classes(lattice, (3,), 0)
                    if square == 0]
-    checks.append(verified(
+    body.append(verified(
         name="singular-ambient-excluded",
         rule="plane-cubic-class-search",
         passed=not plane_cubic,
         inputs={"degree": 3, "square": 0},
         result={"classes_found": len(plane_cubic)},
         witnesses=tuple(plane_cubic),
-        notes=("a singular containing quadric would cut a plane cubic of "
-               "square 0 and degree 3 on the surface",),
     ))
     theta = trisecant_count(d, g)
-    checks.append(verified(
+    body.append(verified(
         name="trisecant-line-exists",
         rule="berzolari-trisecant-count",
         passed=theta > 0,
         inputs={"d": d, "g": g},
         result={"trisecant_count": theta},
     ))
-    checks.append(_anticanonical_degree_check(family, d, g))
-    checks.append(_smallness_check(case.smallness == "ambiguous"))
+    body.append(_anticanonical_degree_check(family, d, g))
 
     discrepancies = []
     if (d, g) == (10, 6):
-        note = ("secant table note: the genus-one cubic entry is absent here "
-                "although the plane-cubic secancy rule is vacuous at d=10; the "
-                "exclusion rests on the genus cap at m=3 being 0, reported "
-                "rather than silently matched")
-        discrepancies.append(note)
-    return checks, discrepancies
+        discrepancies.append(
+            "secant table note: the genus-one cubic entry is absent here "
+            "although the plane-cubic secancy rule is vacuous at d=10; the "
+            "exclusion rests on the genus cap at m=3 being 0, reported "
+            "rather than silently matched")
+    return _construction(case, family, lattice, body, discrepancies)
 
 
-def v4_pipeline(case) -> tuple[list[CheckOutcome], list[str]]:
+def v4_construction(case) -> ProofResult:
     family = FAMILIES["v4"]
     d, g = case.d, case.g
     lattice = make_family_lattice(family, d, g)
     quadric_sections = monomial_count(5, 2) - k3_h0(lattice, DivisorClass(2, 0),
                                                     nef_hint=True)
-    checks = [
-        _lattice_signature_check(lattice),
-        _knutsen_check(family),
+    return _construction(case, family, lattice, [
         _ideal_sections_check(lattice, d, g, ambient_dim=5, forms_degree=2),
         verified(
             name="surface-quadric-net-dimension",
@@ -184,9 +196,7 @@ def v4_pipeline(case) -> tuple[list[CheckOutcome], list[str]]:
             statement="no Fano threefold of Picard rank two carries these "
                       "invariants with an ample anticanonical class",
         ),
-        _smallness_check(case.smallness == "ambiguous"),
-    ]
-    return checks, []
+    ])
 
 
 def _hyperplane_irreducibility(family: FamilySpec, lattice: IntersectionLattice,
@@ -259,14 +269,14 @@ def _v5_bundle_checks() -> list[CheckOutcome]:
         result={"splits": split_data},
     )]
     degree2 = next(split for split in splits if split[0] == 2)
+    # A degree-5 surface cut on a maximal linear subvariety would have class
+    # coefficients (5, 0), incompatible with the split.
     checks.append(verified(
         name="degree-two-span-three-branch-contradiction",
         rule="linear-subvariety-class",
         passed=degree2[1:] != (5, 0),
         inputs={"split": list(degree2)},
         result={"forced_class": [5, 0]},
-        notes=("a degree-5 surface cut on a maximal linear subvariety would "
-               "have class coefficients (5, 0), incompatible with the split",),
     ))
     checks.append(cited(
         name="degree-two-span-four-five-branches-excluded",
@@ -291,14 +301,14 @@ def _v5_bundle_checks() -> list[CheckOutcome]:
         inputs={"genus": 6, "series": "g^1_4"},
         result={"residual": residual.label()},
     ))
+    # Two sections from the trivial part plus the residual series sections;
+    # the defining extension is an imported construction.
     sections = 2 + residual.r + 1
     checks.append(verified(
         name="bundle-section-count",
         rule="bundle-section-sum",
         passed=sections == 5,
         result={"h0": sections},
-        notes=("two sections from the trivial part plus the residual series "
-               "sections; the defining extension is an imported construction",),
     ))
     checks.append(cited(
         name="section-curve-not-trigonal",
@@ -309,43 +319,35 @@ def _v5_bundle_checks() -> list[CheckOutcome]:
     return checks
 
 
-def v5_pipeline(case) -> tuple[list[CheckOutcome], list[str]]:
+def v5_construction(case) -> ProofResult:
     family = FAMILIES["v5"]
     d, g = case.d, case.g
     lattice = make_family_lattice(family, d, g)
-    if case.route == "contradiction":
-        return _v5_non_realizable(lattice)
-    checks = [
-        _lattice_signature_check(lattice),
-        _knutsen_check(family),
-    ]
-    if case.construction == "residual":
-        checks.extend(_v5_residual_construction(family, case))
-    else:
-        checks.extend(_hyperplane_irreducibility(family, lattice, d, g))
-        checks.extend(_v5_bundle_checks())
-        checks.append(cited(
-            name="surface-embeds-in-quintic-del-pezzo",
-            rule="linear-section-smoothness",
-            statement="the span of the embedded surface meets the Grassmannian "
-                      "in a smooth codimension-3 linear section, a quintic del "
-                      "Pezzo threefold",
-        ))
-    checks.append(nef_certificate(family, d, g))
-    checks.append(free_certificate(family, d, g))
-    checks.append(_anticanonical_degree_check(family, d, g))
-    checks.append(_smallness_check(case.smallness == "ambiguous"))
-    return checks, []
+    body = _hyperplane_irreducibility(family, lattice, d, g) + _v5_bundle_checks()
+    body.append(cited(
+        name="surface-embeds-in-quintic-del-pezzo",
+        rule="linear-section-smoothness",
+        statement="the span of the embedded surface meets the Grassmannian "
+                  "in a smooth codimension-3 linear section, a quintic del "
+                  "Pezzo threefold",
+    ))
+    body.append(nef_certificate(family, d, g))
+    body.append(free_certificate(family, d, g))
+    body.append(_anticanonical_degree_check(family, d, g))
+    return _construction(case, family, lattice, body)
 
 
-def _v5_residual_construction(family: FamilySpec, case) -> list[CheckOutcome]:
+def v5_residual_construction(case) -> ProofResult:
     """Cases built from a residual member on an already-realized row."""
+    family = FAMILIES["v5"]
+    d, g = case.d, case.g
+    lattice = make_family_lattice(family, d, g)
     seed_d, seed_g = case.seed_d, case.seed_g
     seed_lattice = make_family_lattice(family, seed_d, seed_g)
     residual = DivisorClass(2, -1)
     degree = seed_lattice.degree(residual)
     square, genus = square_and_genus(seed_lattice, residual)
-    checks = [cited(
+    body = [cited(
         name="seed-blowup-exists",
         rule="classification-table-row",
         statement=(f"a weak Fano blow-up of a degree-{seed_d} genus-{seed_g} "
@@ -353,34 +355,38 @@ def _v5_residual_construction(family: FamilySpec, case) -> list[CheckOutcome]:
                    "already-settled table row"),
         inputs={"seed_d": seed_d, "seed_g": seed_g},
     )]
-    checks.append(CheckOutcome(
+    body.append(CheckOutcome(
         name="residual-member-invariants",
         rule="residual-class-arithmetic",
         kind=DERIVED,
-        passed=(degree, genus) == (case.d, case.g),
+        passed=(degree, genus) == (d, g),
         inputs={"seed_d": seed_d, "seed_g": seed_g,
                 "residual_class": class_witness(residual)},
         result={"degree": degree, "square": square, "genus": genus},
     ))
-    checks.append(verified(
+    # The seed curve sits in the residual system of the new curve; a
+    # non-rational member forces that system to be free.
+    body.append(verified(
         name="residual-seed-not-rational",
         rule="series-fixed-part",
         passed=seed_g >= 1,
         inputs={"seed_genus": seed_g},
-        notes=("the seed curve sits in the residual system of the new curve; "
-               "a non-rational member forces that system to be free",),
     ))
-    checks.append(cited(
+    body.append(cited(
         name="residual-system-free",
         rule="fixed-part-structure",
         statement="the residual system has no base points outside its fixed "
                   "part, and a non-rational member rules the fixed part out",
     ))
-    return checks
+    body.append(nef_certificate(family, d, g))
+    body.append(free_certificate(family, d, g))
+    body.append(_anticanonical_degree_check(family, d, g))
+    return _construction(case, family, lattice, body)
 
 
-def _v5_non_realizable(lattice: IntersectionLattice):
+def v5_contradiction(case) -> ProofResult:
     """Degree comparison killing the (14, 10) configuration."""
+    lattice = make_family_lattice(FAMILIES["v5"], case.d, case.g)
     checks = [
         _lattice_signature_check(lattice),
         cited(
@@ -417,6 +423,8 @@ def _v5_non_realizable(lattice: IntersectionLattice):
         inputs={"ambient_projective_dim": 6, "span_dimension": span},
         result={"independent_hyperplanes": independent_hyperplanes},
     ))
+    # Two hyperplane cuts of the degree-5 threefold give a curve of degree 5,
+    # which cannot contain a curve of degree 6.
     section_degree = 5
     checks.append(verified(
         name="degree-exceeds-linear-section",
@@ -424,10 +432,8 @@ def _v5_non_realizable(lattice: IntersectionLattice):
         passed=degree > section_degree,
         inputs={"threefold_degree": section_degree},
         result={"residual_degree": degree, "section_curve_degree": section_degree},
-        notes=("two hyperplane cuts of the degree-5 threefold give a curve of "
-               "degree 5, which cannot contain a curve of degree 6",),
     ))
-    return checks, []
+    return checks, [], NOT_REALIZABLE
 
 
 def _x14_bundle_checks() -> list[CheckOutcome]:
@@ -449,7 +455,8 @@ def _x14_bundle_checks() -> list[CheckOutcome]:
     ))
     # Freeness of the residual series: a base point would leave a g^3_8 whose
     # residual g^2_6 either has a base point (giving a degree-4 pencil) or
-    # maps to a plane sextic, whose genus 10 is not 8.
+    # maps to a plane sextic, whose genus 10 is not 8.  A degree-4 pencil is
+    # what the non-tetragonality certificate excludes.
     fallback = residual_series(8, LinearSeries(3, 8))
     checks.append(verified(
         name="residual-series-free",
@@ -458,8 +465,6 @@ def _x14_bundle_checks() -> list[CheckOutcome]:
         inputs={"genus": 8, "blocked_series": "g^3_8"},
         result={"fallback_residual": fallback.label(),
                 "plane_sextic_genus": plane_curve_genus(6)},
-        notes=("either branch of the fallback produces a degree-4 pencil, "
-               "which the non-tetragonality certificate excludes",),
     ))
     sections = 2 + residual.r + 1
     checks.append(verified(
@@ -486,41 +491,32 @@ def _x14_bundle_checks() -> list[CheckOutcome]:
     return checks
 
 
-def x14_pipeline(case) -> tuple[list[CheckOutcome], list[str]]:
+def x14_construction(case) -> ProofResult:
     family = FAMILIES["x14"]
     d, g = case.d, case.g
     lattice = make_family_lattice(family, d, g)
-    if case.route == "contradiction":
-        return _x14_non_realizable(lattice)
-    checks = [
-        _lattice_signature_check(lattice),
-        _knutsen_check(family),
-    ]
     report = tetragonal_certificate(d, g)
-    checks.append(cited(
+    body = [cited(
         name="tetragonal-donor-criterion",
         rule="pencil-donor-translation",
         statement="a degree-4 pencil on the section curve forces a donor class "
                   "on the surface meeting the recorded degree window; the "
                   "translation is imported, its case analysis verified below",
-    ))
-    checks.extend(report.outcomes())
-    discrepancies = list(report.discrepancies)
-    checks.extend(_x14_bundle_checks())
-    checks.append(nef_certificate(family, d, g))
-    checks.append(free_certificate(family, d, g))
-    checks.append(_anticanonical_degree_check(family, d, g))
-    checks.append(cited(
+    ), *report.outcomes(), *_x14_bundle_checks()]
+    body.append(nef_certificate(family, d, g))
+    body.append(free_certificate(family, d, g))
+    body.append(_anticanonical_degree_check(family, d, g))
+    body.append(cited(
         name="ambient-linear-section-smooth",
         rule="bertini-smoothness",
         statement="the embedded surface lies in a smooth codimension-5 linear "
                   "section of the Grassmannian",
     ))
-    checks.append(_smallness_check(case.smallness == "ambiguous"))
-    return checks, discrepancies
+    return _construction(case, family, lattice, body, report.discrepancies)
 
 
-def _x14_non_realizable(lattice: IntersectionLattice):
+def x14_contradiction(case) -> ProofResult:
+    lattice = make_family_lattice(FAMILIES["x14"], case.d, case.g)
     curve = DivisorClass(0, 1)
     square = lattice.pair(curve, curve)
     sections = k3_h0(lattice, curve, nef_hint=True)
@@ -556,10 +552,11 @@ def _x14_non_realizable(lattice: IntersectionLattice):
                       "contradicting the construction",
         ),
     ]
-    return checks, []
+    return checks, [], NOT_REALIZABLE
 
 
-def sporadic_pipeline(case) -> tuple[list[CheckOutcome], list[str]]:
+def sporadic_construction(case) -> ProofResult:
+    """Twisted cubics on a prime Fano threefold; no K3 lattice is involved."""
     ambient_degree = SPORADIC_AMBIENT_DEGREE[case.ambient]
     ambient_genus = ambient_degree // 2 + 1
     checks = [
@@ -621,14 +618,18 @@ def sporadic_pipeline(case) -> tuple[list[CheckOutcome], list[str]]:
                       "weak del Pezzo with canonical square 10, and dies on the "
                       "bound above",
         ))
-    checks.append(_smallness_check(False))
-    return checks, []
+    return _closed_construction(case, checks)
 
 
+# The proof that a row's (family, route, construction) tags select.  A row
+# whose tags name no proof here is refused when the case table is loaded.
 PIPELINES = {
-    "quadric": quadric_pipeline,
-    "v4": v4_pipeline,
-    "v5": v5_pipeline,
-    "x14": x14_pipeline,
-    "sporadic": sporadic_pipeline,
+    ("quadric", "construction", "main"): quadric_construction,
+    ("v4", "construction", "main"): v4_construction,
+    ("v5", "construction", "main"): v5_construction,
+    ("v5", "construction", "residual"): v5_residual_construction,
+    ("v5", "contradiction", "main"): v5_contradiction,
+    ("x14", "construction", "main"): x14_construction,
+    ("x14", "contradiction", "main"): x14_contradiction,
+    ("sporadic", "construction", "main"): sporadic_construction,
 }

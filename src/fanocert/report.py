@@ -91,7 +91,7 @@ def _encode(node, indent: str, out: list) -> None:
 def report_to_dict(report: Report) -> dict:
     return {
         "version": REPORT_VERSION,
-        "summary": dict(report.summary),
+        "summary": report.summary,
         "certificates": [c.to_dict() for c in report.certificates],
     }
 

@@ -4,6 +4,7 @@ from importlib import resources
 
 import pytest
 
+from fanocert import pipelines
 from fanocert.catalog import CaseTableError, Report, load_cases, run_all, verify_case
 from fanocert.cli import main
 from fanocert.lattice import FAMILIES, anticanonical_cube
@@ -295,6 +296,52 @@ def test_sporadic_row_off_the_twisted_cubic_is_a_table_error(tmp_path, capsys, d
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and f"({d},{g})" in captured.err
+
+
+# Rows whose tags name a proof their family lacks.  Accepted, each would get
+# a verdict copied from its tags and print "ok" without that proof running.
+UNPROVABLE_ROWS = {
+    "quadric-contradiction": {"id": 44, "family": "quadric", "d": 9, "g": 2,
+                              "expected": "NotRealizable", "route": "contradiction"},
+    "v4-contradiction": {"id": 30, "family": "v4", "d": 7, "g": 0,
+                         "expected": "NotRealizable", "route": "contradiction"},
+    "sporadic-contradiction": {"id": 3, "family": "sporadic", "ambient": "X10",
+                               "d": 3, "g": 0, "expected": "NotRealizable",
+                               "route": "contradiction"},
+    "quadric-residual": {"id": 44, "family": "quadric", "d": 9, "g": 2,
+                         "expected": "Realizable", "construction": "residual",
+                         "seed_d": 8, "seed_g": 3},
+    "ambiguous-contradiction": {"id": 43, "family": "v5", "d": 14, "g": 10,
+                                "expected": "NotRealizable", "route": "contradiction",
+                                "smallness": "ambiguous"},
+}
+
+
+@pytest.mark.parametrize("row", UNPROVABLE_ROWS.values(), ids=UNPROVABLE_ROWS)
+def test_row_without_a_matching_proof_is_a_table_error(tmp_path, capsys, row):
+    table = _embedded_entries()
+    table["cases"] = [c for c in table["cases"]
+                      if (c["id"], c["family"]) != (row["id"], row["family"])]
+    table["cases"].append(row)
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(table))
+    with pytest.raises(CaseTableError):
+        load_cases(str(path))
+    assert main(["verify", "--table", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("fanocert: ")
+
+
+def test_contradiction_verdict_follows_its_checks(monkeypatch):
+    # A residual span one too large leaves the degree comparison unproved,
+    # so case 43 is no longer NotRealizable although its tags are unchanged.
+    monkeypatch.setattr(pipelines, "span_dimension_bound", lambda degree, genus: 5)
+    cert = run_all(case_id=43).certificates[0]
+    assert cert.computed == "Unverified" and not cert.matches
+    failed = [c.name for c in cert.checks if not c.passed]
+    assert failed == ["residual-span-dimension", "two-hyperplanes-contain-residual"]
 
 
 def test_verify_case_detects_regressions():

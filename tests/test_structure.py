@@ -1,6 +1,7 @@
 """Module layout: imports at module level only, no private names shared
 between modules, no catalog import in pipelines, one lattice per pipeline
-run, and one class-search and one line-solving primitive in diophantine."""
+run, verdicts decided by the proofs alone, and one class-search and one
+line-solving primitive in diophantine."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -103,7 +104,7 @@ def test_each_pipeline_builds_its_lattice_once(monkeypatch):
     residual_rows = 0
     for case in load_cases():
         built.clear()
-        pipelines.PIPELINES[case.family](case)
+        pipelines.PIPELINES[case.proof](case)
         if case.family == "sporadic":
             expected = []
         elif case.construction == "residual":
@@ -113,3 +114,14 @@ def test_each_pipeline_builds_its_lattice_once(monkeypatch):
             expected = [(case.family, case.d, case.g)]
         assert Counter(built) == Counter(expected), case.label()
     assert residual_rows == 2
+
+
+def test_verify_case_reads_no_proof_tags():
+    # The row's tags select its proof (CaseRecord.proof); the verdict is that
+    # proof's conclusion.  A tag read here would be a second verdict policy.
+    tree = ast.parse((PACKAGE / "catalog.py").read_text())
+    verify_case = next(node for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "verify_case")
+    read = {node.attr for node in ast.walk(verify_case) if isinstance(node, ast.Attribute)}
+    assert "proof" in read
+    assert not read & {"route", "smallness", "construction"}
