@@ -1,8 +1,8 @@
 """Exact-arithmetic certification of the E1-E1 Sarkisov link case analysis."""
 
 from .catalog import CaseRecord, Certificate, Report, load_cases, run_all, verify_case
-from .diophantine import (Interval, LinearFamily, band_empty, curve_classes,
-                          effective_decompositions, family_quadratic_max, family_solutions)
+from .diophantine import (Interval, band_empty, curve_classes, degree_lines,
+                          effective_decompositions, line_maximum)
 from .gonality import TetragonalReport, fixed_moving_bound, tetragonal_certificate
 from .lattice import (FAMILIES, DivisorClass, FamilySpec, IntersectionLattice,
                       LatticeSignatureError, anticanonical_cube, make_family_lattice,

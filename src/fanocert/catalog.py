@@ -62,6 +62,12 @@ class CaseRecord:
                 f"sporadic cases need (d,g)=(3,0), got ({self.d},{self.g})")
         if self.construction == "residual" and (self.seed_d is None or self.seed_g is None):
             raise CaseTableError("residual constructions need seed invariants")
+        # Only the sporadic proof reads an ambient and only the residual one
+        # reads seeds; elsewhere the tag would be reported but never checked.
+        if self.family != "sporadic" and self.ambient is not None:
+            raise CaseTableError(f"only sporadic cases have an ambient, got {self.ambient!r}")
+        if self.construction != "residual" and (self.seed_d, self.seed_g) != (None, None):
+            raise CaseTableError("only residual constructions have seed invariants")
 
     @property
     def proof(self) -> tuple[str, str, str]:

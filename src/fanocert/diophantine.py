@@ -6,18 +6,20 @@ degree constraint cuts out a line in the class lattice; when det < 0 and
 H^2 > 0 the square along that line is a downward parabola, so "square >= m"
 is one exact integer range of the line's parameter (``_nonnegative_range``).
 
-One search walks degree lines: ``curve_classes`` sweeps a list of degrees
-for "square >= m", solving the line once per call.  Every class search by
-degree goes through it, the decomposition pool included; an exact-square
-search keeps the sweep's classes of that square.
+One primitive walks degree lines: ``degree_lines`` gives each listed
+degree's line as plain ints (base, step, the square's quadratic and its
+exact "square >= m" range), solving the line once per call.
+``curve_classes`` lists the classes on those ranges; every class search by
+degree goes through it, the decomposition pool included.  The donor
+families of ``gonality`` read the lines directly, and ``line_maximum``
+gives the exact maximum square off a line's range.
 
 One primitive solves a linear form's level lines (``_line`` and
-``_line_base``): the sweep, the solution families and the band all use it.
-Band points come from form1's lines, one floor-division range of each
-line's parameter per value of form1.  The decomposition search runs on the
-sweep's integer tuples, refuses a target outside the candidates' slope cone
-before it starts, and builds ``DivisorClass`` objects only for what it
-returns.
+``_line_base``): the degree lines and the band use it.  Band points come
+from form1's lines, one floor-division range of each line's parameter per
+value of form1.  The decomposition search runs on the sweep's integer
+tuples, refuses a target outside the candidates' slope cone before it
+starts, and builds ``DivisorClass`` objects only for what it returns.
 """
 from __future__ import annotations
 
@@ -25,15 +27,11 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .lattice import DivisorClass, IntersectionLattice, LatticeSignatureError, as_class
-from .outcome import CheckOutcome, VERIFIED, class_witness
+from .outcome import CheckOutcome, VERIFIED
 
 
 class DependentFormsError(ValueError):
     """The two band forms are proportional, so the region is unbounded."""
-
-
-class FamilyMaxUndefinedError(ValueError):
-    """Square along the family does not attain a maximum over the integers."""
 
 
 @dataclass(frozen=True)
@@ -61,50 +59,6 @@ class Interval:
         left = "(" if self.lo_open else "["
         right = ")" if self.hi_open else "]"
         return f"{left}{self.lo},{self.hi}{right}"
-
-
-@dataclass(frozen=True)
-class LinearFamily:
-    """Arithmetic progression base + k*step of lattice classes.
-
-    ``value`` records the linear-form target the family solves.
-    """
-
-    base: DivisorClass
-    step: DivisorClass
-    value: int
-
-    def __post_init__(self):
-        if self.step.a == 0 and self.step.b == 0:
-            raise ValueError("family step must be nonzero")
-
-    def member(self, k: int) -> DivisorClass:
-        return self.base + k * self.step
-
-    def index_of(self, cls) -> int | None:
-        """Parameter k with member(k) == cls, or None."""
-        cls = as_class(cls)
-        diff = cls - self.base
-        if self.step.a != 0:
-            if diff.a % self.step.a:
-                return None
-            k = diff.a // self.step.a
-        else:
-            if diff.b % self.step.b:
-                return None
-            k = diff.b // self.step.b
-        return k if self.member(k) == cls else None
-
-    def square_polynomial(self, lattice: IntersectionLattice) -> tuple[int, int, int]:
-        """Coefficients (A, B, C) with member(k)^2 = A k^2 + B k + C."""
-        a = lattice.pair(self.step, self.step)
-        b = 2 * lattice.pair(self.base, self.step)
-        c = lattice.pair(self.base, self.base)
-        return a, b, c
-
-    def to_witness(self) -> dict:
-        return {"base": class_witness(self.base), "step": class_witness(self.step),
-                "value": self.value}
 
 
 def _extended_gcd(x: int, y: int) -> tuple[int, int, int]:
@@ -180,17 +134,15 @@ def _degree_line(lattice: IntersectionLattice) -> tuple[int, int, int, int, int]
     return _line(h2, d)
 
 
-def curve_classes(lattice: IntersectionLattice, degrees,
-                  min_square: int) -> list[tuple[int, int, int, int]]:
-    """Every class of each listed polarization degree with square >= min_square.
+def degree_lines(lattice: IntersectionLattice, degrees, min_square: int) -> list[tuple]:
+    """The degree line of each listed polarization degree, as plain ints.
 
-    Returns plain-int (degree, a, b, square) tuples: the listed degrees in
-    the order given, and within a degree ascending (a, b), since the line's
-    step is lexicographically positive.  Degrees off the degree form's gcd
-    contribute nothing.  The degree line is solved once per call; each
-    degree then costs one exact range of the line's parameter, finite
-    because the square along the line is a downward parabola.  An exact
-    square is the caller's filter on the last field.
+    Returns (degree, base_a, base_b, step_a, step_b, quad_a, quad_b, base_sq,
+    ks) tuples for the listed degrees on the degree form's gcd, in the order
+    given.  The line is base + k*step with the canonical base and the
+    lexicographically positive step; its square is quad_a k^2 + quad_b k +
+    base_sq with quad_a < 0, and ``ks`` is exactly the range of k with
+    square >= min_square.  The degree line is solved once per call.
     """
     line = _degree_line(lattice)
     *_, step_a, step_b = line
@@ -200,7 +152,7 @@ def curve_classes(lattice: IntersectionLattice, degrees,
     # base^2 moving with the degree.
     step_c = q * step_a + s * step_b
     quad_a = step_b * step_c
-    found = []
+    lines = []
     for degree in degrees:
         base = _line_base(line, degree)
         if base is None:
@@ -209,10 +161,41 @@ def curve_classes(lattice: IntersectionLattice, degrees,
         quad_b = 2 * base_b * step_c
         # The base has the given degree, so base^2 = base_a*degree + base_b*(base.C).
         base_sq = base_a * degree + base_b * (q * base_a + s * base_b)
-        for k in _nonnegative_range(quad_a, quad_b, base_sq - min_square):
-            found.append((degree, base_a + k * step_a, base_b + k * step_b,
-                          (quad_a * k + quad_b) * k + base_sq))
-    return found
+        lines.append((degree, base_a, base_b, step_a, step_b, quad_a, quad_b, base_sq,
+                      _nonnegative_range(quad_a, quad_b, base_sq - min_square)))
+    return lines
+
+
+def line_maximum(quad_a: int, quad_b: int, quad_c: int, ks: range) -> tuple[int, int]:
+    """(max, k): exact maximum of quad_a k^2 + quad_b k + quad_c off ``ks``.
+
+    Needs quad_a < 0 and ``ks`` a superlevel range of that parabola, as
+    ``degree_lines`` gives it.  Outside a nonempty range the maximum sits at
+    one of its two neighbours; with nothing excluded, at the floor of the
+    vertex or the integer above.  Ties go to the smaller k.
+    """
+    vertex = -quad_b // (2 * quad_a)
+    below, above = (ks.start - 1, ks.stop) if ks else (vertex, vertex + 1)
+    low = (quad_a * below + quad_b) * below + quad_c
+    high = (quad_a * above + quad_b) * above + quad_c
+    return (low, below) if low >= high else (high, above)
+
+
+def curve_classes(lattice: IntersectionLattice, degrees,
+                  min_square: int) -> list[tuple[int, int, int, int]]:
+    """Every class of each listed polarization degree with square >= min_square.
+
+    Returns plain-int (degree, a, b, square) tuples: the listed degrees in
+    the order given, and within a degree ascending (a, b), since the line's
+    step is lexicographically positive.  Degrees off the degree form's gcd
+    contribute nothing.  Each degree costs one exact range of its line's
+    parameter (``degree_lines``), finite because the square along the line
+    is a downward parabola.  An exact square is the caller's filter on the
+    last field.
+    """
+    return [(degree, base_a + k * step_a, base_b + k * step_b, (quad_a * k + quad_b) * k + base_sq)
+            for degree, base_a, base_b, step_a, step_b, quad_a, quad_b, base_sq, ks
+            in degree_lines(lattice, degrees, min_square) for k in ks]
 
 
 def band_empty(form1: tuple[int, int], range1: Interval,
@@ -259,50 +242,6 @@ def band_empty(form1: tuple[int, int], range1: Interval,
         result={"points_found": len(witnesses)},
         witnesses=tuple(witnesses),
     )
-
-
-def family_solutions(lhs: tuple[int, int], values) -> tuple[LinearFamily, ...]:
-    """Solution families of lhs . (a,b) = v, one per value v with integer points.
-
-    The line is solved once; only its base moves with the value.
-    """
-    line = _line(*lhs)
-    step = DivisorClass(*line[3:])
-    families = []
-    for value in values:
-        base = _line_base(line, value)
-        if base is not None:
-            families.append(LinearFamily(DivisorClass(*base), step, value))
-    return tuple(families)
-
-
-def family_quadratic_max(lattice: IntersectionLattice, family: LinearFamily,
-                         exclude: frozenset[int] | set[int] = frozenset()) -> tuple[int, int]:
-    """Exact maximum of the square over the family's integer parameters.
-
-    Requires a negative leading coefficient (step of negative square); the
-    maximum then sits at one of the integers nearest the real vertex,
-    walking outward past the finitely many excluded parameters.
-    """
-    quad_a, quad_b, quad_c = family.square_polynomial(lattice)
-    if quad_a >= 0:
-        raise FamilyMaxUndefinedError(
-            f"leading coefficient {quad_a} >= 0; no integer maximum exists"
-        )
-    vertex_floor = -quad_b // (2 * quad_a)
-    vertex_ceil = -(quad_b // (2 * quad_a))
-    below = vertex_floor
-    while below in exclude:
-        below -= 1
-    above = max(vertex_ceil, vertex_floor + 1)
-    while above in exclude:
-        above += 1
-
-    def value(k: int) -> int:
-        return quad_a * k * k + quad_b * k + quad_c
-
-    best = max((below, above), key=value)
-    return value(best), best
 
 
 def effective_decompositions(lattice: IntersectionLattice, target,

@@ -6,12 +6,15 @@ cut out by a divisor class D = a*T + b*C on the surface satisfying
     (T - D).T >= 0   and   4 <= D.T <= genus(T) - 1 = 7,
 
 with D moving (at least a pencil of sections).  The solutions of this system
-form arithmetic progressions; along each progression the square is a downward
-parabola, so its exact integer maximum is computable.  Negative squares force
-the donor to be reducible or rigid, and the missing component types (lines,
-conics, short elliptic classes) are ruled out by lattice searches.  Solutions
-the square analysis cannot kill are singled out as specials and eliminated
-individually.
+are the degree lines of the window's degrees (``diophantine.degree_lines``).
+Along each line the square is a downward parabola, so the solutions of
+square at or above the route's threshold are one exact range of the line's
+parameter, and the maximum square off that range sits at one of its two
+neighbours (``line_maximum``).  Negative squares force the donor to be
+reducible or rigid, and the missing component types (lines, conics, short
+elliptic classes) are ruled out by lattice searches.  The solutions in the
+range, which the square analysis cannot kill, are singled out as specials
+and eliminated individually.
 
 The certificate is its checks: the per-family maxima are the ``max_square``,
 ``attained_at`` and ``excluded_k`` of the ``donor-family-squares-negative``
@@ -20,14 +23,15 @@ witnesses, each special is a ``special-donor-(a,b)`` check with its
 contradiction is ``fixed-moving-square-contradiction``.
 
 Since (T - D).T = T^2 - D.T with T^2 = h^2 = 14, the first inequality only
-says D.T <= 14, which every degree of the window meets, so each solution
-family is a whole progression rather than a half-line.
+says D.T <= 14, which every degree of the window meets, so each donor
+family is a whole degree line rather than a half-line.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .diophantine import curve_classes, family_quadratic_max, family_solutions
+from .diophantine import curve_classes, degree_lines, line_maximum
 from .lattice import FAMILIES, make_family_lattice
 from .outcome import CheckOutcome, CITED, VERIFIED, cited, verified
 
@@ -106,14 +110,14 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
 
     degree_form = (h2, d)
     # (T - D).T = h^2 - D.T, so the side condition is D.T <= h^2.
-    families = family_solutions(degree_form, [v for v in DONOR_DEGREES if v <= h2])
-    if not families:
+    values = [v for v in DONOR_DEGREES if v <= h2 and v % gcd(h2, d) == 0]
+    if not values:
         raise DonorWindowEmptyError(
             f"x14 (d={d}, g={g}): no donor degree in the window "
             f"[{DONOR_DEGREES[0]}, {DONOR_DEGREES[-1]}] is a value of the "
             f"degree form {degree_form}"
         )
-    max_value = max(f.value for f in families)
+    max_value = max(values)
     if max_value <= 6:
         route, threshold = "conic", 0
     else:
@@ -121,20 +125,20 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
         multiplicity_cap = max_value - 3
         threshold = -2 * multiplicity_cap * multiplicity_cap + 1
 
-    # A family of value v is the degree-v line with the same canonical base
-    # and step, so its specials (square >= threshold) are that degree's
-    # curve classes, in ascending k; one sweep serves every family.
-    specials = curve_classes(lattice, [fam.value for fam in families], threshold)
+    # Each donor family is a degree line; its specials (square >= threshold)
+    # are the line's range ks, and its maximum square is taken off ks.
+    specials = []
     family_witnesses = []
-    for fam in families:
-        excluded = [fam.index_of((a, b)) for value, a, b, _ in specials
-                    if value == fam.value]
-        max_square, attained = family_quadratic_max(lattice, fam, exclude=set(excluded))
-        witness = fam.to_witness()
-        witness["max_square"] = max_square
-        witness["attained_at"] = attained
-        if excluded:
-            witness["excluded_k"] = excluded
+    for value, base_a, base_b, step_a, step_b, quad_a, quad_b, base_sq, ks in degree_lines(
+            lattice, values, threshold):
+        for k in ks:
+            specials.append((value, base_a + k * step_a, base_b + k * step_b,
+                             (quad_a * k + quad_b) * k + base_sq))
+        max_square, attained = line_maximum(quad_a, quad_b, base_sq, ks)
+        witness = {"base": [base_a, base_b], "step": [step_a, step_b], "value": value,
+                   "max_square": max_square, "attained_at": attained}
+        if ks:
+            witness["excluded_k"] = list(ks)
         family_witnesses.append(witness)
     max_squares = [w["max_square"] for w in family_witnesses]
 
@@ -151,7 +155,7 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
         passed=all(square < 0 for square in max_squares),
         inputs={"d": d, "g": g, "degree_window": [DONOR_DEGREES[0], DONOR_DEGREES[-1]],
                 "section_genus": SECTION_GENUS, "route": route},
-        result={"family_count": len(families), "max_squares": max_squares},
+        result={"family_count": len(family_witnesses), "max_squares": max_squares},
         witnesses=tuple(family_witnesses),
     ))
     checks.append(verified(

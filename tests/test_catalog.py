@@ -298,8 +298,10 @@ def test_sporadic_row_off_the_twisted_cubic_is_a_table_error(tmp_path, capsys, d
     assert len(captured.err.splitlines()) == 1 and f"({d},{g})" in captured.err
 
 
-# Rows whose tags name a proof their family lacks.  Accepted, each would get
-# a verdict copied from its tags and print "ok" without that proof running.
+# Rows whose tags name a proof their family lacks, or carry a tag no proof
+# of the row reads.  Accepted, each printed "ok": the first five with a
+# verdict copied from their tags, the last three with a tag nothing checked
+# (the ambient was even copied into the report).
 UNPROVABLE_ROWS = {
     "quadric-contradiction": {"id": 44, "family": "quadric", "d": 9, "g": 2,
                               "expected": "NotRealizable", "route": "contradiction"},
@@ -314,6 +316,13 @@ UNPROVABLE_ROWS = {
     "ambiguous-contradiction": {"id": 43, "family": "v5", "d": 14, "g": 10,
                                 "expected": "NotRealizable", "route": "contradiction",
                                 "smallness": "ambiguous"},
+    "quadric-ambient-and-seeds": {"id": 1, "family": "quadric", "d": 8, "g": 0,
+                                  "expected": "Realizable", "ambient": "X10",
+                                  "seed_d": 7, "seed_g": 1},
+    "quadric-seed": {"id": 71, "family": "quadric", "d": 8, "g": 0,
+                     "expected": "Realizable", "seed_g": 1},
+    "v5-main-seeds": {"id": 81, "family": "v5", "d": 9, "g": 2, "expected": "Realizable",
+                      "seed_d": 8, "seed_g": 3},
 }
 
 

@@ -4,10 +4,9 @@ from math import gcd, isqrt
 
 import pytest
 
-from fanocert.diophantine import (DependentFormsError, FamilyMaxUndefinedError,
-                                  Interval, LinearFamily, band_empty, curve_classes,
-                                  effective_decompositions,
-                                  family_quadratic_max, family_solutions)
+from fanocert.diophantine import (DependentFormsError, Interval, band_empty,
+                                  curve_classes, degree_lines, effective_decompositions,
+                                  line_maximum)
 from fanocert.diophantine import _line, _line_base, _nonnegative_range
 from fanocert.gonality import DONOR_DEGREES, DonorWindowEmptyError, tetragonal_certificate
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
@@ -214,6 +213,8 @@ def test_solve_degree_squares_signature_guard():
             curve_classes(lattice, (1,), -2)
         with pytest.raises(LatticeSignatureError):
             curve_classes(lattice, (), -2)
+        with pytest.raises(LatticeSignatureError):
+            degree_lines(lattice, (1,), -2)
 
 
 def test_searches_refuse_nonpositive_polarization():
@@ -226,6 +227,8 @@ def test_searches_refuse_nonpositive_polarization():
             curve_classes(lattice, (1,), 2)
         with pytest.raises(LatticeSignatureError):
             curve_classes(lattice, (1,), -2)
+        with pytest.raises(LatticeSignatureError):
+            degree_lines(lattice, (1,), -2)
         with pytest.raises(LatticeSignatureError):
             effective_decompositions(lattice, DivisorClass(0, 1))
 
@@ -451,18 +454,25 @@ def test_band_matches_box_scan_on_random_forms():
     assert min(dependent, zero_coeff, empty) > 0 and found > 100
 
 
-def test_family_solutions_reference_families():
-    families = family_solutions((14, 4), range(4, 8))
-    data = {(f.base.coords(), f.step.coords(), f.value) for f in families}
-    assert data == {((0, 1), (2, -7), 4), ((1, -2), (2, -7), 6)}
+def test_degree_lines_reference_values():
+    x14_40 = make_family_lattice(FAMILIES["x14"], 4, 0)
+    lines = degree_lines(x14_40, range(4, 8), 0)
+    data = {(degree, (base_a, base_b), (step_a, step_b))
+            for degree, base_a, base_b, step_a, step_b, *_ in lines}
+    assert data == {(4, (0, 1), (2, -7)), (6, (1, -2), (2, -7))}
+    _, _, _, _, _, quad_a, quad_b, base_sq, ks = lines[0]
+    assert (quad_a, quad_b, base_sq) == (-154, 44, -2)
+    assert not ks
+    assert line_maximum(quad_a, quad_b, base_sq, ks) == (-2, 0)
 
-    families = family_solutions((14, 5), range(4, 8))
-    assert len(families) == 4
-    members = {fam.value: fam for fam in families}
-    assert members[5].index_of(DivisorClass(0, 1)) is not None
-    assert members[4].index_of(DivisorClass(1, -2)) is not None
+    x14_50 = make_family_lattice(FAMILIES["x14"], 5, 0)
+    lines = degree_lines(x14_50, range(4, 8), 0)
+    assert [line[0] for line in lines] == [4, 5, 6, 7]
+    on_line = {degree: {(base_a + k * step_a, base_b + k * step_b) for k in range(-5, 6)}
+               for degree, base_a, base_b, step_a, step_b, *_ in lines}
+    assert (0, 1) in on_line[5] and (1, -2) in on_line[4]
 
-    assert family_solutions((2, 0), [1]) == ()
+    assert degree_lines(IntersectionLattice(((2, 0), (0, -2))), [1], 0) == []
 
 
 def reference_family_solutions(lhs, values, side, side_bound):
@@ -494,7 +504,7 @@ def reference_family_solutions(lhs, values, side, side_bound):
 def test_donor_families_match_side_filtered_reference_on_x14_census():
     h2 = FAMILIES["x14"].h_square
     pairs = families_seen = 0
-    for name, d, g, _ in census_lattices():
+    for name, d, g, lattice in census_lattices():
         if name != "x14":
             continue
         pairs += 1
@@ -502,8 +512,9 @@ def test_donor_families_match_side_filtered_reference_on_x14_census():
         # the side form is -1 times the degree form, so no half-line appears
         assert all(k_min is None and k_max is None for *_, k_min, k_max in expected)
         expected = [(base, step, value) for base, step, value, _, _ in expected]
-        found = family_solutions((h2, d), [v for v in DONOR_DEGREES if v <= h2])
-        assert [(f.base, f.step, f.value) for f in found] == expected, (d, g)
+        found = degree_lines(lattice, [v for v in DONOR_DEGREES if v <= h2], 0)
+        assert [(DivisorClass(base_a, base_b), DivisorClass(step_a, step_b), value)
+                for value, base_a, base_b, step_a, step_b, *_ in found] == expected, (d, g)
         try:
             report = tetragonal_certificate(d, g)
         except DonorWindowEmptyError:
@@ -517,66 +528,54 @@ def test_donor_families_match_side_filtered_reference_on_x14_census():
     assert pairs == 290 and families_seen > 0
 
 
-def test_family_quadratic_max_reference_values():
-    x14_40 = make_family_lattice(FAMILIES["x14"], 4, 0)
-    fam = LinearFamily(DivisorClass(0, 1), DivisorClass(2, -7), 4)
-    a, b, c = fam.square_polynomial(x14_40)
-    assert (a, b, c) == (-154, 44, -2)
-    assert family_quadratic_max(x14_40, fam) == (-2, 0)
+def random_degree_line(rng, min_square):
+    """A degree line of a random hyperbolic lattice with its vertex in [-500, 500]."""
+    while True:
+        lattice = random_hyperbolic_lattice(rng)
+        lines = degree_lines(lattice, [rng.randint(-20, 20)], min_square(rng))
+        if not lines:
+            continue
+        line = lines[0]
+        quad_a, quad_b = line[5:7]
+        if abs(Fraction(-quad_b, 2 * quad_a)) <= 500:
+            return lattice, line
 
-    with pytest.raises(FamilyMaxUndefinedError):
-        quadric = make_family_lattice(FAMILIES["quadric"], 9, 2)
-        family_quadratic_max(quadric, LinearFamily(DivisorClass(0, 0), DivisorClass(1, 0), 0))
+
+def brute_line_maximum(lattice, line):
+    """(max, k) of the square over k in [-1000, 1000] off ks, least k on ties."""
+    _, base_a, base_b, step_a, step_b, *_, ks = line
+    return max((lattice.pair(cls := (base_a + k * step_a, base_b + k * step_b), cls), -k)
+               for k in range(-1000, 1001) if k not in ks)
 
 
-def test_family_quadratic_max_matches_brute_force():
+def test_line_maximum_matches_brute_force():
     rng = random.Random(0xFA2605)
-    checked = 0
-    while checked < 200:
-        lattice = random_hyperbolic_lattice(rng)
-        p, q = rng.randint(1, 12), rng.randint(1, 12)
-        value = rng.randint(-20, 20)
-        families = family_solutions((p, q), [value])
-        if not families:
-            continue
-        fam = families[0]
-        quad_a, quad_b, _ = fam.square_polynomial(lattice)
-        if quad_a >= 0 or abs(Fraction(-quad_b, 2 * quad_a)) > 500:
-            continue
-        exclude = set()
-        if rng.random() < 0.5:
-            exclude = {rng.randint(-2, 2)}
-        best, at = family_quadratic_max(lattice, fam, exclude=exclude)
-        brute = max((lattice.pair(member := fam.member(k), member), k)
-                    for k in range(-1000, 1001) if k not in exclude)
-        assert best == brute[0]
-        assert lattice.pair(fam.member(at), fam.member(at)) == best
-        checked += 1
+    empty = 0
+    for _ in range(200):
+        lattice, line = random_degree_line(rng, lambda rng: rng.randint(-100, 10))
+        *_, quad_a, quad_b, base_sq, ks = line
+        best, neg_at = brute_line_maximum(lattice, line)
+        assert line_maximum(quad_a, quad_b, base_sq, ks) == (best, -neg_at)
+        empty += not ks
+    # ranges that exclude nothing and ranges that exclude the vertex alike
+    assert 0 < empty < 200
 
 
-def test_family_quadratic_max_walks_past_excluded_vertex():
-    # exclusions cover the integers nearest the vertex, on one side or both
+def test_line_maximum_steps_past_the_excluded_vertex():
+    # min_square at most the line's top value, so ks covers the integers
+    # nearest the vertex on one side or both
     rng = random.Random(0xFA2608)
-    checked = 0
-    while checked < 200:
-        lattice = random_hyperbolic_lattice(rng)
-        families = family_solutions((rng.randint(1, 12), rng.randint(1, 12)),
-                                    [rng.randint(-20, 20)])
-        if not families:
-            continue
-        fam = families[0]
-        quad_a, quad_b, _ = fam.square_polynomial(lattice)
-        if quad_a >= 0 or abs(Fraction(-quad_b, 2 * quad_a)) > 500:
-            continue
-        vertex = -quad_b // (2 * quad_a)
-        exclude = set(range(vertex - rng.randint(0, 3), vertex + rng.randint(1, 4)))
-        best, at = family_quadratic_max(lattice, fam, exclude=exclude)
-        brute = max(lattice.pair(member := fam.member(k), member)
-                    for k in range(-1000, 1001) if k not in exclude)
-        assert at not in exclude
-        assert best == brute
-        assert lattice.pair(fam.member(at), fam.member(at)) == best
-        checked += 1
+    for _ in range(200):
+        lattice, line = random_degree_line(rng, lambda rng: 10 ** 9)
+        degree, *_, quad_a, quad_b, base_sq, ks = line
+        assert not ks
+        top, _ = line_maximum(quad_a, quad_b, base_sq, ks)
+        line, = degree_lines(lattice, [degree], top - rng.randint(0, 3 * -quad_a))
+        ks = line[-1]
+        assert ks
+        best, at = line_maximum(quad_a, quad_b, base_sq, ks)
+        assert at not in ks
+        assert (best, -at) == brute_line_maximum(lattice, line)
 
 
 def test_effective_decompositions():

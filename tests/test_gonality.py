@@ -1,6 +1,8 @@
+import hashlib
+import json
+
 import pytest
 
-from fanocert.diophantine import LinearFamily
 from fanocert.gonality import (DONOR_DEGREES, SECTION_GENUS, DonorWindowEmptyError,
                                fixed_moving_bound, tetragonal_certificate)
 from fanocert.lattice import FAMILIES, DivisorClass
@@ -8,8 +10,8 @@ from fanocert.lattice import FAMILIES, DivisorClass
 from test_diophantine import census_lattices
 
 
-def family_members(fam, k_range):
-    return {fam.member(k).coords() for k in k_range}
+def family_members(witness, k_range):
+    return {member(witness, k) for k in k_range}
 
 
 def check_named(report, name):
@@ -20,9 +22,17 @@ def family_witnesses(report):
     return check_named(report, "donor-family-squares-negative").witnesses
 
 
-def witness_family(witness):
-    return LinearFamily(DivisorClass(*witness["base"]), DivisorClass(*witness["step"]),
-                        witness["value"])
+def member(witness, k):
+    """base + k*step of a donor-family witness."""
+    (base_a, base_b), (step_a, step_b) = witness["base"], witness["step"]
+    return base_a + k * step_a, base_b + k * step_b
+
+
+def index_of(witness, cls):
+    """The k with member(witness, k) == cls, or None."""
+    (base_a, base_b), (step_a, step_b) = witness["base"], witness["step"]
+    k = (cls[0] - base_a) // step_a if step_a else (cls[1] - base_b) // step_b
+    return k if member(witness, k) == tuple(cls) else None
 
 
 def special_checks(report):
@@ -52,7 +62,7 @@ def test_4_0_families_match_reference_parametrization():
                  | {(2 * k + 1, -2 - 7 * k) for k in ks})
     computed = set()
     for witness in witnesses:
-        computed |= family_members(witness_family(witness), ks)
+        computed |= family_members(witness, ks)
     assert computed == reference
     # no member escapes the square analysis for this case
     assert special_checks(report) == {}
@@ -67,10 +77,10 @@ def test_4_0_solution_coverage_brute_force():
     d = 4
     solutions = [(a, b) for a in range(-100, 101) for b in range(-100, 101)
                  if 14 * (1 - a) - d * b >= 0 and 4 <= 14 * a + d * b <= 7]
-    families = [witness_family(w) for w in family_witnesses(report)]
+    witnesses = family_witnesses(report)
     specials = special_checks(report)
     for a, b in solutions:
-        hits = [fam for fam in families if fam.index_of(DivisorClass(a, b)) is not None]
+        hits = [w for w in witnesses if index_of(w, (a, b)) is not None]
         assert len(hits) + ((a, b) in specials) == 1, (a, b)
 
 
@@ -84,7 +94,7 @@ def test_6_1_solution_coverage_brute_force():
     for a, b in solutions:
         special = (a, b) in specials
         in_family = any(
-            (k := witness_family(w).index_of(DivisorClass(a, b))) is not None
+            (k := index_of(w, (a, b))) is not None
             and k not in w.get("excluded_k", [])
             for w in family_witnesses(report))
         # exactly one of the two buckets covers each solution
@@ -163,21 +173,21 @@ def test_specials_reverify_against_lattice():
             assert witness["elimination"] == check.result["elimination"]
         specials_seen += len(specials)
         for witness in family_witnesses(report):
-            fam = witness_family(witness)
             excluded = witness.get("excluded_k", [])
             # the excluded parameters are exactly this family's specials
-            assert sorted(fam.member(k).coords() for k in excluded) == sorted(
+            assert sorted(member(witness, k) for k in excluded) == sorted(
                 cls for cls, check in specials.items()
                 if check.inputs["t_degree"] == witness["value"]), (d, g)
             excluded_seen += len(excluded)
             # the Gram form at every member of the box, stepping along the line
             (p, q), (_, s) = lattice.gram
-            a, b = fam.member(box[0]).coords()
+            a, b = member(witness, box[0])
+            step_a, step_b = witness["step"]
             squares = {}
             for k in box:
                 if k not in excluded:
                     squares[k] = p * a * a + 2 * q * a * b + s * b * b
-                a, b = a + fam.step.a, b + fam.step.b
+                a, b = a + step_a, b + step_b
             best = max(squares.values())
             # concave in k: a box maximum above both ends is the global one
             assert best > max(squares[box[0]], squares[box[-1]]), (d, g)
@@ -194,3 +204,27 @@ def test_empty_donor_window_is_a_typed_refusal():
         assert isinstance(info.value, ValueError)
         message = str(info.value)
         assert f"d=14, g={g}" in message and "[4, 7]" in message
+
+
+# SHA-256 of every x14 census certificate, in census order: the JSON of its
+# checks and discrepancies, or the refusal's class name for the 8 d = 14 pairs.
+X14_CENSUS_SHA256 = "a6f342b3061856133e2e315127e96e65beeafec5ad1f142a0f88705d42dc020d"
+
+
+def test_x14_census_certificates_are_pinned():
+    digest = hashlib.sha256()
+    pairs = refused = 0
+    for name, d, g, _ in census_lattices():
+        if name != "x14":
+            continue
+        pairs += 1
+        try:
+            report = tetragonal_certificate(d, g)
+        except DonorWindowEmptyError as exc:
+            refused += 1
+            digest.update(type(exc).__name__.encode())
+            continue
+        digest.update(json.dumps([[c.to_dict() for c in report.checks],
+                                  list(report.discrepancies)], sort_keys=True).encode())
+    assert (pairs, refused) == (290, 8)
+    assert digest.hexdigest() == X14_CENSUS_SHA256

@@ -1,8 +1,9 @@
 """Module layout: imports at module level only, no private names shared
 between modules, no catalog import in pipelines, one lattice per pipeline
-run, verdicts decided by the proofs alone, and one class-search and one
-line-solving primitive in diophantine."""
+run, verdicts decided by the proofs alone, one degree-line and one
+line-solving primitive in diophantine, and a standard-library runtime."""
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -58,28 +59,38 @@ def _callers(names) -> dict[str, set[str]]:
     return callers
 
 
-def test_only_curve_classes_walks_a_degree_line():
-    # curve_classes is the one search along a degree line: it alone holds the
+def test_only_degree_lines_walks_a_degree_line():
+    # degree_lines is the one search along a degree line: it alone holds the
     # signature guard (_degree_line) and the exact "square >= m" range
-    # (_nonnegative_range).  Exact-square and one-degree searches filter or
-    # call the sweep, so a second line walker here would be a twin to keep
-    # in step with it.
+    # (_nonnegative_range).  The class sweep and the donor families read its
+    # lines, so a second line walker here would be a twin to keep in step.
     assert _callers(("_degree_line", "_nonnegative_range")) == {
-        "_degree_line": {"diophantine.curve_classes"},
-        "_nonnegative_range": {"diophantine.curve_classes"}}
+        "_degree_line": {"diophantine.degree_lines"},
+        "_nonnegative_range": {"diophantine.degree_lines"}}
 
 
 def test_one_line_primitive_solves_linear_forms():
     # _line (extended gcd and step) and _line_base (floor-division base) are
-    # the one solver of a linear form's level lines.  The degree sweep (via
-    # _degree_line), the solution families and the band are its only users,
-    # so no second copy of that arithmetic can drift from it.
+    # the one solver of a linear form's level lines.  The degree lines (via
+    # _degree_line) and the band are its only users, so no second copy of
+    # that arithmetic can drift from it.
     assert _callers(("_extended_gcd", "_line", "_line_base")) == {
         "_extended_gcd": {"diophantine._line"},
-        "_line": {"diophantine._degree_line", "diophantine.family_solutions",
-                  "diophantine.band_empty"},
-        "_line_base": {"diophantine.curve_classes", "diophantine.family_solutions",
-                       "diophantine.band_empty"}}
+        "_line": {"diophantine._degree_line", "diophantine.band_empty"},
+        "_line_base": {"diophantine.degree_lines", "diophantine.band_empty"}}
+
+
+def test_runtime_imports_only_the_standard_library():
+    outside = []
+    for path in SOURCES:
+        for node in _imports(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module] if node.level == 0 else []
+            else:
+                modules = [alias.name for alias in node.names]
+            outside += [f"{path.name}:{node.lineno} {module}" for module in modules
+                        if module.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 def test_pipelines_do_not_import_catalog():
