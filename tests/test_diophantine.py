@@ -454,16 +454,12 @@ def test_band_matches_box_scan_on_random_forms():
     assert min(dependent, zero_coeff, empty) > 0 and found > 100
 
 
-def test_degree_lines_reference_values():
+def test_family_solutions_reference_families():
     x14_40 = make_family_lattice(FAMILIES["x14"], 4, 0)
     lines = degree_lines(x14_40, range(4, 8), 0)
     data = {(degree, (base_a, base_b), (step_a, step_b))
             for degree, base_a, base_b, step_a, step_b, *_ in lines}
     assert data == {(4, (0, 1), (2, -7)), (6, (1, -2), (2, -7))}
-    _, _, _, _, _, quad_a, quad_b, base_sq, ks = lines[0]
-    assert (quad_a, quad_b, base_sq) == (-154, 44, -2)
-    assert not ks
-    assert line_maximum(quad_a, quad_b, base_sq, ks) == (-2, 0)
 
     x14_50 = make_family_lattice(FAMILIES["x14"], 5, 0)
     lines = degree_lines(x14_50, range(4, 8), 0)
@@ -473,6 +469,20 @@ def test_degree_lines_reference_values():
     assert (0, 1) in on_line[5] and (1, -2) in on_line[4]
 
     assert degree_lines(IntersectionLattice(((2, 0), (0, -2))), [1], 0) == []
+
+
+def test_family_quadratic_max_reference_values():
+    x14_40 = make_family_lattice(FAMILIES["x14"], 4, 0)
+    line, = degree_lines(x14_40, [4], 0)
+    _, base_a, base_b, step_a, step_b, quad_a, quad_b, base_sq, ks = line
+    assert (base_a, base_b, step_a, step_b) == (0, 1, 2, -7)
+    assert (quad_a, quad_b, base_sq) == (-154, 44, -2)
+    assert not ks
+    assert line_maximum(quad_a, quad_b, base_sq, ks) == (-2, 0)
+
+    # without det < 0 the square is no downward parabola on a degree line
+    with pytest.raises(LatticeSignatureError):
+        degree_lines(IntersectionLattice(((2, 1), (1, 2))), [0], 0)
 
 
 def reference_family_solutions(lhs, values, side, side_bound):
