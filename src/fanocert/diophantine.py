@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .lattice import DivisorClass, IntersectionLattice, LatticeSignatureError, as_class
-from .outcome import CheckOutcome, VERIFIED
+from .outcome import CheckOutcome, VERIFIED, verified
 
 
 class DependentFormsError(ValueError):
@@ -196,6 +196,22 @@ def curve_classes(lattice: IntersectionLattice, degrees,
     return [(degree, base_a + k * step_a, base_b + k * step_b, (quad_a * k + quad_b) * k + base_sq)
             for degree, base_a, base_b, step_a, step_b, quad_a, quad_b, base_sq, ks
             in degree_lines(lattice, degrees, min_square) for k in ks]
+
+
+def short_curve_checks(lattice: IntersectionLattice, degrees) -> list[CheckOutcome]:
+    """Per listed degree (1 or 2), one sweep's classes of square >= -2; expected none."""
+    short = curve_classes(lattice, degrees, -2)
+    checks = []
+    for degree in degrees:
+        classes = [[a, b] for found, a, b, _ in short if found == degree]
+        checks.append(verified(
+            name="no-line-classes" if degree == 1 else "no-conic-classes",
+            rule="short-curve-search",
+            passed=not classes,
+            inputs={"degree": degree, "min_square": -2},
+            witnesses=tuple(classes),
+        ))
+    return checks
 
 
 def band_empty(form1: tuple[int, int], range1: Interval,

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .diophantine import curve_classes, degree_lines, line_maximum
+from .diophantine import degree_lines, line_maximum, short_curve_checks
 from .lattice import FAMILIES, make_family_lattice
 from .outcome import CheckOutcome, CITED, VERIFIED, cited, verified
 
@@ -75,22 +75,21 @@ def _eliminate_special(square: int, t_degree: int) -> tuple[str, str, str]:
             "no arithmetic elimination available for this solution")
 
 
-def fixed_moving_bound(square_cap: int, t_f_max: int,
-                       multiplicity_cap: int) -> CheckOutcome:
+def fixed_moving_bound(square_cap: int, multiplicity_cap: int) -> CheckOutcome:
     """Contradiction -2 m^2 > square cap between the split square and the cap.
 
     A donor splitting as fixed part m*R (R rational, m <= multiplicity_cap)
     plus a moving part has square at least -2 m^2; when that exceeds the
-    certified maximum square of the donors, none of them can exist.
+    certified maximum square of the donors, none of them can exist.  The
+    fixed part's degree cap ``t_f_max`` is the multiplicity cap itself: both
+    are the top donor degree less the moving part's 3.
     """
-    if multiplicity_cap > t_f_max:
-        raise ValueError("multiplicity cap cannot exceed the fixed-part degree cap")
     floor_value = -2 * multiplicity_cap * multiplicity_cap
     return verified(
         name="fixed-moving-square-contradiction",
         rule="fixed-part-multiplicity-bound",
         passed=floor_value > square_cap,
-        inputs={"square_cap": square_cap, "t_f_max": t_f_max,
+        inputs={"square_cap": square_cap, "t_f_max": multiplicity_cap,
                 "multiplicity_cap": multiplicity_cap},
         result={"split_square_floor": floor_value},
     )
@@ -142,14 +141,8 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
         family_witnesses.append(witness)
     max_squares = [w["max_square"] for w in family_witnesses]
 
-    short = curve_classes(lattice, (1, 2), -2)
-    lines = [[a, b] for degree, a, b, _ in short if degree == 1]
-    conics = [[a, b] for degree, a, b, _ in short if degree == 2]
-
-    checks: list[CheckOutcome] = []
     discrepancies: list[str] = []
-
-    checks.append(verified(
+    checks = [verified(
         name="donor-family-squares-negative",
         rule="donor-system-enumeration",
         passed=all(square < 0 for square in max_squares),
@@ -157,24 +150,10 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
                 "section_genus": SECTION_GENUS, "route": route},
         result={"family_count": len(family_witnesses), "max_squares": max_squares},
         witnesses=tuple(family_witnesses),
-    ))
-    checks.append(verified(
-        name="no-line-classes",
-        rule="short-curve-search",
-        passed=not lines,
-        inputs={"degree": 1, "min_square": -2},
-        witnesses=tuple(lines),
-    ))
-    checks.append(verified(
-        name="no-conic-classes",
-        rule="short-curve-search",
-        passed=not conics,
-        inputs={"degree": 2, "min_square": -2},
-        witnesses=tuple(conics),
-    ))
+    ), *short_curve_checks(lattice, (1, 2))]
 
     if route == "fixed-moving":
-        checks.append(fixed_moving_bound(max(max_squares), max_value - 3, multiplicity_cap))
+        checks.append(fixed_moving_bound(max(max_squares), multiplicity_cap))
         checks.append(verified(
             name="fixed-part-cannot-contain-curve",
             rule="fixed-part-degree-cap",

@@ -4,18 +4,23 @@ Each proof re-derives every finite arithmetic claim behind one existence or
 non-existence argument and records the geometric steps it cannot decide as
 cited rules.  It returns the ordered check trail, any flagged gaps, and the
 verdict it concludes: Realizable or Open for a construction, NotRealizable
-for a contradiction.  A proof builds its case's lattice once.  Nothing here
-imports ``catalog``, which imports ``PIPELINES``.
+for a contradiction.  A construction is ``_construction`` around its own
+steps, a contradiction ``_contradiction``, and each check has one builder.
+A proof builds its case's lattice once, but the nef, free and
+non-tetragonality certificates take (family, d, g) and build it again: a
+quadric, v4 or v5 construction row builds 3 lattices, an x14 or v5 residual
+row 4.  Nothing here imports ``catalog``, which imports ``PIPELINES``.
 """
 from __future__ import annotations
 
-from .diophantine import Interval, band_empty, curve_classes, effective_decompositions
+from .diophantine import (Interval, band_empty, curve_classes, effective_decompositions,
+                          short_curve_checks)
 from .gonality import tetragonal_certificate
 from .lattice import (FAMILIES, SPORADIC_AMBIENT_DEGREE, DivisorClass, FamilySpec,
                       IntersectionLattice, anticanonical_cube, make_family_lattice,
                       square_and_genus)
 from .nefness import free_certificate, nef_certificate
-from .outcome import CheckOutcome, DERIVED, cited, class_witness, verified
+from .outcome import CheckOutcome, DERIVED, VERIFIED, cited, class_witness, verified
 from .riemannroch import (LinearSeries, brill_noether, ideal_curve_bound, k3_h0,
                           monomial_count, plane_curve_genus, residual_series,
                           span_dimension_bound)
@@ -45,13 +50,17 @@ def _lattice_signature_check(lattice: IntersectionLattice) -> CheckOutcome:
     )
 
 
+def _surface_forms(lattice: IntersectionLattice, ambient_dim: int, forms_degree: int) -> int:
+    """Forms of the given degree on projective ambient_dim-space through the surface."""
+    return (monomial_count(ambient_dim, forms_degree)
+            - k3_h0(lattice, DivisorClass(forms_degree, 0), nef_hint=True))
+
+
 def _ideal_sections_check(lattice: IntersectionLattice, d: int, g: int,
                           ambient_dim: int, forms_degree: int) -> CheckOutcome:
     """Forms through the curve must outnumber forms through the surface."""
     curve_bound = ideal_curve_bound(ambient_dim, forms_degree, d, g)
-    polarization = DivisorClass(forms_degree, 0)
-    surface_count = (monomial_count(ambient_dim, forms_degree)
-                     - k3_h0(lattice, polarization, nef_hint=True))
+    surface_count = _surface_forms(lattice, ambient_dim, forms_degree)
     return verified(
         name="forms-through-curve-but-not-surface",
         rule="ideal-sheaf-section-count",
@@ -74,50 +83,52 @@ def _anticanonical_degree_check(family: FamilySpec, d: int, g: int) -> CheckOutc
     )
 
 
-def _knutsen_check(family: FamilySpec) -> CheckOutcome:
-    return cited(
+def _closed_construction(case, checks: list[CheckOutcome], discrepancies=()) -> ProofResult:
+    """End a construction on its smallness step, whose rule decides the conclusion."""
+    if case.smallness == "ambiguous":
+        conclusion, rule, statement = OPEN, "divisorial-table-overlap", (
+            "these invariants also appear among the divisorial-type rows, and "
+            "whether the anticanonical map contracts a divisor or only curves "
+            "is undecided; the case stays open")
+    else:
+        conclusion, rule, statement = REALIZABLE, "table-absence", (
+            "the invariants appear in no divisorial-type or non-E1 row, so the "
+            "anticanonical contraction is small and the link is of E1-E1 type")
+    tail = cited(name="anticanonical-contraction-size", rule=rule, statement=statement)
+    return [*checks, tail], list(discrepancies), conclusion
+
+
+def _construction(case, family: FamilySpec, lattice: IntersectionLattice,
+                  body: list[CheckOutcome], closing: list[CheckOutcome],
+                  discrepancies=()) -> ProofResult:
+    """Signature and K3 existence, ``body``, adjoint nef and free, ``closing``, smallness."""
+    head = [_lattice_signature_check(lattice), cited(
         name="k3-with-prescribed-lattice-exists",
         rule="knutsen-existence",
         statement=("a smooth K3 surface of degree %d with rank-2 Picard lattice "
                    "generated by the polarization and the curve exists"
                    % family.h_square),
-    )
+    )]
+    adjoint = [nef_certificate(family, case.d, case.g), free_certificate(family, case.d, case.g)]
+    return _closed_construction(case, head + body + adjoint + closing, discrepancies)
 
 
-def _closed_construction(case, checks: list[CheckOutcome], discrepancies=()) -> ProofResult:
-    """End a construction on its smallness step, whose rule decides the conclusion."""
-    if case.smallness == "ambiguous":
-        conclusion, tail = OPEN, cited(
-            name="anticanonical-contraction-size",
-            rule="divisorial-table-overlap",
-            statement=("these invariants also appear among the divisorial-type "
-                       "rows, and whether the anticanonical map contracts a "
-                       "divisor or only curves is undecided; the case stays open"),
-        )
-    else:
-        conclusion, tail = REALIZABLE, cited(
-            name="anticanonical-contraction-size",
-            rule="table-absence",
-            statement=("the invariants appear in no divisorial-type or non-E1 row, "
-                       "so the anticanonical contraction is small and the link is "
-                       "of E1-E1 type"),
-        )
-    return [*checks, tail], list(discrepancies), conclusion
-
-
-def _construction(case, family: FamilySpec, lattice: IntersectionLattice,
-                  body: list[CheckOutcome], discrepancies=()) -> ProofResult:
-    """A K3 construction: the lattice and the surface first, then ``body``."""
-    head = [_lattice_signature_check(lattice), _knutsen_check(family)]
-    return _closed_construction(case, head + body, discrepancies)
+def _contradiction(lattice: IntersectionLattice, freeness_statement: str,
+                   body: list[CheckOutcome]) -> ProofResult:
+    """A contradiction: the lattice, a free anticanonical system, then ``body``."""
+    head = [_lattice_signature_check(lattice), cited(
+        name="anticanonical-system-free-on-blowup",
+        rule="classification-freeness",
+        statement=freeness_statement,
+    )]
+    return head + body, [], NOT_REALIZABLE
 
 
 def quadric_construction(case) -> ProofResult:
     family = FAMILIES["quadric"]
     d, g = case.d, case.g
     lattice = make_family_lattice(family, d, g)
-    quadric_sections = monomial_count(4, 2) - k3_h0(lattice, DivisorClass(2, 0),
-                                                    nef_hint=True)
+    quadric_sections = _surface_forms(lattice, 4, 2)
     body = [
         _ideal_sections_check(lattice, d, g, ambient_dim=4, forms_degree=3),
         verified(
@@ -132,30 +143,30 @@ def quadric_construction(case) -> ProofResult:
             statement="a nondegenerate degree-6 surface in 4-space lies on at "
                       "most one quadric",
         ),
-        nef_certificate(family, d, g),
-        free_certificate(family, d, g),
     ]
     # A singular containing quadric would cut a plane cubic of square 0 and
     # degree 3 on the surface.
     plane_cubic = [[a, b] for _, a, b, square in curve_classes(lattice, (3,), 0)
                    if square == 0]
-    body.append(verified(
-        name="singular-ambient-excluded",
-        rule="plane-cubic-class-search",
-        passed=not plane_cubic,
-        inputs={"degree": 3, "square": 0},
-        result={"classes_found": len(plane_cubic)},
-        witnesses=tuple(plane_cubic),
-    ))
     theta = trisecant_count(d, g)
-    body.append(verified(
-        name="trisecant-line-exists",
-        rule="berzolari-trisecant-count",
-        passed=theta > 0,
-        inputs={"d": d, "g": g},
-        result={"trisecant_count": theta},
-    ))
-    body.append(_anticanonical_degree_check(family, d, g))
+    closing = [
+        verified(
+            name="singular-ambient-excluded",
+            rule="plane-cubic-class-search",
+            passed=not plane_cubic,
+            inputs={"degree": 3, "square": 0},
+            result={"classes_found": len(plane_cubic)},
+            witnesses=tuple(plane_cubic),
+        ),
+        verified(
+            name="trisecant-line-exists",
+            rule="berzolari-trisecant-count",
+            passed=theta > 0,
+            inputs={"d": d, "g": g},
+            result={"trisecant_count": theta},
+        ),
+        _anticanonical_degree_check(family, d, g),
+    ]
 
     discrepancies = []
     if (d, g) == (10, 6):
@@ -164,15 +175,14 @@ def quadric_construction(case) -> ProofResult:
             "although the plane-cubic secancy rule is vacuous at d=10; the "
             "exclusion rests on the genus cap at m=3 being 0, reported "
             "rather than silently matched")
-    return _construction(case, family, lattice, body, discrepancies)
+    return _construction(case, family, lattice, body, closing, discrepancies)
 
 
 def v4_construction(case) -> ProofResult:
     family = FAMILIES["v4"]
     d, g = case.d, case.g
     lattice = make_family_lattice(family, d, g)
-    quadric_sections = monomial_count(5, 2) - k3_h0(lattice, DivisorClass(2, 0),
-                                                    nef_hint=True)
+    quadric_sections = _surface_forms(lattice, 5, 2)
     return _construction(case, family, lattice, [
         _ideal_sections_check(lattice, d, g, ambient_dim=5, forms_degree=2),
         verified(
@@ -187,8 +197,7 @@ def v4_construction(case) -> ProofResult:
             statement="general members of the quadric net through the surface "
                       "cut out a smooth intersection of two quadrics",
         ),
-        nef_certificate(family, d, g),
-        free_certificate(family, d, g),
+    ], [
         _anticanonical_degree_check(family, d, g),
         cited(
             name="anticanonical-class-not-ample",
@@ -246,95 +255,116 @@ def _hyperplane_irreducibility(family: FamilySpec, lattice: IntersectionLattice,
         result={"degree": res_deg, "square": res_square,
                 "decompositions_found": len(decomp)},
     ))
-    lines = [[a, b] for _, a, b, _ in curve_classes(lattice, (1,), -2)]
-    checks.append(verified(
-        name="no-line-classes",
-        rule="short-curve-search",
-        passed=not lines,
-        inputs={"degree": 1, "min_square": -2},
-        witnesses=tuple(lines),
-    ))
-    return checks
+    return checks + short_curve_checks(lattice, (1,))
+
+
+# The pencils of the bundle constructions, by degree.
+_PENCIL_WORDS = {4: "four", 5: "five"}
+
+
+def _pencil_checks(genus: int, degree: int,
+                   expected_residual: LinearSeries) -> tuple[list[CheckOutcome], LinearSeries]:
+    """A degree-``degree`` pencil of expected dimension and its residual series."""
+    word = _PENCIL_WORDS[degree]
+    rho = brill_noether(genus, 1, degree)
+    residual = residual_series(genus, LinearSeries(1, degree))
+    return [verified(
+        name=f"pencil-degree-{word}-expected-dimension",
+        rule="brill-noether-number",
+        passed=rho == 0,
+        inputs={"g": genus, "r": 1, "d": degree},
+        result={"rho": rho},
+    ), verified(
+        name=f"residual-of-degree-{word}-pencil",
+        rule="series-residuation",
+        passed=residual == expected_residual,
+        inputs={"genus": genus, "series": f"g^1_{degree}"},
+        result={"residual": residual.label()},
+    )], residual
+
+
+def _bundle_sections_check(residual: LinearSeries, expected: int) -> CheckOutcome:
+    # Two sections from the trivial part plus the residual series sections;
+    # the defining extension is an imported construction.
+    sections = 2 + residual.r + 1
+    return verified(
+        name="bundle-section-count",
+        rule="bundle-section-sum",
+        passed=sections == expected,
+        result={"h0": sections},
+    )
+
+
+def _grassmannian_splits_check(c2: int, t_square: int, expected: list) -> CheckOutcome:
+    """The surface class's (deg, a, b) splits in the Grassmannian, in its result."""
+    splits = [list(split) for split in surface_class_split(c2_value=c2, t_square=t_square)]
+    return verified(
+        name="surface-class-splits-in-grassmannian",
+        rule="schubert-class-split",
+        passed=splits == expected,
+        inputs={"c2": c2, "t_square": t_square},
+        result={"splits": splits},
+    )
+
+
+def _residual_member_check(lattice: IntersectionLattice, expected: tuple[int, int],
+                           kind: str, inputs: dict) -> CheckOutcome:
+    """Degree and genus of the residual class 2H - C against ``expected``."""
+    residual = DivisorClass(2, -1)
+    degree = lattice.degree(residual)
+    square, genus = square_and_genus(lattice, residual)
+    return CheckOutcome(
+        name="residual-member-invariants",
+        rule="residual-class-arithmetic",
+        kind=kind,
+        passed=(degree, genus) == expected,
+        inputs={**inputs, "residual_class": class_witness(residual)},
+        result={"degree": degree, "square": square, "genus": genus},
+    )
 
 
 def _v5_bundle_checks() -> list[CheckOutcome]:
     """Class arithmetic of the rank-2 bundle mapping the surface to G(1,4)."""
-    splits = surface_class_split(c2_value=4, t_square=10)
-    split_data = [list(split) for split in splits]
-    checks = [verified(
-        name="surface-class-splits-in-grassmannian",
-        rule="schubert-class-split",
-        passed=split_data == [[1, 6, 4], [2, 3, 2]],
-        inputs={"c2": 4, "t_square": 10},
-        result={"splits": split_data},
-    )]
-    degree2 = next(split for split in splits if split[0] == 2)
+    splits = _grassmannian_splits_check(4, 10, [[1, 6, 4], [2, 3, 2]])
+    degree2 = next(split for split in splits.result["splits"] if split[0] == 2)
+    pencil, residual = _pencil_checks(6, 4, LinearSeries(2, 6))
     # A degree-5 surface cut on a maximal linear subvariety would have class
     # coefficients (5, 0), incompatible with the split.
-    checks.append(verified(
+    return [splits, verified(
         name="degree-two-span-three-branch-contradiction",
         rule="linear-subvariety-class",
-        passed=degree2[1:] != (5, 0),
+        passed=degree2[1:] != [5, 0],
         inputs={"split": list(degree2)},
         result={"forced_class": [5, 0]},
-    ))
-    checks.append(cited(
+    ), cited(
         name="degree-two-span-four-five-branches-excluded",
         rule="projection-and-del-pezzo-arguments",
         statement="the span-4 branch forces a reducible hyperplane section and "
                   "the span-5 branch a degree-2 cover of a quintic del Pezzo "
                   "surface; both are impossible, so the map has degree one",
-    ))
-    rho = brill_noether(6, 1, 4)
-    checks.append(verified(
-        name="pencil-degree-four-expected-dimension",
-        rule="brill-noether-number",
-        passed=rho == 0,
-        inputs={"g": 6, "r": 1, "d": 4},
-        result={"rho": rho},
-    ))
-    residual = residual_series(6, LinearSeries(1, 4))
-    checks.append(verified(
-        name="residual-of-degree-four-pencil",
-        rule="series-residuation",
-        passed=residual == LinearSeries(2, 6),
-        inputs={"genus": 6, "series": "g^1_4"},
-        result={"residual": residual.label()},
-    ))
-    # Two sections from the trivial part plus the residual series sections;
-    # the defining extension is an imported construction.
-    sections = 2 + residual.r + 1
-    checks.append(verified(
-        name="bundle-section-count",
-        rule="bundle-section-sum",
-        passed=sections == 5,
-        result={"h0": sections},
-    ))
-    checks.append(cited(
+    ), *pencil, _bundle_sections_check(residual, 5), cited(
         name="section-curve-not-trigonal",
         rule="enriques-babbage",
         statement="the section curve is cut out by quadrics, hence neither "
                   "trigonal nor a plane quintic, so both series are free",
-    ))
-    return checks
+    )]
 
 
 def v5_construction(case) -> ProofResult:
     family = FAMILIES["v5"]
     d, g = case.d, case.g
     lattice = make_family_lattice(family, d, g)
-    body = _hyperplane_irreducibility(family, lattice, d, g) + _v5_bundle_checks()
-    body.append(cited(
-        name="surface-embeds-in-quintic-del-pezzo",
-        rule="linear-section-smoothness",
-        statement="the span of the embedded surface meets the Grassmannian "
-                  "in a smooth codimension-3 linear section, a quintic del "
-                  "Pezzo threefold",
-    ))
-    body.append(nef_certificate(family, d, g))
-    body.append(free_certificate(family, d, g))
-    body.append(_anticanonical_degree_check(family, d, g))
-    return _construction(case, family, lattice, body)
+    return _construction(case, family, lattice, [
+        *_hyperplane_irreducibility(family, lattice, d, g),
+        *_v5_bundle_checks(),
+        cited(
+            name="surface-embeds-in-quintic-del-pezzo",
+            rule="linear-section-smoothness",
+            statement="the span of the embedded surface meets the Grassmannian "
+                      "in a smooth codimension-3 linear section, a quintic del "
+                      "Pezzo threefold",
+        ),
+    ], [_anticanonical_degree_check(family, d, g)])
 
 
 def v5_residual_construction(case) -> ProofResult:
@@ -344,151 +374,100 @@ def v5_residual_construction(case) -> ProofResult:
     lattice = make_family_lattice(family, d, g)
     seed_d, seed_g = case.seed_d, case.seed_g
     seed_lattice = make_family_lattice(family, seed_d, seed_g)
-    residual = DivisorClass(2, -1)
-    degree = seed_lattice.degree(residual)
-    square, genus = square_and_genus(seed_lattice, residual)
-    body = [cited(
-        name="seed-blowup-exists",
-        rule="classification-table-row",
-        statement=(f"a weak Fano blow-up of a degree-{seed_d} genus-{seed_g} "
-                   "curve on the quintic del Pezzo threefold exists by an "
-                   "already-settled table row"),
-        inputs={"seed_d": seed_d, "seed_g": seed_g},
-    )]
-    body.append(CheckOutcome(
-        name="residual-member-invariants",
-        rule="residual-class-arithmetic",
-        kind=DERIVED,
-        passed=(degree, genus) == (d, g),
-        inputs={"seed_d": seed_d, "seed_g": seed_g,
-                "residual_class": class_witness(residual)},
-        result={"degree": degree, "square": square, "genus": genus},
-    ))
+    seeds = {"seed_d": seed_d, "seed_g": seed_g}
     # The seed curve sits in the residual system of the new curve; a
     # non-rational member forces that system to be free.
-    body.append(verified(
-        name="residual-seed-not-rational",
-        rule="series-fixed-part",
-        passed=seed_g >= 1,
-        inputs={"seed_genus": seed_g},
-    ))
-    body.append(cited(
-        name="residual-system-free",
-        rule="fixed-part-structure",
-        statement="the residual system has no base points outside its fixed "
-                  "part, and a non-rational member rules the fixed part out",
-    ))
-    body.append(nef_certificate(family, d, g))
-    body.append(free_certificate(family, d, g))
-    body.append(_anticanonical_degree_check(family, d, g))
-    return _construction(case, family, lattice, body)
+    return _construction(case, family, lattice, [
+        cited(
+            name="seed-blowup-exists",
+            rule="classification-table-row",
+            statement=(f"a weak Fano blow-up of a degree-{seed_d} genus-{seed_g} "
+                       "curve on the quintic del Pezzo threefold exists by an "
+                       "already-settled table row"),
+            inputs=seeds,
+        ),
+        _residual_member_check(seed_lattice, (d, g), DERIVED, seeds),
+        verified(
+            name="residual-seed-not-rational",
+            rule="series-fixed-part",
+            passed=seed_g >= 1,
+            inputs={"seed_genus": seed_g},
+        ),
+        cited(
+            name="residual-system-free",
+            rule="fixed-part-structure",
+            statement="the residual system has no base points outside its fixed "
+                      "part, and a non-rational member rules the fixed part out",
+        ),
+    ], [_anticanonical_degree_check(family, d, g)])
 
 
 def v5_contradiction(case) -> ProofResult:
     """Degree comparison killing the (14, 10) configuration."""
     lattice = make_family_lattice(FAMILIES["v5"], case.d, case.g)
-    checks = [
-        _lattice_signature_check(lattice),
-        cited(
-            name="anticanonical-system-free-on-blowup",
-            rule="classification-freeness",
-            statement="for these invariants the anticanonical system of the "
-                      "hypothetical blow-up is free, so the residual system on "
-                      "the K3 slice is free as well",
-        ),
-    ]
-    residual = DivisorClass(2, -1)
-    degree = lattice.degree(residual)
-    square, genus = square_and_genus(lattice, residual)
-    checks.append(verified(
-        name="residual-member-invariants",
-        rule="residual-class-arithmetic",
-        passed=(degree, genus) == (6, 2),
-        inputs={"residual_class": class_witness(residual)},
-        result={"degree": degree, "square": square, "genus": genus},
-    ))
+    member = _residual_member_check(lattice, (6, 2), VERIFIED, {})
+    degree, genus = member.result["degree"], member.result["genus"]
     span = span_dimension_bound(degree, genus)
-    checks.append(verified(
-        name="residual-span-dimension",
-        rule="nonspecial-span-bound",
-        passed=span == 4,
-        inputs={"degree": degree, "genus": genus},
-        result={"span_dimension": span},
-    ))
     independent_hyperplanes = 6 - span
-    checks.append(verified(
-        name="two-hyperplanes-contain-residual",
-        rule="codimension-count",
-        passed=independent_hyperplanes >= 2,
-        inputs={"ambient_projective_dim": 6, "span_dimension": span},
-        result={"independent_hyperplanes": independent_hyperplanes},
-    ))
     # Two hyperplane cuts of the degree-5 threefold give a curve of degree 5,
     # which cannot contain a curve of degree 6.
     section_degree = 5
-    checks.append(verified(
-        name="degree-exceeds-linear-section",
-        rule="linear-normality-degree",
-        passed=degree > section_degree,
-        inputs={"threefold_degree": section_degree},
-        result={"residual_degree": degree, "section_curve_degree": section_degree},
-    ))
-    return checks, [], NOT_REALIZABLE
+    return _contradiction(lattice, (
+        "for these invariants the anticanonical system of the hypothetical "
+        "blow-up is free, so the residual system on the K3 slice is free as "
+        "well"), [
+        member,
+        verified(
+            name="residual-span-dimension",
+            rule="nonspecial-span-bound",
+            passed=span == 4,
+            inputs={"degree": degree, "genus": genus},
+            result={"span_dimension": span},
+        ),
+        verified(
+            name="two-hyperplanes-contain-residual",
+            rule="codimension-count",
+            passed=independent_hyperplanes >= 2,
+            inputs={"ambient_projective_dim": 6, "span_dimension": span},
+            result={"independent_hyperplanes": independent_hyperplanes},
+        ),
+        verified(
+            name="degree-exceeds-linear-section",
+            rule="linear-normality-degree",
+            passed=degree > section_degree,
+            inputs={"threefold_degree": section_degree},
+            result={"residual_degree": degree, "section_curve_degree": section_degree},
+        ),
+    ])
 
 
 def _x14_bundle_checks() -> list[CheckOutcome]:
-    rho = brill_noether(8, 1, 5)
-    checks = [verified(
-        name="pencil-degree-five-expected-dimension",
-        rule="brill-noether-number",
-        passed=rho == 0,
-        inputs={"g": 8, "r": 1, "d": 5},
-        result={"rho": rho},
-    )]
-    residual = residual_series(8, LinearSeries(1, 5))
-    checks.append(verified(
-        name="residual-of-degree-five-pencil",
-        rule="series-residuation",
-        passed=residual == LinearSeries(3, 9),
-        inputs={"genus": 8, "series": "g^1_5"},
-        result={"residual": residual.label()},
-    ))
+    pencil, residual = _pencil_checks(8, 5, LinearSeries(3, 9))
     # Freeness of the residual series: a base point would leave a g^3_8 whose
     # residual g^2_6 either has a base point (giving a degree-4 pencil) or
     # maps to a plane sextic, whose genus 10 is not 8.  A degree-4 pencil is
     # what the non-tetragonality certificate excludes.
     fallback = residual_series(8, LinearSeries(3, 8))
-    checks.append(verified(
-        name="residual-series-free",
-        rule="series-residuation",
-        passed=fallback == LinearSeries(2, 6) and plane_curve_genus(6) != 8,
-        inputs={"genus": 8, "blocked_series": "g^3_8"},
-        result={"fallback_residual": fallback.label(),
-                "plane_sextic_genus": plane_curve_genus(6)},
-    ))
-    sections = 2 + residual.r + 1
-    checks.append(verified(
-        name="bundle-section-count",
-        rule="bundle-section-sum",
-        passed=sections == 6,
-        result={"h0": sections},
-    ))
-    split_data = [list(split) for split in surface_class_split(c2_value=5, t_square=14)]
-    checks.append(verified(
-        name="surface-class-splits-in-grassmannian",
-        rule="schubert-class-split",
-        passed=split_data == [[1, 9, 5]],
-        inputs={"c2": 5, "t_square": 14},
-        result={"splits": split_data},
-    ))
-    checks.append(cited(
-        name="section-curve-embeds-by-bundle",
-        rule="linear-section-embedding",
-        statement="a non-tetragonal canonical curve of genus 8 with the given "
-                  "bundle embeds as a codimension-7 linear section of the "
-                  "Grassmannian of lines in 5-space",
-    ))
-    return checks
+    return [
+        *pencil,
+        verified(
+            name="residual-series-free",
+            rule="series-residuation",
+            passed=fallback == LinearSeries(2, 6) and plane_curve_genus(6) != 8,
+            inputs={"genus": 8, "blocked_series": "g^3_8"},
+            result={"fallback_residual": fallback.label(),
+                    "plane_sextic_genus": plane_curve_genus(6)},
+        ),
+        _bundle_sections_check(residual, 6),
+        _grassmannian_splits_check(5, 14, [[1, 9, 5]]),
+        cited(
+            name="section-curve-embeds-by-bundle",
+            rule="linear-section-embedding",
+            statement="a non-tetragonal canonical curve of genus 8 with the given "
+                      "bundle embeds as a codimension-7 linear section of the "
+                      "Grassmannian of lines in 5-space",
+        ),
+    ]
 
 
 def x14_construction(case) -> ProofResult:
@@ -503,16 +482,15 @@ def x14_construction(case) -> ProofResult:
                   "on the surface meeting the recorded degree window; the "
                   "translation is imported, its case analysis verified below",
     ), *report.outcomes(), *_x14_bundle_checks()]
-    body.append(nef_certificate(family, d, g))
-    body.append(free_certificate(family, d, g))
-    body.append(_anticanonical_degree_check(family, d, g))
-    body.append(cited(
-        name="ambient-linear-section-smooth",
-        rule="bertini-smoothness",
-        statement="the embedded surface lies in a smooth codimension-5 linear "
-                  "section of the Grassmannian",
-    ))
-    return _construction(case, family, lattice, body, report.discrepancies)
+    return _construction(case, family, lattice, body, [
+        _anticanonical_degree_check(family, d, g),
+        cited(
+            name="ambient-linear-section-smooth",
+            rule="bertini-smoothness",
+            statement="the embedded surface lies in a smooth codimension-5 linear "
+                      "section of the Grassmannian",
+        ),
+    ], report.discrepancies)
 
 
 def x14_contradiction(case) -> ProofResult:
@@ -522,14 +500,9 @@ def x14_contradiction(case) -> ProofResult:
     sections = k3_h0(lattice, curve, nef_hint=True)
     degree_on_section = lattice.degree(curve)
     series = LinearSeries(sections - 1, degree_on_section)
-    checks = [
-        _lattice_signature_check(lattice),
-        cited(
-            name="anticanonical-system-free-on-blowup",
-            rule="classification-freeness",
-            statement="a realizable case would put the curve on a smooth K3 "
-                      "slice with free adjoint system",
-        ),
+    return _contradiction(lattice, (
+        "a realizable case would put the curve on a smooth K3 slice with free "
+        "adjoint system"), [
         verified(
             name="curve-section-count",
             rule="k3-section-count",
@@ -551,8 +524,7 @@ def x14_contradiction(case) -> ProofResult:
                       "section of the Grassmannian of lines in 5-space, "
                       "contradicting the construction",
         ),
-    ]
-    return checks, [], NOT_REALIZABLE
+    ])
 
 
 def sporadic_construction(case) -> ProofResult:

@@ -45,65 +45,71 @@ class RuledLattice:
         return cls[0] >= 0 and cls[1] >= 0
 
 
+# The configuration searched for: a nef class H of square 10 and rational
+# cubics C, of degree H.C = 3.
+H_SQUARE = 10
+CURVE_DEGREE = 3
+
+
 def _positive_divisors(value: int) -> list[int]:
     return [k for k in range(1, value + 1) if value % k == 0]
 
 
-def nef_square_classes(n: int, square: int = 10) -> tuple[tuple[int, int], ...]:
-    """Nef classes of the given square on the n-th Hirzebruch surface.
+def nef_square_classes(n: int) -> tuple[tuple[int, int], ...]:
+    """Nef classes of square ``H_SQUARE`` on the n-th Hirzebruch surface.
 
-    From x(2y - nx) = square and y >= nx follows x | square and
-    n <= square / x^2, so the list is empty for every n > square.
+    From x(2y - nx) = H_SQUARE and y >= nx follows x | H_SQUARE and
+    n <= H_SQUARE / x^2, so the list is empty for every n > H_SQUARE.
     """
     surface = RuledLattice(n)
     classes = []
-    for x in _positive_divisors(square):
-        rest = square // x + n * x
+    for x in _positive_divisors(H_SQUARE):
+        rest = H_SQUARE // x + n * x
         if rest % 2:
             continue
         y = rest // 2
         cls = (x, y)
-        if surface.is_nef(cls) and surface.dot(cls, cls) == square:
+        if surface.is_nef(cls) and surface.dot(cls, cls) == H_SQUARE:
             classes.append(cls)
     return tuple(classes)
 
 
-def hirzebruch_search(n: int, square: int = 10, curve_degree: int = 3,
-                      require_moving: bool = True) -> list[dict]:
+def hirzebruch_search(n: int, require_moving: bool = True) -> list[dict]:
     """Witness pairs (H, C) for the rational-cubic configuration, expected none.
 
-    H must be nef of the given square, C effective with H.C = curve_degree
-    and (K+C).C = -2 (a rational curve).  ``require_moving`` adds C^2 >= 2,
-    the numerical trace of C moving in a two-parameter family (two general
-    points lie on distinct members, which then meet twice); without it the
-    rigid sections s and s + k*f slip through and the sweep is not empty.
+    H must be nef of square ``H_SQUARE``, C effective with H.C =
+    ``CURVE_DEGREE`` and (K+C).C = -2 (a rational curve).
+    ``require_moving`` adds C^2 >= 2, the numerical trace of C moving in a
+    two-parameter family (two general points lie on distinct members, which
+    then meet twice); without it the rigid sections s and s + k*f slip
+    through and the sweep is not empty.
     """
     surface = RuledLattice(n)
     k_class = surface.canonical_class
     witnesses = []
-    for h in nef_square_classes(n, square):
+    for h in nef_square_classes(n):
         x, y = h
         w = y - n * x  # H.s
         candidates = set()
         # u = 0: adjunction forces C = f exactly.
         candidates.add((0, 1))
         # u = 1: adjunction holds identically; the degree equation pins v.
-        v_num = curve_degree - w
+        v_num = CURVE_DEGREE - w
         if v_num % x == 0 and v_num // x >= 0:
             candidates.add((1, v_num // x))
         # u >= 2: adjunction pins v = (n*u + 2)/2; the degree equation bounds u.
         if w > 0:
-            for u in range(2, curve_degree // w + 1):
+            for u in range(2, CURVE_DEGREE // w + 1):
                 if (n * u + 2) % 2 == 0:
                     candidates.add((u, (n * u + 2) // 2))
-        elif x > 0 and curve_degree % x == 0:
-            v = curve_degree // x
+        elif x > 0 and CURVE_DEGREE % x == 0:
+            v = CURVE_DEGREE // x
             if n > 0 and (2 * v - 2) % n == 0 and (2 * v - 2) // n >= 2:
                 candidates.add(((2 * v - 2) // n, v))
         for c in sorted(candidates):
             if not surface.is_effective(c):
                 continue
-            if surface.dot(c, h) != curve_degree:
+            if surface.dot(c, h) != CURVE_DEGREE:
                 continue
             adjunction = surface.dot((k_class[0] + c[0], k_class[1] + c[1]), c)
             if adjunction != -2:

@@ -126,7 +126,7 @@ def test_criterion_6_gonality(capsys):
     ok = ok and by_name["special-donor-(1,-2)"].result["square"] == -14
     ok = ok and by_name["special-donor-(1,-2)"].inputs["t_degree"] == 4
     ok = ok and by_name["fixed-moving-square-contradiction"].inputs["square_cap"] == -58
-    bound = fixed_moving_bound(-58, 4, 4)
+    bound = fixed_moving_bound(-58, 4)
     ok = ok and bound.passed and bound.result["split_square_floor"] == -32
     with capsys.disabled():
         _emit(6, "(4,0) families verbatim, (5,0) specials, -32 > -58", ok)

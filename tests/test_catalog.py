@@ -5,11 +5,13 @@ from importlib import resources
 import pytest
 
 from fanocert import pipelines
-from fanocert.catalog import CaseTableError, Report, load_cases, run_all, verify_case
+from fanocert.catalog import CaseRecord, CaseTableError, Report, load_cases, run_all, verify_case
 from fanocert.cli import main
 from fanocert.lattice import FAMILIES, anticanonical_cube
 from fanocert.report import report_to_json
 from fanocert.secant import trisecant_count
+
+from test_diophantine import census_lattices
 
 EXPECTED_VERDICTS = {
     "quadric": {
@@ -357,6 +359,43 @@ def test_verify_case_detects_regressions():
     case = load_cases()[0]
     cert = verify_case(case)
     assert cert.matches
+
+
+# SHA-256 of every census pair's verify_case outcome, in census order: each
+# pair as a construction row, and v5 and x14 pairs also as contradiction
+# rows.  Each outcome is the JSON of the verdict, checks and discrepancies,
+# or the refusal's "ClassName: message", followed by a newline.
+CENSUS_OUTCOMES_SHA256 = "c1633ad47e4fe0f363ee1d591b4048226bc253025c1350b93a8cb8c63b088777"
+
+
+def test_census_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    tally = {}
+    for name, d, g, _ in census_lattices():
+        routes = ("construction", "contradiction") if name in ("v5", "x14") else ("construction",)
+        for route in routes:
+            case = CaseRecord(case_id=1, family=name, d=d, g=g, expected="Realizable",
+                              route=route)
+            try:
+                cert = verify_case(case)
+            except ValueError as exc:
+                outcome, line = type(exc).__name__, f"{type(exc).__name__}: {exc}"
+            else:
+                outcome = "certificate"
+                line = json.dumps([cert.computed, [c.to_dict() for c in cert.checks],
+                                   list(cert.discrepancies)], sort_keys=True)
+            tally[route, outcome] = tally.get((route, outcome), 0) + 1
+            digest.update((line + "\n").encode())
+    assert tally == {
+        ("construction", "certificate"): 157,
+        ("construction", "FreenessInapplicableError"): 552,
+        ("construction", "DonorWindowEmptyError"): 8,
+        ("construction", "ValueError"): 4,
+        ("contradiction", "certificate"): 398,
+        ("contradiction", "UndeterminedH0Error"): 27,
+        ("contradiction", "SectionCountError"): 19,
+    }
+    assert digest.hexdigest() == CENSUS_OUTCOMES_SHA256
 
 
 def test_certificate_witnesses_reverify_through_pairing():

@@ -145,9 +145,9 @@ def test_conic_route_flags_two_cubic_split_gap():
 
 
 def test_fixed_moving_bound():
-    assert fixed_moving_bound(-58, 4, 4).passed
-    assert not fixed_moving_bound(-32, 4, 4).passed
-    assert fixed_moving_bound(-100, 4, 4).passed
+    assert fixed_moving_bound(-58, 4).passed
+    assert not fixed_moving_bound(-32, 4).passed
+    assert fixed_moving_bound(-100, 4).passed
 
 
 def test_specials_reverify_against_lattice():

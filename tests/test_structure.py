@@ -1,7 +1,13 @@
 """Module layout: imports at module level only, no private names shared
-between modules, no catalog import in pipelines, one lattice per pipeline
-run, verdicts decided by the proofs alone, one degree-line and one
-line-solving primitive in diophantine, and a standard-library runtime."""
+between modules, no catalog import in pipelines, verdicts decided by the
+proofs alone, one degree-line and one line-solving primitive in
+diophantine, each check name built at one call site, and a
+standard-library runtime.
+
+A proof's own code builds its case's lattice once; the nef, free and
+non-tetragonality certificates take (family, d, g) and build it again, so a
+construction row builds 3 lattices (quadric, v4, v5) or 4 (x14, v5
+residual) in all."""
 import ast
 import sys
 from collections import Counter
@@ -78,6 +84,47 @@ def test_one_line_primitive_solves_linear_forms():
         "_extended_gcd": {"diophantine._line"},
         "_line": {"diophantine._degree_line", "diophantine.band_empty"},
         "_line_base": {"diophantine.degree_lines", "diophantine.band_empty"}}
+
+
+CHECK_BUILDERS = ("verified", "cited", "CheckOutcome")
+
+
+def _literal_names(node):
+    """The literal names an expression can give; an f-string's fields read {}."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.JoinedStr):
+        return ["".join(part.value if isinstance(part, ast.Constant) else "{}"
+                        for part in node.values)]
+    if isinstance(node, ast.IfExp):
+        return _literal_names(node.body) + _literal_names(node.orelse)
+    return []
+
+
+def test_each_check_name_is_built_at_one_call_site():
+    # A report check is re-derived by its name, so one name built in two
+    # places would be two claims that can drift apart.  A check two proofs
+    # share gets one builder, which the proofs call.
+    sites = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in CHECK_BUILDERS):
+                for kw in node.keywords:
+                    if kw.arg != "name":
+                        continue
+                    for name in _literal_names(kw.value):
+                        sites.setdefault(name, []).append(f"{path.name}:{node.lineno}")
+    assert len(sites) > 50
+    assert {name: where for name, where in sites.items() if len(where) > 1} == {}
+
+
+def test_only_the_construction_skeleton_certifies_the_adjoint_class():
+    # Every K3 construction ends on the adjoint class nef and free, so the
+    # skeleton lists both and a construction lists only its own steps.
+    assert _callers(("nef_certificate", "free_certificate")) == {
+        "nef_certificate": {"pipelines._construction"},
+        "free_certificate": {"pipelines._construction"}}
 
 
 def test_runtime_imports_only_the_standard_library():
