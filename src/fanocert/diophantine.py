@@ -17,9 +17,14 @@ gives the exact maximum square off a line's range.
 One primitive solves a linear form's level lines (``_line`` and
 ``_line_base``): the degree lines and the band use it.  Band points come
 from form1's lines, one floor-division range of each line's parameter per
-value of form1.  The decomposition search runs on the sweep's integer
-tuples, refuses a target outside the candidates' slope cone before it
-starts, and builds ``DivisorClass`` objects only for what it returns.
+value of form1.  The decomposition search refuses a target outside the
+candidates' real cone before it sweeps anything.  By Hodge index, H^2 x^2 =
+deg(x)^2 + det b(x)^2 for every class x = aH + bC, so a candidate (x^2 >= -2,
+degree a positive multiple of step = gcd(H^2, d)) has -det b^2 step^2 <=
+deg^2 (step^2 + 2 H^2), and by the triangle inequality so does any sum of
+candidates.  Past that test it builds the pool, refuses a target outside
+the pool's slope cone, and runs on the sweep's integer tuples, building
+``DivisorClass`` objects only for what it returns.
 """
 from __future__ import annotations
 
@@ -275,9 +280,19 @@ def effective_decompositions(lattice: IntersectionLattice, target,
     candidate at or after the last one chosen, in that order.  The first
     ``limit`` decompositions met in this order are returned.
 
-    The search runs on the sweep's integer tuples and pool indices; a target
-    outside the candidates' slope cone is refused before it starts, and
-    ``DivisorClass`` objects are built only for emitted components.
+    The steps, in order.  Signature: a lattice without det < 0 < H^2 is
+    refused with ``LatticeSignatureError`` (raised by ``degree_lines``)
+    before any refusal but the degree one.  Degree: a target of degree < 1
+    has no decomposition.  Real cone: H^2 x^2 = deg(x)^2 + det b(x)^2 by
+    Hodge index, so a candidate, of square >= -2 and degree >= step =
+    gcd(H^2, d), has -det b^2 step^2 <= deg^2 (step^2 + 2 H^2); by the
+    triangle inequality any sum of candidates obeys the bound with its total
+    degree, so a target outside it is refused in constant time.  Pool: one
+    ``curve_classes`` sweep of the degrees from the target's down.  Integer
+    cone: a target outside the pool's extreme slopes b/deg is refused.  DFS:
+    the depth-first search runs on pool indices and prunes each remainder by
+    the same slopes; ``DivisorClass`` objects are built only for emitted
+    components.
     """
     target_a, target_b = as_class(target)
     (h2, d), _ = lattice.gram
@@ -287,6 +302,15 @@ def effective_decompositions(lattice: IntersectionLattice, target,
     # Only multiples of the degree form's gcd carry integer points; it is
     # positive here, since total >= 1 is a value of the form.
     step = gcd(h2, d)
+    # Real cone (Hodge index): H^2 x^2 = deg(x)^2 + det b(x)^2 for every
+    # class x.  A candidate has x^2 >= -2 and deg >= step, so -det b^2 step^2
+    # <= deg^2 (step^2 + 2 H^2), and by the triangle inequality a sum of
+    # candidates obeys the same bound with its total degree.  A target
+    # beyond it is refused before any sweep; a bad signature falls through
+    # to ``degree_lines``, which refuses it.
+    det = lattice.det
+    if det < 0 < h2 and -det * (target_b * step) ** 2 > total * total * (step * step + 2 * h2):
+        return ()
     pool = curve_classes(lattice, range(total - total % step, 0, -step), -2)
     if not pool:
         return ()

@@ -148,7 +148,12 @@ def quadric_construction(case) -> ProofResult:
     # degree 3 on the surface.
     plane_cubic = [[a, b] for _, a, b, square in curve_classes(lattice, (3,), 0)
                    if square == 0]
-    theta = trisecant_count(d, g)
+    if d >= 3:
+        theta = trisecant_count(d, g)
+        trisecant = {"trisecant_count": theta}
+    else:
+        theta, trisecant = 0, {"reason": "the Berzolari count needs d >= 3; a line or "
+                                         "conic has no proper trisecant line"}
     closing = [
         verified(
             name="singular-ambient-excluded",
@@ -163,7 +168,7 @@ def quadric_construction(case) -> ProofResult:
             rule="berzolari-trisecant-count",
             passed=theta > 0,
             inputs={"d": d, "g": g},
-            result={"trisecant_count": theta},
+            result=trisecant,
         ),
         _anticanonical_degree_check(family, d, g),
     ]

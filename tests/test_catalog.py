@@ -365,7 +365,7 @@ def test_verify_case_detects_regressions():
 # pair as a construction row, and v5 and x14 pairs also as contradiction
 # rows.  Each outcome is the JSON of the verdict, checks and discrepancies,
 # or the refusal's "ClassName: message", followed by a newline.
-CENSUS_OUTCOMES_SHA256 = "c1633ad47e4fe0f363ee1d591b4048226bc253025c1350b93a8cb8c63b088777"
+CENSUS_OUTCOMES_SHA256 = "fed42b3bf4ce9ac7138ff133f8d305a58a35f62202f93e282a47d924a106dd3c"
 
 
 def test_census_outcomes_are_pinned():
@@ -387,10 +387,9 @@ def test_census_outcomes_are_pinned():
             tally[route, outcome] = tally.get((route, outcome), 0) + 1
             digest.update((line + "\n").encode())
     assert tally == {
-        ("construction", "certificate"): 157,
+        ("construction", "certificate"): 161,
         ("construction", "FreenessInapplicableError"): 552,
         ("construction", "DonorWindowEmptyError"): 8,
-        ("construction", "ValueError"): 4,
         ("contradiction", "certificate"): 398,
         ("contradiction", "UndeterminedH0Error"): 27,
         ("contradiction", "SectionCountError"): 19,
@@ -451,17 +450,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _one_row_table(tmp_path, family, d, g):
+    table = {"version": 1, "cases": [{"id": 1, "family": family, "d": d, "g": g,
+                                      "expected": "Realizable"}]}
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(table))
+    return path
+
+
 @pytest.mark.parametrize("family, d, g, error", [
-    ("quadric", 2, 0, "ValueError: need d >= 3"),
     ("v4", 15, 0, "FreenessInapplicableError: "),
 ])
 def test_pipeline_error_is_an_internal_error(tmp_path, capsys, family, d, g, error):
     # exit 1 means a mismatch under --strict; an exception escaping a
     # pipeline is reported on one line and exits 3
-    table = {"version": 1, "cases": [{"id": 1, "family": family, "d": d, "g": g,
-                                      "expected": "Realizable"}]}
-    path = tmp_path / "override.json"
-    path.write_text(json.dumps(table))
+    path = _one_row_table(tmp_path, family, d, g)
     assert main(["verify", "--table", str(path)]) == 3
     assert main(["verify", "--table", str(path), "--strict"]) == 3
     captured = capsys.readouterr()
@@ -469,6 +472,21 @@ def test_pipeline_error_is_an_internal_error(tmp_path, capsys, family, d, g, err
     assert len(lines) == 2 and lines[0] == lines[1]
     assert lines[0].startswith(f"fanocert: internal error: {error}")
     assert "Traceback" not in captured.err
+
+
+def test_quadric_row_below_degree_three_reads_unverified(tmp_path, capsys):
+    # The Berzolari count needs d >= 3, so a line or conic fails the
+    # trisecant check with its reason instead of escaping as an error.
+    path = _one_row_table(tmp_path, "quadric", 2, 0)
+    assert main(["verify", "--table", str(path), "--explain"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "computed Unverified" in captured.out
+    cert = run_all(table=str(path)).certificates[0]
+    assert cert.computed == "Unverified"
+    failed = [c for c in cert.checks if not c.passed]
+    assert [c.name for c in failed] == ["trisecant-line-exists"]
+    assert "needs d >= 3" in failed[0].result["reason"]
 
 
 def test_cli_json_output_is_stable(tmp_path, capsys):

@@ -8,6 +8,7 @@ from fanocert.diophantine import (DependentFormsError, Interval, band_empty,
                                   curve_classes, degree_lines, effective_decompositions,
                                   line_maximum)
 from fanocert.diophantine import _line, _line_base, _nonnegative_range
+from fanocert import diophantine
 from fanocert.gonality import DONOR_DEGREES, DonorWindowEmptyError, tetragonal_certificate
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
                               LatticeSignatureError, as_class, make_family_lattice)
@@ -681,21 +682,49 @@ def test_effective_decompositions_match_reference_on_census_lattices():
     assert count == 721
 
 
-def test_effective_decompositions_match_reference_on_census_splits():
-    # Every class the v5 band step searches: band points, their complements
-    # T - point, and T - C, on all census lattices.
-    count = found = 0
+def census_splits():
+    """Every class the v5 band step searches: band points, their complements
+    T - point, and T - C, on all census lattices."""
     for name, d, g, lattice in census_lattices():
         classes = {(1, -1)}
         for a, b in band_empty(*census_band(name, d, g)).witnesses:
             classes.update({(a, b), (1 - a, -b)})
         for cls in sorted(classes):
-            expected = reference_effective_decompositions(lattice, cls)
-            assert effective_decompositions(lattice, DivisorClass(*cls)) == expected, \
-                (name, d, g, cls)
-            count += 1
-            found += bool(expected)
+            yield name, d, g, lattice, cls
+
+
+def test_effective_decompositions_match_reference_on_census_splits():
+    count = found = 0
+    for name, d, g, lattice, cls in census_splits():
+        expected = reference_effective_decompositions(lattice, cls)
+        assert effective_decompositions(lattice, DivisorClass(*cls)) == expected, \
+            (name, d, g, cls)
+        count += 1
+        found += bool(expected)
     assert count == 3801 and found == 837
+
+
+def test_census_splits_are_refused_by_the_real_cone_before_any_sweep(monkeypatch):
+    # A search of positive degree that never calls degree_lines was refused
+    # by the real (Hodge-index) cone; each such target is empty in the
+    # reference too.  The counts show a weaker bound or a sweep that runs
+    # before the refusal.
+    calls = []
+    sweep = diophantine.degree_lines
+    monkeypatch.setattr(diophantine, "degree_lines",
+                        lambda *args: calls.append(args) or sweep(*args))
+    count = refused = swept = 0
+    for name, d, g, lattice, cls in census_splits():
+        before = len(calls)
+        result = effective_decompositions(lattice, DivisorClass(*cls))
+        count += 1
+        if len(calls) > before:
+            swept += 1
+        elif lattice.degree(cls) >= 1:
+            refused += 1
+            assert result == ()
+            assert reference_effective_decompositions(lattice, cls) == (), (name, d, g, cls)
+    assert count == 3801 and refused == 1803 and swept == 1389
 
 
 def test_effective_decompositions_refuse_targets_outside_the_slope_cone():
@@ -726,6 +755,44 @@ def test_effective_decompositions_refuse_targets_outside_the_slope_cone():
             expected = reference_effective_decompositions(lattice, cls)
             assert effective_decompositions(lattice, cls) == expected
             if low <= cls[1] <= high:
+                inside += 1
+                inside_found += bool(expected)
+            else:
+                assert expected == ()
+                refused += 1
+    assert inside > 0 and inside_found > 0
+
+
+def test_effective_decompositions_refuse_targets_outside_the_real_cone():
+    # On a degree-T line, x^2 >= -2 and deg >= step = gcd(H^2, d) bound every
+    # candidate's |b| by T*sqrt((step^2 + 2H^2) / (-det step^2)) for the
+    # whole sum.  The nearest points on each side of that bound, just inside
+    # and just outside, search like the reference.
+    rng = random.Random(0xFA2610)
+    refused = inside = inside_found = 0
+    while refused < 120:
+        lattice = random_hyperbolic_lattice(rng)
+        h2, d = lattice.gram[0]
+        total = rng.randint(1, 10)
+        line = _line(h2, d)
+        base = _line_base(line, total)
+        if base is None:
+            continue
+        step, step_a, step_b = line[0], *line[3:]
+        members = sorted(((base[0] + k * step_a, base[1] + k * step_b)
+                          for k in range(-60, 61)), key=lambda cls: cls[1])
+
+        def within(cls):
+            return -lattice.det * (cls[1] * step) ** 2 <= total ** 2 * (step ** 2 + 2 * h2)
+
+        below = [cls for cls in members if cls[1] < 0 and not within(cls)]
+        above = [cls for cls in members if cls[1] > 0 and not within(cls)]
+        kept = [cls for cls in members if within(cls)]
+        assert below and above
+        for cls in {below[-1], above[0], *kept[:1], *kept[-1:]}:
+            expected = reference_effective_decompositions(lattice, cls)
+            assert effective_decompositions(lattice, cls) == expected
+            if within(cls):
                 inside += 1
                 inside_found += bool(expected)
             else:
