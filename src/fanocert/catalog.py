@@ -6,11 +6,11 @@ this module, and a verdict is the conclusion of the proof that ran.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from importlib import resources
 
 from .lattice import SPORADIC_AMBIENT_DEGREE
-from .outcome import CheckOutcome
 from .pipelines import NOT_REALIZABLE, OPEN, PIPELINES, REALIZABLE
 
 UNVERIFIED = "Unverified"
@@ -23,6 +23,8 @@ class CaseTableError(ValueError):
     """The case table file does not match the expected schema."""
 
 
+# The one dataclass of the package: the benchmark digests loaded rows with
+# ``dataclasses.asdict``.
 @dataclass(frozen=True)
 class CaseRecord:
     case_id: int
@@ -79,12 +81,17 @@ class CaseRecord:
         return f"case {self.case_id} {tag} (d,g)=({self.d},{self.g})"
 
 
-@dataclass(frozen=True)
-class Certificate:
-    case: CaseRecord
-    computed: str
-    checks: tuple[CheckOutcome, ...]
-    discrepancies: tuple[str, ...] = ()
+class Certificate(namedtuple("Certificate", "case computed checks discrepancies",
+                             defaults=((),))):
+    """A row's verdict and the checks it rests on; equals only a ``Certificate``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is Certificate and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
     @property
     def matches(self) -> bool:
@@ -106,10 +113,19 @@ class Certificate:
         return data
 
 
-@dataclass(frozen=True)
-class Report:
-    certificates: tuple[Certificate, ...]
-    summary: dict = field(default_factory=dict)
+class Report(namedtuple("Report", "certificates summary")):
+    """The certificates of a run and their tally; ``summary`` defaults to a fresh dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, certificates: tuple[Certificate, ...], summary: dict | None = None):
+        return super().__new__(cls, certificates, {} if summary is None else summary)
+
+    def __eq__(self, other):
+        return type(other) is Report and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
     @property
     def all_match(self) -> bool:

@@ -28,7 +28,7 @@ the pool's slope cone, and runs on the sweep's integer tuples, building
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, isqrt
 
 from .lattice import DivisorClass, IntersectionLattice, LatticeSignatureError, as_class
@@ -39,14 +39,21 @@ class DependentFormsError(ValueError):
     """The two band forms are proportional, so the region is unbounded."""
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Integer interval with independently open or closed endpoints."""
+class Interval(namedtuple("Interval", "lo hi lo_open hi_open", defaults=(False, False))):
+    """Integer interval with independently open or closed endpoints.
 
-    lo: int
-    hi: int
-    lo_open: bool = False
-    hi_open: bool = False
+    A named tuple that equals only another ``Interval``, never a plain tuple.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is Interval and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     @classmethod
     def open(cls, lo: int, hi: int) -> "Interval":

@@ -28,7 +28,7 @@ family is a whole degree line rather than a half-line.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .diophantine import degree_lines, line_maximum, short_curve_checks
@@ -46,12 +46,19 @@ SECTION_GENUS = FAMILIES["x14"].section_genus
 DONOR_DEGREES = range(4, SECTION_GENUS)
 
 
-@dataclass(frozen=True)
-class TetragonalReport:
-    """The checks of one certificate and the gaps they flag."""
+class TetragonalReport(namedtuple("TetragonalReport", "checks discrepancies")):
+    """The checks of one certificate and the gaps they flag.
 
-    checks: tuple[CheckOutcome, ...]
-    discrepancies: tuple[str, ...]
+    A named tuple that equals only another ``TetragonalReport``.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is TetragonalReport and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
     def outcomes(self) -> tuple[CheckOutcome, ...]:
         return self.checks

@@ -9,22 +9,45 @@ everything stays in exact integer arithmetic.
 
 The ambient data live here too: the family constants, the sporadic ambients'
 degrees and the blow-up's anticanonical degree formula.
+
+The value types here are plain ``__slots__`` classes with read-only fields,
+value equality and hashing.  A frozen dataclass would generate those methods
+by ``exec`` at import, about half a millisecond a class, which every cold
+``fanocert verify`` run pays.  They are not tuples either: the report writer
+must refuse a ``DivisorClass`` that reaches it, and a slot read is faster
+than a named-tuple field read on the hot ``gram`` path.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class LatticeSignatureError(ValueError):
     """The Gram determinant is >= 0; index-style bounds do not apply."""
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, *value):
+    raise AttributeError(f"cannot set or delete field {name!r} of a {type(self).__name__}")
+
+
 class DivisorClass:
     """Integer coefficient pair against a lattice's ordered basis."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __repr__(self) -> str:
+        return f"DivisorClass(a={self.a!r}, b={self.b!r})"
+
+    def __eq__(self, other):
+        if type(other) is not DivisorClass:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     def __iter__(self):
         yield self.a
@@ -54,18 +77,30 @@ def as_class(value) -> DivisorClass:
     return DivisorClass(int(a), int(b))
 
 
-@dataclass(frozen=True)
 class IntersectionLattice:
     """Even rank-2 lattice given by an explicit symmetric Gram matrix."""
 
-    gram: tuple[tuple[int, int], tuple[int, int]]
+    __slots__ = ("gram",)
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        (p, q), (r, s) = self.gram
+    def __init__(self, gram: tuple[tuple[int, int], tuple[int, int]]):
+        (p, q), (r, s) = gram
         if q != r:
             raise ValueError("Gram matrix must be symmetric")
         if p % 2 or s % 2:
             raise ValueError("diagonal Gram entries must be even")
+        object.__setattr__(self, "gram", gram)
+
+    def __repr__(self) -> str:
+        return f"IntersectionLattice(gram={self.gram!r})"
+
+    def __eq__(self, other):
+        if type(other) is not IntersectionLattice:
+            return NotImplemented
+        return self.gram == other.gram
+
+    def __hash__(self) -> int:
+        return hash(self.gram)
 
     @property
     def det(self) -> int:
@@ -85,7 +120,6 @@ class IntersectionLattice:
         return p * x.a + q * x.b
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """One ambient family of blow-up constructions.
 
@@ -101,18 +135,37 @@ class FamilySpec:
     based on them is marked ``derived-extension`` in certificates.
     """
 
-    name: str
-    h_square: int
-    index_multiplier: int
-    cutting_bound: int
-    anticanonical_cube_base: int
-    derived_constants: bool = False
+    __slots__ = ("name", "h_square", "index_multiplier", "cutting_bound",
+                 "anticanonical_cube_base", "derived_constants")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        if self.h_square <= 0 or self.h_square % 2:
+    def __init__(self, name: str, h_square: int, index_multiplier: int, cutting_bound: int,
+                 anticanonical_cube_base: int, derived_constants: bool = False):
+        if h_square <= 0 or h_square % 2:
             raise ValueError("polarization square must be a positive even integer")
-        if self.index_multiplier < 1:
+        if index_multiplier < 1:
             raise ValueError("index multiplier must be >= 1")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "h_square", h_square)
+        object.__setattr__(self, "index_multiplier", index_multiplier)
+        object.__setattr__(self, "cutting_bound", cutting_bound)
+        object.__setattr__(self, "anticanonical_cube_base", anticanonical_cube_base)
+        object.__setattr__(self, "derived_constants", derived_constants)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, field) for field in FamilySpec.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in FamilySpec.__slots__)
+        return f"FamilySpec({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not FamilySpec:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @property
     def section_genus(self) -> int:

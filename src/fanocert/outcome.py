@@ -8,10 +8,14 @@ the three evidence levels apart:
   existence theorems, smoothness arguments) that the engine cannot decide;
 * ``derived-extension``: verified arithmetic that rests on extension
   constants rather than on constants fixed by a published table.
+
+:class:`CheckOutcome` is a plain ``__slots__`` class with read-only fields
+and value equality, not a frozen dataclass, whose generated methods would
+cost every cold start about half a millisecond, nor a tuple: a caller may
+tell a check from a tuple of classes by type, and the report writer must
+not read it as a list.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 VERIFIED = "verified"
 CITED = "cited-rule"
@@ -20,19 +24,40 @@ DERIVED = "derived-extension"
 _KINDS = (VERIFIED, CITED, DERIVED)
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    rule: str
-    kind: str
-    passed: bool
-    inputs: dict = field(default_factory=dict)
-    result: dict = field(default_factory=dict)
-    witnesses: tuple = ()
+def _read_only(self, name, *value):
+    raise AttributeError(f"cannot set or delete field {name!r} of a {type(self).__name__}")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown outcome kind {self.kind!r}")
+
+class CheckOutcome:
+    """One step of a proof; ``inputs`` and ``result`` default to fresh dicts."""
+
+    __slots__ = ("name", "rule", "kind", "passed", "inputs", "result", "witnesses")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, name: str, rule: str, kind: str, passed: bool,
+                 inputs: dict | None = None, result: dict | None = None,
+                 witnesses: tuple = ()):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown outcome kind {kind!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "inputs", {} if inputs is None else inputs)
+        object.__setattr__(self, "result", {} if result is None else result)
+        object.__setattr__(self, "witnesses", witnesses)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, field) for field in CheckOutcome.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in CheckOutcome.__slots__)
+        return f"CheckOutcome({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not CheckOutcome:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     def to_dict(self) -> dict:
         """Serialize with the fixed report field order; the writer only reads the containers."""
@@ -49,13 +74,13 @@ class CheckOutcome:
 def verified(name: str, rule: str, passed: bool, inputs: dict | None = None,
              result: dict | None = None, witnesses: tuple = ()) -> CheckOutcome:
     return CheckOutcome(name=name, rule=rule, kind=VERIFIED, passed=passed,
-                        inputs=inputs or {}, result=result or {}, witnesses=witnesses)
+                        inputs=inputs, result=result, witnesses=witnesses)
 
 
 def cited(name: str, rule: str, statement: str, inputs: dict | None = None) -> CheckOutcome:
     """A step taken as an axiom.  Always passes, but is marked as imported."""
     return CheckOutcome(name=name, rule=rule, kind=CITED, passed=True,
-                        inputs=inputs or {}, result={"statement": statement})
+                        inputs=inputs, result={"statement": statement})
 
 
 def class_witness(cls) -> list:

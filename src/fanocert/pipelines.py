@@ -21,9 +21,9 @@ from .lattice import (FAMILIES, SPORADIC_AMBIENT_DEGREE, DivisorClass, FamilySpe
                       square_and_genus)
 from .nefness import free_certificate, nef_certificate
 from .outcome import CheckOutcome, DERIVED, VERIFIED, cited, class_witness, verified
-from .riemannroch import (LinearSeries, brill_noether, ideal_curve_bound, k3_h0,
-                          monomial_count, plane_curve_genus, residual_series,
-                          span_dimension_bound)
+from .riemannroch import (LinearSeries, SectionCountError, UndeterminedH0Error, brill_noether,
+                          ideal_curve_bound, k3_h0, monomial_count, plane_curve_genus,
+                          residual_series, span_dimension_bound)
 from .ruled import hirzebruch_search, noether_contradiction, p2_square_ten
 from .schubert import surface_class_split
 from .secant import trisecant_count
@@ -408,42 +408,51 @@ def v5_residual_construction(case) -> ProofResult:
 
 
 def v5_contradiction(case) -> ProofResult:
-    """Degree comparison killing the (14, 10) configuration."""
+    """Degree comparison killing the (14, 10) configuration.
+
+    A residual member of special degree has no span bound: the span check
+    fails with the refusal as its reason, and the hyperplane count that
+    reads the span is not built.
+    """
     lattice = make_family_lattice(FAMILIES["v5"], case.d, case.g)
     member = _residual_member_check(lattice, (6, 2), VERIFIED, {})
     degree, genus = member.result["degree"], member.result["genus"]
-    span = span_dimension_bound(degree, genus)
-    independent_hyperplanes = 6 - span
-    # Two hyperplane cuts of the degree-5 threefold give a curve of degree 5,
-    # which cannot contain a curve of degree 6.
-    section_degree = 5
-    return _contradiction(lattice, (
-        "for these invariants the anticanonical system of the hypothetical "
-        "blow-up is free, so the residual system on the K3 slice is free as "
-        "well"), [
-        member,
-        verified(
-            name="residual-span-dimension",
-            rule="nonspecial-span-bound",
-            passed=span == 4,
-            inputs={"degree": degree, "genus": genus},
-            result={"span_dimension": span},
-        ),
-        verified(
+    try:
+        span = span_dimension_bound(degree, genus)
+    except SectionCountError as exc:
+        span, spanned = None, {"reason": str(exc)}
+    else:
+        spanned = {"span_dimension": span}
+    body = [member, verified(
+        name="residual-span-dimension",
+        rule="nonspecial-span-bound",
+        passed=span == 4,
+        inputs={"degree": degree, "genus": genus},
+        result=spanned,
+    )]
+    if span is not None:
+        independent_hyperplanes = 6 - span
+        body.append(verified(
             name="two-hyperplanes-contain-residual",
             rule="codimension-count",
             passed=independent_hyperplanes >= 2,
             inputs={"ambient_projective_dim": 6, "span_dimension": span},
             result={"independent_hyperplanes": independent_hyperplanes},
-        ),
-        verified(
-            name="degree-exceeds-linear-section",
-            rule="linear-normality-degree",
-            passed=degree > section_degree,
-            inputs={"threefold_degree": section_degree},
-            result={"residual_degree": degree, "section_curve_degree": section_degree},
-        ),
-    ])
+        ))
+    # Two hyperplane cuts of the degree-5 threefold give a curve of degree 5,
+    # which cannot contain a curve of degree 6.
+    section_degree = 5
+    body.append(verified(
+        name="degree-exceeds-linear-section",
+        rule="linear-normality-degree",
+        passed=degree > section_degree,
+        inputs={"threefold_degree": section_degree},
+        result={"residual_degree": degree, "section_curve_degree": section_degree},
+    ))
+    return _contradiction(lattice, (
+        "for these invariants the anticanonical system of the hypothetical "
+        "blow-up is free, so the residual system on the K3 slice is free as "
+        "well"), body)
 
 
 def _x14_bundle_checks() -> list[CheckOutcome]:
@@ -499,37 +508,48 @@ def x14_construction(case) -> ProofResult:
 
 
 def x14_contradiction(case) -> ProofResult:
+    """A plane series on the section curve, against Mukai's linear sections.
+
+    A curve class whose sections are undetermined fails the section count
+    with the refusal as its reason, and the series read from that count is
+    not built.
+    """
     lattice = make_family_lattice(FAMILIES["x14"], case.d, case.g)
     curve = DivisorClass(0, 1)
     square = lattice.pair(curve, curve)
-    sections = k3_h0(lattice, curve, nef_hint=True)
-    degree_on_section = lattice.degree(curve)
-    series = LinearSeries(sections - 1, degree_on_section)
-    return _contradiction(lattice, (
-        "a realizable case would put the curve on a smooth K3 slice with free "
-        "adjoint system"), [
-        verified(
-            name="curve-section-count",
-            rule="k3-section-count",
-            passed=sections == 3,
-            inputs={"curve_class": class_witness(curve), "square": square},
-            result={"h0": sections},
-        ),
-        verified(
+    try:
+        sections = k3_h0(lattice, curve, nef_hint=True)
+    except UndeterminedH0Error as exc:
+        sections, counted = None, {"reason": str(exc)}
+    else:
+        counted = {"h0": sections}
+    body = [verified(
+        name="curve-section-count",
+        rule="k3-section-count",
+        passed=sections == 3,
+        inputs={"curve_class": class_witness(curve), "square": square},
+        result=counted,
+    )]
+    if sections is not None:
+        degree_on_section = lattice.degree(curve)
+        series = LinearSeries(sections - 1, degree_on_section)
+        body.append(verified(
             name="curve-cuts-plane-series-on-section",
             rule="restricted-series-invariants",
             passed=series == LinearSeries(2, 7),
             inputs={"curve_degree_on_section": degree_on_section},
             result={"series": series.label()},
-        ),
-        cited(
-            name="plane-series-obstructs-linear-section",
-            rule="mukai-linear-section",
-            statement="a genus-8 curve carrying a g^2_7 is never a linear "
-                      "section of the Grassmannian of lines in 5-space, "
-                      "contradicting the construction",
-        ),
-    ])
+        ))
+    body.append(cited(
+        name="plane-series-obstructs-linear-section",
+        rule="mukai-linear-section",
+        statement="a genus-8 curve carrying a g^2_7 is never a linear "
+                  "section of the Grassmannian of lines in 5-space, "
+                  "contradicting the construction",
+    ))
+    return _contradiction(lattice, (
+        "a realizable case would put the curve on a smooth K3 slice with free "
+        "adjoint system"), body)
 
 
 def sporadic_construction(case) -> ProofResult:

@@ -1,7 +1,7 @@
 """Section counting on projective space, K3 surfaces and curves."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .lattice import IntersectionLattice
@@ -15,16 +15,26 @@ class UndeterminedH0Error(SectionCountError):
     """h0-undetermined: the class is neither rigid nor certified nef-positive."""
 
 
-@dataclass(frozen=True)
-class LinearSeries:
-    """A g^r_d on a curve: projective dimension r, degree d."""
+class LinearSeries(namedtuple("LinearSeries", "r d")):
+    """A g^r_d on a curve: projective dimension r, degree d.
 
-    r: int
-    d: int
+    A named tuple that equals only another ``LinearSeries``.
+    """
 
-    def __post_init__(self):
-        if self.r < 0 or self.d < 0:
+    __slots__ = ()
+
+    def __new__(cls, r: int, d: int):
+        if r < 0 or d < 0:
             raise ValueError("a linear series needs r >= 0 and d >= 0")
+        return super().__new__(cls, r, d)
+
+    def __eq__(self, other):
+        return type(other) is LinearSeries and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def label(self) -> str:
         return f"g^{self.r}_{self.d}"

@@ -9,27 +9,35 @@ what this module certifies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 from .outcome import CheckOutcome, verified
 
 
-@dataclass(frozen=True)
-class RuledLattice:
+class RuledLattice(namedtuple("RuledLattice", "n")):
     """Divisor lattice of the Hirzebruch surface with section square -n.
 
     Basis (s, f): s^2 = -n, f^2 = 0, s.f = 1.  The effective cone is
     generated by s and f and the nef cone by f and s + n*f; both facts are
     standing axioms of the checks below.  The canonical class is
-    -2s - (n+2)f.
+    -2s - (n+2)f.  A named tuple that equals only another ``RuledLattice``.
     """
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, n: int):
+        if n < 0:
             raise ValueError("need n >= 0")
+        return super().__new__(cls, n)
+
+    def __eq__(self, other):
+        return type(other) is RuledLattice and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def dot(self, x: tuple[int, int], y: tuple[int, int]) -> int:
         return -self.n * x[0] * y[0] + x[0] * y[1] + x[1] * y[0]

@@ -365,7 +365,7 @@ def test_verify_case_detects_regressions():
 # pair as a construction row, and v5 and x14 pairs also as contradiction
 # rows.  Each outcome is the JSON of the verdict, checks and discrepancies,
 # or the refusal's "ClassName: message", followed by a newline.
-CENSUS_OUTCOMES_SHA256 = "fed42b3bf4ce9ac7138ff133f8d305a58a35f62202f93e282a47d924a106dd3c"
+CENSUS_OUTCOMES_SHA256 = "842a9f47c2f467a803a440e585b368ac1f9e3bab9bf8cc05f84a2c6d6b3d6f11"
 
 
 def test_census_outcomes_are_pinned():
@@ -390,9 +390,7 @@ def test_census_outcomes_are_pinned():
         ("construction", "certificate"): 161,
         ("construction", "FreenessInapplicableError"): 552,
         ("construction", "DonorWindowEmptyError"): 8,
-        ("contradiction", "certificate"): 398,
-        ("contradiction", "UndeterminedH0Error"): 27,
-        ("contradiction", "SectionCountError"): 19,
+        ("contradiction", "certificate"): 444,
     }
     assert digest.hexdigest() == CENSUS_OUTCOMES_SHA256
 
@@ -487,6 +485,34 @@ def test_quadric_row_below_degree_three_reads_unverified(tmp_path, capsys):
     failed = [c for c in cert.checks if not c.passed]
     assert [c.name for c in failed] == ["trisecant-line-exists"]
     assert "needs d >= 3" in failed[0].result["reason"]
+
+
+def test_contradiction_refusals_read_unverified(tmp_path, capsys):
+    # A residual member of special degree has no span bound (v5), and a
+    # curve class of square 0 has undetermined sections (x14): each fails
+    # its check with the refusal as the reason instead of escaping as an
+    # internal error, and the check that would read the refused value is
+    # not built.
+    rows = [{"id": 1, "family": "v5", "d": 7, "g": 2, "expected": "NotRealizable",
+             "route": "contradiction"},
+            {"id": 2, "family": "x14", "d": 6, "g": 1, "expected": "NotRealizable",
+             "route": "contradiction"}]
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps({"version": 1, "cases": rows}))
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--table", str(path), "--json", str(report_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("computed Unverified") == 2
+    refused = {"residual-span-dimension": "span bound needs deg > 2g-2, got deg=13, g=8",
+               "curve-section-count": "h0-undetermined for square 0 (nef_hint=True)"}
+    absent = {"two-hyperplanes-contain-residual", "curve-cuts-plane-series-on-section"}
+    for cert in json.loads(report_path.read_text())["certificates"]:
+        assert cert["computed"] == "Unverified"
+        checks = {c["name"]: c["result"] for c in cert["checks"]}
+        assert not absent & set(checks)
+        (name,) = set(refused) & set(checks)
+        assert checks[name] == {"status": "fail", "reason": refused[name]}
 
 
 def test_cli_json_output_is_stable(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Module layout: imports at module level only, no private names shared
 between modules, no catalog import in pipelines, verdicts decided by the
 proofs alone, one degree-line and one line-solving primitive in
-diophantine, each check name built at one call site, and a
-standard-library runtime.
+diophantine, each check name built at one call site, a standard-library
+runtime, and one dataclass.
 
 A proof's own code builds its case's lattice once; the nef, free and
 non-tetragonality certificates take (family, d, g) and build it again, so a
@@ -138,6 +138,27 @@ def test_runtime_imports_only_the_standard_library():
             outside += [f"{path.name}:{node.lineno} {module}" for module in modules
                         if module.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_only_catalog_imports_dataclasses():
+    # A frozen dataclass execs its generated methods at import, about half a
+    # millisecond a class on every cold start.  CaseRecord stays one because
+    # the benchmark digests loaded rows with dataclasses.asdict; every other
+    # value type is a plain class.
+    importers, decorated = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for node in _imports(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module] if node.level == 0 else []
+            else:
+                modules = [alias.name for alias in node.names]
+            if "dataclasses" in modules:
+                importers.append(path.stem)
+        decorated += [f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                      if isinstance(node, ast.ClassDef) and node.decorator_list]
+    assert importers == ["catalog"]
+    assert decorated == ["catalog.CaseRecord"]
 
 
 def test_pipelines_do_not_import_catalog():
