@@ -6,11 +6,11 @@ this module, and a verdict is the conclusion of the proof that ran.
 from __future__ import annotations
 
 import json
+import os
 from collections import namedtuple
 from dataclasses import dataclass
-from importlib import resources
 
-from .lattice import SPORADIC_AMBIENT_DEGREE
+from .lattice import FAMILIES, SPORADIC_AMBIENT_DEGREE, make_family_lattice
 from .pipelines import NOT_REALIZABLE, OPEN, PIPELINES, REALIZABLE
 
 UNVERIFIED = "Unverified"
@@ -70,6 +70,13 @@ class CaseRecord:
             raise CaseTableError(f"only sporadic cases have an ambient, got {self.ambient!r}")
         if self.construction != "residual" and (self.seed_d, self.seed_g) != (None, None):
             raise CaseTableError("only residual constructions have seed invariants")
+        # Every other proof builds the row's Picard lattice, which needs
+        # d >= 1, g >= 0 and det < 0; a row without one cannot be proved.
+        if self.family != "sporadic":
+            try:
+                make_family_lattice(FAMILIES[self.family], self.d, self.g)
+            except ValueError as exc:
+                raise CaseTableError(f"{self.label()}: {exc}") from None
 
     @property
     def proof(self) -> tuple[str, str, str]:
@@ -171,10 +178,9 @@ def load_cases(path: str | None = None) -> tuple[CaseRecord, ...]:
     """
     try:
         if path is None:
-            payload = resources.files("fanocert").joinpath("data/cases.json").read_text()
-        else:
-            with open(path, encoding="utf-8") as handle:
-                payload = handle.read()
+            path = os.path.join(os.path.dirname(__file__), "data", "cases.json")
+        with open(path, encoding="utf-8") as handle:
+            payload = handle.read()
         table = json.loads(payload)
         entries = table["cases"]
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:

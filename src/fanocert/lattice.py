@@ -15,7 +15,13 @@ value equality and hashing.  A frozen dataclass would generate those methods
 by ``exec`` at import, about half a millisecond a class, which every cold
 ``fanocert verify`` run pays.  They are not tuples either: the report writer
 must refuse a ``DivisorClass`` that reaches it, and a slot read is faster
-than a named-tuple field read on the hot ``gram`` path.
+than a named-tuple field read on the hot ``gram`` path.  ``__init__`` fills
+each slot through its descriptor's own setter, bound once below the class
+(``_set_a = DivisorClass.a.__set__``), because the read-only ``__setattr__``
+is in the way and ``object.__setattr__`` costs a lookup per field.  A
+lattice stores its determinant in a second read-only slot, computed once,
+since the signature check, the degree-line solver and the decomposition
+search all read it; equality, hashing and repr see only ``gram``.
 """
 from __future__ import annotations
 
@@ -35,8 +41,8 @@ class DivisorClass:
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, a: int, b: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_a(self, a)
+        _set_b(self, b)
 
     def __repr__(self) -> str:
         return f"DivisorClass(a={self.a!r}, b={self.b!r})"
@@ -69,6 +75,10 @@ class DivisorClass:
         return (self.a, self.b)
 
 
+_set_a = DivisorClass.a.__set__
+_set_b = DivisorClass.b.__set__
+
+
 def as_class(value) -> DivisorClass:
     """Coerce a ``DivisorClass`` or a plain ``(a, b)`` pair."""
     if isinstance(value, DivisorClass):
@@ -78,9 +88,12 @@ def as_class(value) -> DivisorClass:
 
 
 class IntersectionLattice:
-    """Even rank-2 lattice given by an explicit symmetric Gram matrix."""
+    """Even rank-2 lattice given by an explicit symmetric Gram matrix.
 
-    __slots__ = ("gram",)
+    ``det`` is computed once here; equality, hashing and repr read ``gram`` only.
+    """
+
+    __slots__ = ("gram", "det")
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, gram: tuple[tuple[int, int], tuple[int, int]]):
@@ -89,7 +102,8 @@ class IntersectionLattice:
             raise ValueError("Gram matrix must be symmetric")
         if p % 2 or s % 2:
             raise ValueError("diagonal Gram entries must be even")
-        object.__setattr__(self, "gram", gram)
+        _set_gram(self, gram)
+        _set_det(self, p * s - q * q)
 
     def __repr__(self) -> str:
         return f"IntersectionLattice(gram={self.gram!r})"
@@ -102,11 +116,6 @@ class IntersectionLattice:
     def __hash__(self) -> int:
         return hash(self.gram)
 
-    @property
-    def det(self) -> int:
-        (p, q), (_, s) = self.gram
-        return p * s - q * q
-
     def pair(self, x, y) -> int:
         x = as_class(x)
         y = as_class(y)
@@ -118,6 +127,10 @@ class IntersectionLattice:
         x = as_class(x)
         (p, q), _ = self.gram
         return p * x.a + q * x.b
+
+
+_set_gram = IntersectionLattice.gram.__set__
+_set_det = IntersectionLattice.det.__set__
 
 
 class FamilySpec:
@@ -145,12 +158,12 @@ class FamilySpec:
             raise ValueError("polarization square must be a positive even integer")
         if index_multiplier < 1:
             raise ValueError("index multiplier must be >= 1")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "h_square", h_square)
-        object.__setattr__(self, "index_multiplier", index_multiplier)
-        object.__setattr__(self, "cutting_bound", cutting_bound)
-        object.__setattr__(self, "anticanonical_cube_base", anticanonical_cube_base)
-        object.__setattr__(self, "derived_constants", derived_constants)
+        _set_name(self, name)
+        _set_h_square(self, h_square)
+        _set_index_multiplier(self, index_multiplier)
+        _set_cutting_bound(self, cutting_bound)
+        _set_anticanonical_cube_base(self, anticanonical_cube_base)
+        _set_derived_constants(self, derived_constants)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, field) for field in FamilySpec.__slots__)
@@ -177,6 +190,13 @@ class FamilySpec:
         """Restriction of the blow-up's anticanonical class: sH - C."""
         return DivisorClass(self.index_multiplier, -1)
 
+
+_set_name = FamilySpec.name.__set__
+_set_h_square = FamilySpec.h_square.__set__
+_set_index_multiplier = FamilySpec.index_multiplier.__set__
+_set_cutting_bound = FamilySpec.cutting_bound.__set__
+_set_anticanonical_cube_base = FamilySpec.anticanonical_cube_base.__set__
+_set_derived_constants = FamilySpec.derived_constants.__set__
 
 FAMILIES: dict[str, FamilySpec] = {
     "quadric": FamilySpec("quadric", 6, 3, 18, 54),

@@ -10,18 +10,17 @@ H.(sH - C) - 3k; if positive, a (-2)-class of that small degree must exist,
 which the lattice search decides.
 
 Each certificate builds its lattice once and makes one ``curve_classes``
-sweep for classes of square >= -2.  Nefness sweeps the secant table's
-degrees and keeps a class of degree m and square 2 p_a - 2 when (m, p_a) is
-in the table.  Freeness sweeps every degree up to the budget and keeps the
-(-2)-classes.
+sweep for classes of square >= -2.  Nefness reads the secant table once:
+each listed degree m has the genera 0..cap[m], so the table is the genus
+caps, and a swept class of degree m and square 2 p_a - 2 is an obstructor
+exactly when p_a <= cap[m].  Its meeting number with C is d a + (2g - 2) b,
+read off the Gram matrix.  Freeness sweeps every degree up to the budget and
+keeps the (-2)-classes.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
-from operator import itemgetter
-
 from .diophantine import curve_classes
-from .lattice import DivisorClass, FamilySpec, make_family_lattice
+from .lattice import FamilySpec, make_family_lattice
 from .outcome import CheckOutcome, DERIVED, VERIFIED
 from .secant import admissible_table
 
@@ -34,32 +33,29 @@ def _table_kind(family: FamilySpec) -> str:
     return DERIVED if family.derived_constants else VERIFIED
 
 
-# Sort key of a secant-table entry (m, p_a, secancy): the table's (p_a, m).
-_GENUS_FIRST = itemgetter(1, 0)
-
-
 def nef_certificate(family: FamilySpec, d: int, g: int) -> CheckOutcome:
     """Search out every admissible obstructor and eliminate it by secancy."""
     lattice = make_family_lattice(family, d, g)
-    curve = DivisorClass(0, 1)
     table = admissible_table(family, d, g)
-    # Genus-0 entries lead the table, one per degree it lists: the degrees to
-    # sweep.  A class of degree m and square 2 p_a - 2 >= -2 obstructs when
-    # (m, p_a) is an entry, found by bisection; the hits, sorted by
-    # (p_a, m, a, b), come out in table order.
-    genus_zero = table[:bisect_left(table, (1, 0), key=_GENUS_FIRST)]
-    degrees = [entry[0] for entry in genus_zero]
+    # A degree's genera run from 0 to its cap in the table's (p_a, m) order,
+    # so one pass keeps each degree's last entry, its cap and secancy, and
+    # keys the degrees in the order of their genus-0 entries.  A class of
+    # degree m and square 2 p_a - 2 >= -2 obstructs when p_a <= cap[m]; the
+    # hits, sorted by (p_a, m, a, b), come out in table order.
+    caps = {m: (p_a, secancy) for m, p_a, secancy in table}
     hits = []
-    for m, a, b, square in curve_classes(lattice, degrees, -2):
-        key = (square // 2 + 1, m)
-        at = bisect_left(table, key, key=_GENUS_FIRST)
-        if at < len(table) and _GENUS_FIRST(table[at]) == key:
-            hits.append((*key, a, b, table[at][2]))
+    for m, a, b, square in curve_classes(lattice, list(caps), -2):
+        p_a = square // 2 + 1
+        cap, secancy = caps[m]
+        if p_a <= cap:
+            hits.append((p_a, m, a, b, secancy))
     hits.sort()
+    # C pairs with (a, b) as d a + C^2 b, C^2 = 2g - 2.
+    curve_square = 2 * g - 2
     witnesses = []
     all_eliminated = True
     for p_a, m, a, b, secancy in hits:
-        meets = lattice.pair((a, b), curve)
+        meets = d * a + curve_square * b
         eliminated = meets < secancy
         all_eliminated = all_eliminated and eliminated
         witnesses.append({

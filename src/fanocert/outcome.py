@@ -13,7 +13,10 @@ the three evidence levels apart:
 and value equality, not a frozen dataclass, whose generated methods would
 cost every cold start about half a millisecond, nor a tuple: a caller may
 tell a check from a tuple of classes by type, and the report writer must
-not read it as a list.
+not read it as a list.  ``__init__`` fills the slots through the slot
+descriptors' own setters, bound once at module level, since the read-only
+``__setattr__`` refuses and ``object.__setattr__`` looks each field up by
+name; every proof step builds one of these.
 """
 from __future__ import annotations
 
@@ -39,13 +42,13 @@ class CheckOutcome:
                  witnesses: tuple = ()):
         if kind not in _KINDS:
             raise ValueError(f"unknown outcome kind {kind!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "inputs", {} if inputs is None else inputs)
-        object.__setattr__(self, "result", {} if result is None else result)
-        object.__setattr__(self, "witnesses", witnesses)
+        _set_name(self, name)
+        _set_rule(self, rule)
+        _set_kind(self, kind)
+        _set_passed(self, passed)
+        _set_inputs(self, {} if inputs is None else inputs)
+        _set_result(self, {} if result is None else result)
+        _set_witnesses(self, witnesses)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, field) for field in CheckOutcome.__slots__)
@@ -69,6 +72,15 @@ class CheckOutcome:
             "witnesses": self.witnesses,
             "kind": self.kind,
         }
+
+
+_set_name = CheckOutcome.name.__set__
+_set_rule = CheckOutcome.rule.__set__
+_set_kind = CheckOutcome.kind.__set__
+_set_passed = CheckOutcome.passed.__set__
+_set_inputs = CheckOutcome.inputs.__set__
+_set_result = CheckOutcome.result.__set__
+_set_witnesses = CheckOutcome.witnesses.__set__
 
 
 def verified(name: str, rule: str, passed: bool, inputs: dict | None = None,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -454,6 +455,26 @@ def _one_row_table(tmp_path, family, d, g):
     path = tmp_path / "override.json"
     path.write_text(json.dumps(table))
     return path
+
+
+@pytest.mark.parametrize("family, d, g, message", [
+    ("quadric", 0, 0, "curve degree must be >= 1"),
+    ("v4", 5, -1, "curve genus must be >= 0"),
+    ("v5", 3, 5, "lattice for v5 (d=3, g=5) has determinant 71 >= 0; "
+                 "signature (1,1) is required"),
+])
+def test_row_without_a_picard_lattice_is_a_table_error(tmp_path, capsys, family, d, g, message):
+    # Every non-sporadic proof builds the row's lattice, so a row with
+    # d < 1, g < 0 or det >= 0 is refused by the loader (exit 2) rather than
+    # escaping a proof as an internal error (exit 3).
+    path = _one_row_table(tmp_path, family, d, g)
+    full = f"case 1 {family} (d,g)=({d},{g}): {message}"
+    with pytest.raises(CaseTableError, match=f"^{re.escape(full)}$"):
+        load_cases(str(path))
+    assert main(["verify", "--table", str(path), "--strict"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fanocert: {full}\n"
 
 
 @pytest.mark.parametrize("family, d, g, error", [

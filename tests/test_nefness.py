@@ -1,7 +1,10 @@
 import json
+from bisect import bisect_left
+from operator import itemgetter
 
 import pytest
 
+from fanocert import nefness
 from fanocert.catalog import load_cases
 from fanocert.diophantine import curve_classes
 from fanocert.lattice import FAMILIES, DivisorClass, FamilySpec, make_family_lattice
@@ -228,3 +231,101 @@ def test_free_certificate_matches_reference_off_the_catalog():
                                           result["result"]["searched_degrees"], -2)
                     nonnegative += any(square > -2 for *_, square in swept)
     assert witnessed > 0 and nonnegative > 0
+
+
+# Sort key of a secant-table entry (m, p_a, secancy): the table's (p_a, m).
+_GENUS_FIRST = itemgetter(1, 0)
+
+
+def bisect_nef_certificate(family: FamilySpec, d: int, g: int) -> CheckOutcome:
+    """The nef search before it read the genus caps: a bisection per swept class."""
+    lattice = make_family_lattice(family, d, g)
+    curve = DivisorClass(0, 1)
+    table = admissible_table(family, d, g)
+    # Genus-0 entries lead the table, one per degree it lists: the degrees to
+    # sweep.  A class of degree m and square 2 p_a - 2 >= -2 obstructs when
+    # (m, p_a) is an entry, found by bisection; the hits, sorted by
+    # (p_a, m, a, b), come out in table order.
+    genus_zero = table[:bisect_left(table, (1, 0), key=_GENUS_FIRST)]
+    degrees = [entry[0] for entry in genus_zero]
+    hits = []
+    for m, a, b, square in curve_classes(lattice, degrees, -2):
+        key = (square // 2 + 1, m)
+        at = bisect_left(table, key, key=_GENUS_FIRST)
+        if at < len(table) and _GENUS_FIRST(table[at]) == key:
+            hits.append((*key, a, b, table[at][2]))
+    hits.sort()
+    witnesses = []
+    all_eliminated = True
+    for p_a, m, a, b, secancy in hits:
+        meets = lattice.pair((a, b), curve)
+        eliminated = meets < secancy
+        all_eliminated = all_eliminated and eliminated
+        witnesses.append({
+            "class": [a, b],
+            "degree": m,
+            "arithmetic_genus": p_a,
+            "meets_curve": meets,
+            "secancy_required": secancy,
+            "eliminated": eliminated,
+        })
+    return CheckOutcome(
+        name="adjoint-class-nef",
+        rule="secant-obstruction-search",
+        kind=_table_kind(family),
+        passed=all_eliminated,
+        inputs={"family": family.name, "d": d, "g": g, "candidates": table},
+        result={"witness_count": len(witnesses)},
+        witnesses=tuple(witnesses),
+    )
+
+
+def test_nef_certificate_matches_bisect_search_on_census():
+    pairs = witnessed = 0
+    for name, d, g, _ in census_lattices():
+        family = FAMILIES[name]
+        expected = _json_or_refusal(bisect_nef_certificate, family, d, g)
+        assert _json_or_refusal(nef_certificate, family, d, g) == expected, (name, d, g)
+        witnessed += bool(json.loads(expected)["witnesses"])
+        pairs += 1
+    assert pairs == 721 and witnessed > 0
+
+
+def test_nef_certificate_matches_bisect_search_off_the_catalog():
+    # Synthetic families reach genus caps above 0 with witnesses at several
+    # genera, and witnesses the secancy does not eliminate.
+    compared = witnessed = positive_genus = kept = 0
+    for h_square in (12, 16, 22, 30):
+        for multiplier in (1, 3):
+            family = FamilySpec("quadric", h_square, multiplier, 18, 54)
+            for d in range(1, family.cutting_bound):
+                for g in range(11):
+                    if h_square * (2 * g - 2) - d * d >= 0:
+                        continue
+                    expected = _json_or_refusal(bisect_nef_certificate, family, d, g)
+                    assert _json_or_refusal(nef_certificate, family, d, g) == expected, \
+                        (h_square, multiplier, d, g)
+                    expected = json.loads(expected)
+                    compared += 1
+                    witnessed += bool(expected["witnesses"])
+                    positive_genus += any(w["arithmetic_genus"] > 0 for w in expected["witnesses"])
+                    kept += any(not w["eliminated"] for w in expected["witnesses"])
+    assert compared == 612 and witnessed > 0 and positive_genus > 0 and kept > 0
+
+
+def test_nef_certificate_reads_the_secant_table_once(monkeypatch):
+    # The benchmark's secant.candidates counter hooks admissible_table.
+    calls = []
+
+    def counting(family, d, g):
+        calls.append((family.name, d, g))
+        return admissible_table(family, d, g)
+
+    monkeypatch.setattr(nefness, "admissible_table", counting)
+    certified = 0
+    for name, d, g, _ in census_lattices():
+        calls.clear()
+        nef_certificate(FAMILIES[name], d, g)
+        assert calls == [(name, d, g)]
+        certified += 1
+    assert certified == 721

@@ -2,13 +2,16 @@
 between modules, no catalog import in pipelines, verdicts decided by the
 proofs alone, one degree-line and one line-solving primitive in
 diophantine, each check name built at one call site, a standard-library
-runtime, and one dataclass.
+runtime, one dataclass, no ``object.__setattr__`` in the value types, and a
+cold import without ``importlib.resources``.
 
 A proof's own code builds its case's lattice once; the nef, free and
 non-tetragonality certificates take (family, d, g) and build it again, so a
 construction row builds 3 lattices (quadric, v4, v5) or 4 (x14, v5
 residual) in all."""
 import ast
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -159,6 +162,31 @@ def test_only_catalog_imports_dataclasses():
                       if isinstance(node, ast.ClassDef) and node.decorator_list]
     assert importers == ["catalog"]
     assert decorated == ["catalog.CaseRecord"]
+
+
+def test_no_value_type_fills_its_slots_through_object_setattr():
+    # Each slot is filled through its descriptor's own setter, bound once at
+    # module level; object.__setattr__ looks the field up on every call.
+    calls = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                    and func.attr == "__setattr__" and isinstance(func.value, ast.Name)
+                    and func.value.id == "object"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
+
+
+def test_cold_import_leaves_out_importlib_resources():
+    # Without ``site`` nothing preloads it, so the import would be paid by
+    # every cold start; the loader reads data/cases.json with open().
+    code = ("import fanocert.cli, sys; "
+            "assert 'importlib.resources' not in sys.modules, 'importlib.resources'")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_pipelines_do_not_import_catalog():

@@ -115,3 +115,25 @@ def test_defaults_and_keyword_construction():
     assert FamilySpec("q", 6, 3, 18, 54).derived_constants is False
     assert Certificate(case=CASE, computed="Realizable", checks=()).discrepancies == ()
     assert CheckOutcome("n", "r", "verified", True).witnesses == ()
+
+
+def test_lattice_stores_its_determinant():
+    for gram in (((6, 5), (5, -2)), ((10, 3), (3, 8)), ((14, 0), (0, 0)), ((2, -7), (-7, 4))):
+        (p, q), (_, s) = gram
+        lattice = IntersectionLattice(gram)
+        assert lattice.det == p * s - q * q
+        with pytest.raises(AttributeError):
+            lattice.det = 0
+        with pytest.raises(AttributeError):
+            del lattice.det
+        assert lattice.det == p * s - q * q
+
+
+def test_lattice_determinant_plays_no_part_in_equality_hash_or_repr():
+    gram = ((6, 5), (5, -2))
+    plain, tampered = IntersectionLattice(gram), IntersectionLattice(gram)
+    # Only the slot's own setter can overwrite the stored value.
+    IntersectionLattice.det.__set__(tampered, 0)
+    assert tampered.det == 0 and plain.det == -37
+    assert tampered == plain and hash(tampered) == hash(plain)
+    assert repr(tampered) == repr(plain) == "IntersectionLattice(gram=((6, 5), (5, -2)))"
