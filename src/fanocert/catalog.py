@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .lattice import FAMILIES, SPORADIC_AMBIENT_DEGREE, make_family_lattice
 from .pipelines import NOT_REALIZABLE, OPEN, PIPELINES, REALIZABLE
+from .values import ValueTuple
 
 UNVERIFIED = "Unverified"
 
@@ -70,13 +71,20 @@ class CaseRecord:
             raise CaseTableError(f"only sporadic cases have an ambient, got {self.ambient!r}")
         if self.construction != "residual" and (self.seed_d, self.seed_g) != (None, None):
             raise CaseTableError("only residual constructions have seed invariants")
-        # Every other proof builds the row's Picard lattice, which needs
-        # d >= 1, g >= 0 and det < 0; a row without one cannot be proved.
+        # Every other proof builds the row's Picard lattice, and a residual
+        # one its seed's too; each needs d >= 1, g >= 0 and det < 0, and a
+        # row without them cannot be proved.
         if self.family != "sporadic":
+            family = FAMILIES[self.family]
             try:
-                make_family_lattice(FAMILIES[self.family], self.d, self.g)
+                make_family_lattice(family, self.d, self.g)
             except ValueError as exc:
                 raise CaseTableError(f"{self.label()}: {exc}") from None
+            if self.construction == "residual":
+                try:
+                    make_family_lattice(family, self.seed_d, self.seed_g)
+                except ValueError as exc:
+                    raise CaseTableError(f"{self.label()}: seed {exc}") from None
 
     @property
     def proof(self) -> tuple[str, str, str]:
@@ -88,17 +96,11 @@ class CaseRecord:
         return f"case {self.case_id} {tag} (d,g)=({self.d},{self.g})"
 
 
-class Certificate(namedtuple("Certificate", "case computed checks discrepancies",
-                             defaults=((),))):
-    """A row's verdict and the checks it rests on; equals only a ``Certificate``."""
+class Certificate(ValueTuple, namedtuple("Certificate", "case computed checks discrepancies",
+                                         defaults=((),))):
+    """A row's verdict and the checks it rests on."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is Certificate and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
 
     @property
     def matches(self) -> bool:
@@ -120,19 +122,13 @@ class Certificate(namedtuple("Certificate", "case computed checks discrepancies"
         return data
 
 
-class Report(namedtuple("Report", "certificates summary")):
+class Report(ValueTuple, namedtuple("Report", "certificates summary")):
     """The certificates of a run and their tally; ``summary`` defaults to a fresh dict."""
 
     __slots__ = ()
 
     def __new__(cls, certificates: tuple[Certificate, ...], summary: dict | None = None):
         return super().__new__(cls, certificates, {} if summary is None else summary)
-
-    def __eq__(self, other):
-        return type(other) is Report and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
 
     @property
     def all_match(self) -> bool:

@@ -33,25 +33,18 @@ from math import gcd, isqrt
 
 from .lattice import DivisorClass, IntersectionLattice, LatticeSignatureError, as_class
 from .outcome import CheckOutcome, VERIFIED, verified
+from .values import ValueTuple
 
 
 class DependentFormsError(ValueError):
     """The two band forms are proportional, so the region is unbounded."""
 
 
-class Interval(namedtuple("Interval", "lo hi lo_open hi_open", defaults=(False, False))):
-    """Integer interval with independently open or closed endpoints.
-
-    A named tuple that equals only another ``Interval``, never a plain tuple.
-    """
+class Interval(ValueTuple,
+               namedtuple("Interval", "lo hi lo_open hi_open", defaults=(False, False))):
+    """Integer interval with independently open or closed endpoints."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is Interval and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
 
     __hash__ = tuple.__hash__
 

@@ -34,6 +34,7 @@ from math import gcd
 from .diophantine import degree_lines, line_maximum, short_curve_checks
 from .lattice import FAMILIES, make_family_lattice
 from .outcome import CheckOutcome, CITED, VERIFIED, cited, verified
+from .values import ValueTuple
 
 
 class DonorWindowEmptyError(ValueError):
@@ -46,19 +47,10 @@ SECTION_GENUS = FAMILIES["x14"].section_genus
 DONOR_DEGREES = range(4, SECTION_GENUS)
 
 
-class TetragonalReport(namedtuple("TetragonalReport", "checks discrepancies")):
-    """The checks of one certificate and the gaps they flag.
-
-    A named tuple that equals only another ``TetragonalReport``.
-    """
+class TetragonalReport(ValueTuple, namedtuple("TetragonalReport", "checks discrepancies")):
+    """The checks of one certificate and the gaps they flag."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is TetragonalReport and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
 
     def outcomes(self) -> tuple[CheckOutcome, ...]:
         return self.checks

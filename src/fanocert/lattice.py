@@ -10,35 +10,30 @@ everything stays in exact integer arithmetic.
 The ambient data live here too: the family constants, the sporadic ambients'
 degrees and the blow-up's anticanonical degree formula.
 
-The value types here are plain ``__slots__`` classes with read-only fields,
-value equality and hashing.  A frozen dataclass would generate those methods
-by ``exec`` at import, about half a millisecond a class, which every cold
-``fanocert verify`` run pays.  They are not tuples either: the report writer
-must refuse a ``DivisorClass`` that reaches it, and a slot read is faster
-than a named-tuple field read on the hot ``gram`` path.  ``__init__`` fills
-each slot through its descriptor's own setter, bound once below the class
-(``_set_a = DivisorClass.a.__set__``), because the read-only ``__setattr__``
-is in the way and ``object.__setattr__`` costs a lookup per field.  A
-lattice stores its determinant in a second read-only slot, computed once,
-since the signature check, the degree-line solver and the decomposition
-search all read it; equality, hashing and repr see only ``gram``.
+The value types follow :mod:`fanocert.values`.  ``DivisorClass`` and
+``IntersectionLattice`` are not tuples, since the report writer must refuse a
+``DivisorClass`` that reaches it and a slot read is faster than a named-tuple
+field read on the hot ``gram`` path, and they keep their own equality, hash
+and repr over a subset of their slots.  Each class binds its slot setters
+once below it (``_set_a, _set_b = slot_setters(DivisorClass)``).  A lattice
+stores its determinant in a second read-only slot, computed once, since the
+signature check, the degree-line solver and the decomposition search all
+read it; equality, hashing and repr see only ``gram``.
 """
 from __future__ import annotations
+
+from .values import SlotValue, read_only, slot_setters
 
 
 class LatticeSignatureError(ValueError):
     """The Gram determinant is >= 0; index-style bounds do not apply."""
 
 
-def _read_only(self, name, *value):
-    raise AttributeError(f"cannot set or delete field {name!r} of a {type(self).__name__}")
-
-
 class DivisorClass:
     """Integer coefficient pair against a lattice's ordered basis."""
 
     __slots__ = ("a", "b")
-    __setattr__ = __delattr__ = _read_only
+    __setattr__ = __delattr__ = read_only
 
     def __init__(self, a: int, b: int):
         _set_a(self, a)
@@ -75,8 +70,7 @@ class DivisorClass:
         return (self.a, self.b)
 
 
-_set_a = DivisorClass.a.__set__
-_set_b = DivisorClass.b.__set__
+_set_a, _set_b = slot_setters(DivisorClass)
 
 
 def as_class(value) -> DivisorClass:
@@ -94,7 +88,7 @@ class IntersectionLattice:
     """
 
     __slots__ = ("gram", "det")
-    __setattr__ = __delattr__ = _read_only
+    __setattr__ = __delattr__ = read_only
 
     def __init__(self, gram: tuple[tuple[int, int], tuple[int, int]]):
         (p, q), (r, s) = gram
@@ -129,11 +123,10 @@ class IntersectionLattice:
         return p * x.a + q * x.b
 
 
-_set_gram = IntersectionLattice.gram.__set__
-_set_det = IntersectionLattice.det.__set__
+_set_gram, _set_det = slot_setters(IntersectionLattice)
 
 
-class FamilySpec:
+class FamilySpec(SlotValue):
     """One ambient family of blow-up constructions.
 
     ``h_square`` is the square of the hyperplane class on the K3 slice,
@@ -150,7 +143,6 @@ class FamilySpec:
 
     __slots__ = ("name", "h_square", "index_multiplier", "cutting_bound",
                  "anticanonical_cube_base", "derived_constants")
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, name: str, h_square: int, index_multiplier: int, cutting_bound: int,
                  anticanonical_cube_base: int, derived_constants: bool = False):
@@ -164,18 +156,6 @@ class FamilySpec:
         _set_cutting_bound(self, cutting_bound)
         _set_anticanonical_cube_base(self, anticanonical_cube_base)
         _set_derived_constants(self, derived_constants)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, field) for field in FamilySpec.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in FamilySpec.__slots__)
-        return f"FamilySpec({fields})"
-
-    def __eq__(self, other):
-        if type(other) is not FamilySpec:
-            return NotImplemented
-        return self._fields() == other._fields()
 
     def __hash__(self) -> int:
         return hash(self._fields())
@@ -191,12 +171,8 @@ class FamilySpec:
         return DivisorClass(self.index_multiplier, -1)
 
 
-_set_name = FamilySpec.name.__set__
-_set_h_square = FamilySpec.h_square.__set__
-_set_index_multiplier = FamilySpec.index_multiplier.__set__
-_set_cutting_bound = FamilySpec.cutting_bound.__set__
-_set_anticanonical_cube_base = FamilySpec.anticanonical_cube_base.__set__
-_set_derived_constants = FamilySpec.derived_constants.__set__
+(_set_name, _set_h_square, _set_index_multiplier, _set_cutting_bound,
+ _set_anticanonical_cube_base, _set_derived_constants) = slot_setters(FamilySpec)
 
 FAMILIES: dict[str, FamilySpec] = {
     "quadric": FamilySpec("quadric", 6, 3, 18, 54),

@@ -9,16 +9,14 @@ the three evidence levels apart:
 * ``derived-extension``: verified arithmetic that rests on extension
   constants rather than on constants fixed by a published table.
 
-:class:`CheckOutcome` is a plain ``__slots__`` class with read-only fields
-and value equality, not a frozen dataclass, whose generated methods would
-cost every cold start about half a millisecond, nor a tuple: a caller may
-tell a check from a tuple of classes by type, and the report writer must
-not read it as a list.  ``__init__`` fills the slots through the slot
-descriptors' own setters, bound once at module level, since the read-only
-``__setattr__`` refuses and ``object.__setattr__`` looks each field up by
-name; every proof step builds one of these.
+:class:`CheckOutcome` is a :class:`~fanocert.values.SlotValue`, not a
+tuple: a caller may tell a check from a tuple of classes by type, and the
+report writer must not read it as a list.  Every proof step builds one, so
+``__init__`` fills its slots through setters bound once below the class.
 """
 from __future__ import annotations
+
+from .values import SlotValue, slot_setters
 
 VERIFIED = "verified"
 CITED = "cited-rule"
@@ -27,15 +25,10 @@ DERIVED = "derived-extension"
 _KINDS = (VERIFIED, CITED, DERIVED)
 
 
-def _read_only(self, name, *value):
-    raise AttributeError(f"cannot set or delete field {name!r} of a {type(self).__name__}")
-
-
-class CheckOutcome:
+class CheckOutcome(SlotValue):
     """One step of a proof; ``inputs`` and ``result`` default to fresh dicts."""
 
     __slots__ = ("name", "rule", "kind", "passed", "inputs", "result", "witnesses")
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, name: str, rule: str, kind: str, passed: bool,
                  inputs: dict | None = None, result: dict | None = None,
@@ -50,18 +43,6 @@ class CheckOutcome:
         _set_result(self, {} if result is None else result)
         _set_witnesses(self, witnesses)
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, field) for field in CheckOutcome.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in CheckOutcome.__slots__)
-        return f"CheckOutcome({fields})"
-
-    def __eq__(self, other):
-        if type(other) is not CheckOutcome:
-            return NotImplemented
-        return self._fields() == other._fields()
-
     def to_dict(self) -> dict:
         """Serialize with the fixed report field order; the writer only reads the containers."""
         return {
@@ -74,13 +55,8 @@ class CheckOutcome:
         }
 
 
-_set_name = CheckOutcome.name.__set__
-_set_rule = CheckOutcome.rule.__set__
-_set_kind = CheckOutcome.kind.__set__
-_set_passed = CheckOutcome.passed.__set__
-_set_inputs = CheckOutcome.inputs.__set__
-_set_result = CheckOutcome.result.__set__
-_set_witnesses = CheckOutcome.witnesses.__set__
+(_set_name, _set_rule, _set_kind, _set_passed, _set_inputs, _set_result,
+ _set_witnesses) = slot_setters(CheckOutcome)
 
 
 def verified(name: str, rule: str, passed: bool, inputs: dict | None = None,

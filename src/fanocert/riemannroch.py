@@ -5,6 +5,7 @@ from collections import namedtuple
 from math import comb
 
 from .lattice import IntersectionLattice
+from .values import ValueTuple
 
 
 class SectionCountError(ValueError):
@@ -15,11 +16,8 @@ class UndeterminedH0Error(SectionCountError):
     """h0-undetermined: the class is neither rigid nor certified nef-positive."""
 
 
-class LinearSeries(namedtuple("LinearSeries", "r d")):
-    """A g^r_d on a curve: projective dimension r, degree d.
-
-    A named tuple that equals only another ``LinearSeries``.
-    """
+class LinearSeries(ValueTuple, namedtuple("LinearSeries", "r d")):
+    """A g^r_d on a curve: projective dimension r, degree d."""
 
     __slots__ = ()
 
@@ -27,12 +25,6 @@ class LinearSeries(namedtuple("LinearSeries", "r d")):
         if r < 0 or d < 0:
             raise ValueError("a linear series needs r >= 0 and d >= 0")
         return super().__new__(cls, r, d)
-
-    def __eq__(self, other):
-        return type(other) is LinearSeries and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
 
     __hash__ = tuple.__hash__
 

@@ -13,15 +13,16 @@ from collections import namedtuple
 from math import isqrt
 
 from .outcome import CheckOutcome, verified
+from .values import ValueTuple
 
 
-class RuledLattice(namedtuple("RuledLattice", "n")):
+class RuledLattice(ValueTuple, namedtuple("RuledLattice", "n")):
     """Divisor lattice of the Hirzebruch surface with section square -n.
 
     Basis (s, f): s^2 = -n, f^2 = 0, s.f = 1.  The effective cone is
     generated by s and f and the nef cone by f and s + n*f; both facts are
     standing axioms of the checks below.  The canonical class is
-    -2s - (n+2)f.  A named tuple that equals only another ``RuledLattice``.
+    -2s - (n+2)f.
     """
 
     __slots__ = ()
@@ -30,12 +31,6 @@ class RuledLattice(namedtuple("RuledLattice", "n")):
         if n < 0:
             raise ValueError("need n >= 0")
         return super().__new__(cls, n)
-
-    def __eq__(self, other):
-        return type(other) is RuledLattice and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
 
     __hash__ = tuple.__hash__
 

@@ -449,25 +449,37 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _one_row_table(tmp_path, family, d, g):
+def _one_row_table(tmp_path, family, d, g, **tags):
     table = {"version": 1, "cases": [{"id": 1, "family": family, "d": d, "g": g,
-                                      "expected": "Realizable"}]}
+                                      "expected": "Realizable", **tags}]}
     path = tmp_path / "override.json"
     path.write_text(json.dumps(table))
     return path
 
 
-@pytest.mark.parametrize("family, d, g, message", [
-    ("quadric", 0, 0, "curve degree must be >= 1"),
-    ("v4", 5, -1, "curve genus must be >= 0"),
+# (family, d, g, message, residual seed or None); the id leaves the seed out.
+ROWS_WITHOUT_A_LATTICE = [
+    ("quadric", 0, 0, "curve degree must be >= 1", None),
+    ("v4", 5, -1, "curve genus must be >= 0", None),
     ("v5", 3, 5, "lattice for v5 (d=3, g=5) has determinant 71 >= 0; "
-                 "signature (1,1) is required"),
-])
-def test_row_without_a_picard_lattice_is_a_table_error(tmp_path, capsys, family, d, g, message):
-    # Every non-sporadic proof builds the row's lattice, so a row with
-    # d < 1, g < 0 or det >= 0 is refused by the loader (exit 2) rather than
-    # escaping a proof as an internal error (exit 3).
-    path = _one_row_table(tmp_path, family, d, g)
+                 "signature (1,1) is required", None),
+    ("v5", 12, 7, "seed curve degree must be >= 1", (0, 3)),
+    ("v5", 12, 7, "seed lattice for v5 (d=3, g=5) has determinant 71 >= 0; "
+                  "signature (1,1) is required", (3, 5)),
+]
+
+
+@pytest.mark.parametrize("family, d, g, message, seed", ROWS_WITHOUT_A_LATTICE,
+                         ids=["-".join(map(str, row[:4])) for row in ROWS_WITHOUT_A_LATTICE])
+def test_row_without_a_picard_lattice_is_a_table_error(tmp_path, capsys, family, d, g, message,
+                                                       seed):
+    # Every non-sporadic proof builds the row's lattice, and a residual one
+    # its seed's, so a row or seed with d < 1, g < 0 or det >= 0 is refused
+    # by the loader (exit 2) rather than escaping a proof as an internal
+    # error (exit 3).
+    tags = {} if seed is None else {"construction": "residual", "seed_d": seed[0],
+                                    "seed_g": seed[1]}
+    path = _one_row_table(tmp_path, family, d, g, **tags)
     full = f"case 1 {family} (d,g)=({d},{g}): {message}"
     with pytest.raises(CaseTableError, match=f"^{re.escape(full)}$"):
         load_cases(str(path))

@@ -2,8 +2,9 @@
 between modules, no catalog import in pipelines, verdicts decided by the
 proofs alone, one degree-line and one line-solving primitive in
 diophantine, each check name built at one call site, a standard-library
-runtime, one dataclass, no ``object.__setattr__`` in the value types, and a
-cold import without ``importlib.resources``.
+runtime, one dataclass, no ``object.__setattr__`` in the value types, value
+equality and ``read_only`` defined in ``values`` alone, and a cold import
+without ``importlib.resources``.
 
 A proof's own code builds its case's lattice once; the nef, free and
 non-tetragonality certificates take (family, d, g) and build it again, so a
@@ -176,6 +177,33 @@ def test_no_value_type_fills_its_slots_through_object_setattr():
                     and func.value.id == "object"):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_value_semantics_live_in_values():
+    # A value equals only its own type and its fields are read-only; that
+    # policy is written once, in values.  Only the lattice's two hot types
+    # keep an equality of their own, over a subset of their slots.
+    equalities, read_only, tuples = [], [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name.lstrip("_") == "read_only":
+                read_only.append(f"{path.stem}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                names = ([item.name] if isinstance(item, ast.FunctionDef) else
+                         [t.id for t in getattr(item, "targets", ()) if isinstance(t, ast.Name)])
+                equalities += [f"{path.stem}.{node.name}.{name}" for name in names
+                               if name in ("__eq__", "__ne__")]
+            if any(isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple"
+                   for base in node.bases):
+                bases = [base.id for base in node.bases if isinstance(base, ast.Name)]
+                tuples.append((f"{path.stem}.{node.name}", "ValueTuple" in bases))
+    assert sorted(equalities) == [
+        "lattice.DivisorClass.__eq__", "lattice.IntersectionLattice.__eq__",
+        "values.SlotValue.__eq__", "values.ValueTuple.__eq__", "values.ValueTuple.__ne__"]
+    assert read_only == ["values.read_only"]
+    assert len(tuples) == 6 and all(based for _, based in tuples), tuples
 
 
 def test_cold_import_leaves_out_importlib_resources():

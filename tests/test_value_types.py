@@ -137,3 +137,16 @@ def test_lattice_determinant_plays_no_part_in_equality_hash_or_repr():
     assert tampered.det == 0 and plain.det == -37
     assert tampered == plain and hash(tampered) == hash(plain)
     assert repr(tampered) == repr(plain) == "IntersectionLattice(gram=((6, 5), (5, -2)))"
+
+
+@pytest.mark.parametrize("value", [
+    TetragonalReport((), ()),
+    Certificate(CASE, "Realizable", ()),
+    Report(()),
+    CHECK,
+], ids=lambda value: type(value).__name__)
+def test_records_do_not_hash_even_with_hashable_fields(value):
+    # Only the types pinned by test_equal_values_hash_equal hash; a record
+    # that holds checks and verdicts is compared, never used as a key.
+    with pytest.raises(TypeError):
+        hash(value)
