@@ -148,7 +148,23 @@ def _integer_field(entry: dict, key: str) -> int:
     return int(value)
 
 
+# The keys of a case entry: the fields every row has, then the tags, which
+# take CaseRecord's defaults where an entry leaves them out.  Any other key
+# is refused: a misspelled tag would fall back to its default unseen.
+_ENTRY_FIELDS = ("id", "family", "d", "g", "expected")
+_ENTRY_TAGS = ("route", "smallness", "ambient", "construction", "seed_d", "seed_g")
+
+
 def _record_from_entry(entry: dict) -> CaseRecord:
+    if not isinstance(entry, dict):
+        raise CaseTableError(f"malformed case entry {entry!r}")
+    for key in entry:
+        if key not in _ENTRY_FIELDS and key not in _ENTRY_TAGS:
+            raise CaseTableError(f"unknown case entry key {key!r}")
+    tags = {key: entry[key] for key in _ENTRY_TAGS if key in entry}
+    for key in ("seed_d", "seed_g"):
+        if tags.get(key) is not None:
+            tags[key] = _integer_field(entry, key)
     try:
         return CaseRecord(
             case_id=_integer_field(entry, "id"),
@@ -156,12 +172,7 @@ def _record_from_entry(entry: dict) -> CaseRecord:
             d=_integer_field(entry, "d"),
             g=_integer_field(entry, "g"),
             expected=str(entry["expected"]),
-            route=entry.get("route", "construction"),
-            smallness=entry.get("smallness", "table-absent"),
-            ambient=entry.get("ambient"),
-            construction=entry.get("construction", "main"),
-            seed_d=None if entry.get("seed_d") is None else _integer_field(entry, "seed_d"),
-            seed_g=None if entry.get("seed_g") is None else _integer_field(entry, "seed_g"),
+            **tags,
         )
     except (KeyError, TypeError) as exc:
         raise CaseTableError(f"malformed case entry {entry!r}") from exc

@@ -24,7 +24,8 @@ degree a positive multiple of step = gcd(H^2, d)) has -det b^2 step^2 <=
 deg^2 (step^2 + 2 H^2), and by the triangle inequality so does any sum of
 candidates.  Past that test it builds the pool, refuses a target outside
 the pool's slope cone, and runs on the sweep's integer tuples, building
-``DivisorClass`` objects only for what it returns.
+``DivisorClass`` objects only for what it returns.  It returns at most
+``DECOMPOSITION_LIMIT`` (32) decompositions, a module constant.
 """
 from __future__ import annotations
 
@@ -265,8 +266,12 @@ def band_empty(form1: tuple[int, int], range1: Interval,
     )
 
 
-def effective_decompositions(lattice: IntersectionLattice, target,
-                             limit: int = 32) -> tuple[tuple[DivisorClass, ...], ...]:
+# The most decompositions one search returns; a full result is truncated.
+DECOMPOSITION_LIMIT = 32
+
+
+def effective_decompositions(lattice: IntersectionLattice,
+                             target) -> tuple[tuple[DivisorClass, ...], ...]:
     """Decompositions of a class into irreducible-curve candidates.
 
     Candidate components are the classes of positive polarization degree and
@@ -278,7 +283,7 @@ def effective_decompositions(lattice: IntersectionLattice, target,
     each decomposition lists its components in that order.  The search is
     depth first: it extends the current partial decomposition by each
     candidate at or after the last one chosen, in that order.  The first
-    ``limit`` decompositions met in this order are returned.
+    ``DECOMPOSITION_LIMIT`` decompositions met in this order are returned.
 
     The steps, in order.  Signature: a lattice without det < 0 < H^2 is
     refused with ``LatticeSignatureError`` (raised by ``degree_lines``)
@@ -329,6 +334,7 @@ def effective_decompositions(lattice: IntersectionLattice, target,
         return ()
     results: list[tuple[int, ...]] = []
     chosen: list[int] = []
+    limit = DECOMPOSITION_LIMIT
 
     def search(start: int, rem_a: int, rem_b: int, budget: int):
         for idx in range(start, len(pool)):

@@ -107,8 +107,7 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
     h2 = family_spec.h_square
 
     degree_form = (h2, d)
-    # (T - D).T = h^2 - D.T, so the side condition is D.T <= h^2.
-    values = [v for v in DONOR_DEGREES if v <= h2 and v % gcd(h2, d) == 0]
+    values = [v for v in DONOR_DEGREES if v % gcd(h2, d) == 0]
     if not values:
         raise DonorWindowEmptyError(
             f"x14 (d={d}, g={g}): no donor degree in the window "

@@ -8,7 +8,8 @@ nefness budgets, genus caps) reduces to the bilinear form stored here, so
 everything stays in exact integer arithmetic.
 
 The ambient data live here too: the family constants, the sporadic ambients'
-degrees and the blow-up's anticanonical degree formula.
+degrees and the blow-up's anticanonical degree, derived from H^2 = rn and
+s = r (index r, H^3 = n) as the adjoint square (sH - C)^2 = r^3 n - 2rd + 2g - 2.
 
 The value types follow :mod:`fanocert.values`.  ``DivisorClass`` and
 ``IntersectionLattice`` are not tuples, since the report writer must refuse a
@@ -60,14 +61,8 @@ class DivisorClass:
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.a - other.a, self.b - other.b)
 
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.a, -self.b)
-
     def __rmul__(self, scalar: int) -> "DivisorClass":
         return DivisorClass(scalar * self.a, scalar * self.b)
-
-    def coords(self) -> tuple[int, int]:
-        return (self.a, self.b)
 
 
 _set_a, _set_b = slot_setters(DivisorClass)
@@ -130,10 +125,9 @@ class FamilySpec(SlotValue):
     """One ambient family of blow-up constructions.
 
     ``h_square`` is the square of the hyperplane class on the K3 slice,
-    ``index_multiplier`` the coefficient s in the adjoint class sH - C,
+    ``index_multiplier`` the coefficient s in the adjoint class sH - C, and
     ``cutting_bound`` the maximal degree of the residual intersection used
-    by the secant-degree bound, and ``anticanonical_cube_base`` the constant
-    term of the blown-up threefold's anticanonical degree formula.
+    by the secant-degree bound.
 
     The quadric and v4 cutting bounds are fixed by the published analysis;
     the v5 and x14 constants are extensions derived from the surfaces being
@@ -141,11 +135,10 @@ class FamilySpec(SlotValue):
     based on them is marked ``derived-extension`` in certificates.
     """
 
-    __slots__ = ("name", "h_square", "index_multiplier", "cutting_bound",
-                 "anticanonical_cube_base", "derived_constants")
+    __slots__ = ("name", "h_square", "index_multiplier", "cutting_bound", "derived_constants")
 
     def __init__(self, name: str, h_square: int, index_multiplier: int, cutting_bound: int,
-                 anticanonical_cube_base: int, derived_constants: bool = False):
+                 derived_constants: bool = False):
         if h_square <= 0 or h_square % 2:
             raise ValueError("polarization square must be a positive even integer")
         if index_multiplier < 1:
@@ -154,7 +147,6 @@ class FamilySpec(SlotValue):
         _set_h_square(self, h_square)
         _set_index_multiplier(self, index_multiplier)
         _set_cutting_bound(self, cutting_bound)
-        _set_anticanonical_cube_base(self, anticanonical_cube_base)
         _set_derived_constants(self, derived_constants)
 
     def __hash__(self) -> int:
@@ -172,13 +164,13 @@ class FamilySpec(SlotValue):
 
 
 (_set_name, _set_h_square, _set_index_multiplier, _set_cutting_bound,
- _set_anticanonical_cube_base, _set_derived_constants) = slot_setters(FamilySpec)
+ _set_derived_constants) = slot_setters(FamilySpec)
 
 FAMILIES: dict[str, FamilySpec] = {
-    "quadric": FamilySpec("quadric", 6, 3, 18, 54),
-    "v4": FamilySpec("v4", 8, 2, 16, 32),
-    "v5": FamilySpec("v5", 10, 2, 20, 40, derived_constants=True),
-    "x14": FamilySpec("x14", 14, 1, 28, 14, derived_constants=True),
+    "quadric": FamilySpec("quadric", 6, 3, 18),
+    "v4": FamilySpec("v4", 8, 2, 16),
+    "v5": FamilySpec("v5", 10, 2, 20, derived_constants=True),
+    "x14": FamilySpec("x14", 14, 1, 28, derived_constants=True),
 }
 
 # Anticanonical degree of the ambient of the sporadic twisted-cubic
@@ -188,8 +180,9 @@ SPORADIC_AMBIENT_DEGREE = {"X10": 10, "X16": 16, "X18": 18}
 
 
 def anticanonical_cube(family: FamilySpec, d: int, g: int) -> int:
-    """Anticanonical degree of the blow-up along a degree-d genus-g curve."""
-    return family.anticanonical_cube_base - 2 * family.index_multiplier * d - 2 + 2 * g
+    """Anticanonical degree of the blow-up along a degree-d genus-g curve: (sH - C)^2."""
+    s = family.index_multiplier
+    return s * s * family.h_square - 2 * s * d + 2 * g - 2
 
 
 def make_family_lattice(family: FamilySpec, d: int, g: int) -> IntersectionLattice:

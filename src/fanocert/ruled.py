@@ -5,7 +5,8 @@ general twisted cubic existed, a certain anticanonical surface would carry a
 two-parameter family of rational cubics, and its minimal resolution would be
 either the plane, a Hirzebruch surface, or a weak del Pezzo surface of
 canonical square 10.  All three branches die on integer arithmetic, which is
-what this module certifies.
+what this module certifies, for the one configuration the module constants
+``H_SQUARE`` (10) and ``CURVE_DEGREE`` (3) fix.
 """
 from __future__ import annotations
 
@@ -77,15 +78,15 @@ def nef_square_classes(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(classes)
 
 
-def hirzebruch_search(n: int, require_moving: bool = True) -> list[dict]:
+def hirzebruch_search(n: int) -> list[dict]:
     """Witness pairs (H, C) for the rational-cubic configuration, expected none.
 
     H must be nef of square ``H_SQUARE``, C effective with H.C =
-    ``CURVE_DEGREE`` and (K+C).C = -2 (a rational curve).
-    ``require_moving`` adds C^2 >= 2, the numerical trace of C moving in a
-    two-parameter family (two general points lie on distinct members, which
-    then meet twice); without it the rigid sections s and s + k*f slip
-    through and the sweep is not empty.
+    ``CURVE_DEGREE``, (K+C).C = -2 (a rational curve) and C^2 >= 2, the
+    numerical trace of C moving in a two-parameter family (two general
+    points lie on distinct members, which then meet twice); without that
+    last condition the rigid sections s and s + k*f slip through and the
+    sweep is not empty.
     """
     surface = RuledLattice(n)
     k_class = surface.canonical_class
@@ -118,26 +119,26 @@ def hirzebruch_search(n: int, require_moving: bool = True) -> list[dict]:
             if adjunction != -2:
                 continue
             c_square = surface.dot(c, c)
-            if require_moving and c_square < 2:
+            if c_square < 2:
                 continue
             witnesses.append({"n": n, "h": [x, y], "c": [c[0], c[1]],
                               "c_square": c_square})
     return witnesses
 
 
-def p2_square_ten(square: int = 10) -> CheckOutcome:
-    """No divisor class on the plane has the given square.
+def p2_square_ten() -> CheckOutcome:
+    """No divisor class on the plane has square ``H_SQUARE``.
 
-    Plane classes have square degree^2, so the check is exactly `square is
+    Plane classes have square degree^2, so the check is exactly `H_SQUARE is
     not a perfect square` (0 included).
     """
-    root = isqrt(square) if square >= 0 else None
-    is_square = root is not None and root * root == square
+    root = isqrt(H_SQUARE)
+    is_square = root * root == H_SQUARE
     return verified(
         name="plane-has-no-class-of-square",
         rule="plane-class-squares",
         passed=not is_square,
-        inputs={"square": square},
+        inputs={"square": H_SQUARE},
         result={"perfect_square": is_square},
         witnesses=(root,) if is_square else (),
     )

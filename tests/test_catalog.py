@@ -346,6 +346,27 @@ def test_row_without_a_matching_proof_is_a_table_error(tmp_path, capsys, row):
     assert captured.err.startswith("fanocert: ")
 
 
+def test_unknown_entry_key_is_a_table_error(tmp_path, capsys):
+    # Case 47 is one of the five open cases.  Spelled "smalness", its tag fell
+    # back to the default "table-absent", and the row was certified Realizable.
+    row = {"id": 47, "family": "quadric", "d": 12, "g": 11, "expected": "Realizable",
+           "smalness": "ambiguous"}
+    table = _embedded_entries()
+    embedded = next(c for c in table["cases"] if (c["id"], c["family"]) == (47, "quadric"))
+    assert embedded == {**{k: v for k, v in row.items() if k != "smalness"},
+                        "expected": "Open", "smallness": "ambiguous"}
+    table["cases"] = [c for c in table["cases"] if c is not embedded] + [row]
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(table))
+    message = "unknown case entry key 'smalness'"
+    with pytest.raises(CaseTableError, match=f"^{message}$"):
+        load_cases(str(path))
+    assert main(["verify", "--table", str(path), "--strict"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fanocert: {message}\n"
+
+
 def test_contradiction_verdict_follows_its_checks(monkeypatch):
     # A residual span one too large leaves the degree comparison unproved,
     # so case 43 is no longer NotRealizable although its tags are unchanged.

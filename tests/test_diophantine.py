@@ -655,7 +655,7 @@ def census_lattices():
                 g += 1
 
 
-def test_effective_decompositions_match_reference_on_random_lattices():
+def test_effective_decompositions_match_reference_on_random_lattices(monkeypatch):
     rng = random.Random(0xFA2606)
     searched = found = truncated = 0
     while searched < 300:
@@ -664,8 +664,9 @@ def test_effective_decompositions_match_reference_on_random_lattices():
         if lattice.degree(target) > 24:
             continue
         limit = rng.choice((1, 5, 32))
+        monkeypatch.setattr(diophantine, "DECOMPOSITION_LIMIT", limit)
         expected = reference_effective_decompositions(lattice, target, limit)
-        assert effective_decompositions(lattice, target, limit) == expected
+        assert effective_decompositions(lattice, target) == expected
         searched += lattice.degree(target) >= 1
         found += bool(expected)
         truncated += len(expected) == limit

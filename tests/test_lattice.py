@@ -104,9 +104,31 @@ def test_family_constants():
     assert [FAMILIES[n].h_square for n in ("quadric", "v4", "v5", "x14")] == [6, 8, 10, 14]
     assert [FAMILIES[n].index_multiplier for n in ("quadric", "v4", "v5", "x14")] == [3, 2, 2, 1]
     assert [FAMILIES[n].cutting_bound for n in ("quadric", "v4", "v5", "x14")] == [18, 16, 20, 28]
-    assert [FAMILIES[n].anticanonical_cube_base for n in ("quadric", "v4", "v5", "x14")] == [54, 32, 40, 14]
+    assert [anticanonical_cube(FAMILIES[n], 0, 1) for n in ("quadric", "v4", "v5", "x14")] == [54, 32, 40, 14]
     assert [FAMILIES[n].section_genus for n in ("quadric", "v4", "v5", "x14")] == [4, 5, 6, 8]
     assert not FAMILIES["quadric"].derived_constants
     assert not FAMILIES["v4"].derived_constants
     assert FAMILIES["v5"].derived_constants
     assert FAMILIES["x14"].derived_constants
+
+
+# The paper's ambients: index r and degree H^3 = n.
+AMBIENTS = {"quadric": (3, 2), "v4": (2, 4), "v5": (2, 5), "x14": (1, 14)}
+
+
+def test_family_table_matches_the_ambients():
+    # The K3 slice is a member of |-K| = |rH|, so H^2 = rn on it and s = r,
+    # and the blow-up along C has (-K)^3 = r^3 n - 2rd + 2g - 2.
+    assert sorted(AMBIENTS) == sorted(FAMILIES)
+    pairs = 0
+    for name, (r, n) in AMBIENTS.items():
+        family = FAMILIES[name]
+        assert family.h_square == r * n
+        assert family.index_multiplier == r
+        for d in range(1, family.cutting_bound):
+            g = 0
+            while family.h_square * (2 * g - 2) - d * d < 0:
+                assert anticanonical_cube(family, d, g) == r**3 * n - 2 * r * d + 2 * g - 2
+                pairs += 1
+                g += 1
+    assert pairs == 721

@@ -115,7 +115,7 @@ def test_freeness_requires_positive_square():
     # a synthetic family with adjoint square 0 is out of the criterion's range
     from fanocert.lattice import FamilySpec
 
-    flat = FamilySpec("quadric", 6, 3, 18, 54)
+    flat = FamilySpec("quadric", 6, 3, 18)
     with pytest.raises(FreenessInapplicableError):
         # (3H - C)^2 = 54 - 6d + 2g - 2; d=10, g=4 gives 54 - 60 + 8 - 2 = 0
         free_certificate(flat, 10, 4)
@@ -217,7 +217,7 @@ def test_free_certificate_matches_reference_off_the_catalog():
     witnessed = nonnegative = 0
     for h_square in (12, 16, 22, 30):
         for multiplier in (1, 3):
-            family = FamilySpec("quadric", h_square, multiplier, 18, 54)
+            family = FamilySpec("quadric", h_square, multiplier, 18)
             for d in range(1, 31):
                 for g in range(11):
                     expected = _json_or_refusal(reference_free_certificate, family, d, g)
@@ -297,7 +297,7 @@ def test_nef_certificate_matches_bisect_search_off_the_catalog():
     compared = witnessed = positive_genus = kept = 0
     for h_square in (12, 16, 22, 30):
         for multiplier in (1, 3):
-            family = FamilySpec("quadric", h_square, multiplier, 18, 54)
+            family = FamilySpec("quadric", h_square, multiplier, 18)
             for d in range(1, family.cutting_bound):
                 for g in range(11):
                     if h_square * (2 * g - 2) - d * d >= 0:

@@ -1,3 +1,4 @@
+from fanocert import ruled
 from fanocert.ruled import (RuledLattice, hirzebruch_search, nef_square_classes,
                             noether_contradiction, p2_square_ten)
 
@@ -57,30 +58,35 @@ def test_no_nef_square_ten_classes_beyond_bound():
 def test_rigid_sections_survive_without_family_constraint():
     # dropping the moving-family square constraint lets rigid sections
     # through; the full constraint set must reject exactly those
-    survivor_ns = [n for n in range(0, 11) if hirzebruch_search(n, require_moving=False)]
+    survivor_ns = [n for n in range(0, 11) if brute_hirzebruch(n, require_moving=False)]
     assert survivor_ns == [4, 6, 8, 10]
     for n in survivor_ns:
-        for witness in hirzebruch_search(n, require_moving=False):
-            assert witness["c_square"] < 2
-        assert brute_hirzebruch(n, require_moving=False) != []
+        surface = RuledLattice(n)
+        for _, c in brute_hirzebruch(n, require_moving=False):
+            assert surface.dot(c, c) < 2
+        assert hirzebruch_search(n) == []
 
 
 def test_adjunction_chain_on_partial_survivors():
     # (K+H).C = (K+C).C - C^2 + H.C = 1 - C^2 for every rational cubic
+    checked = 0
     for n in range(0, 11):
         surface = RuledLattice(n)
         k = surface.canonical_class
-        for witness in hirzebruch_search(n, require_moving=False):
-            h = tuple(witness["h"])
-            c = tuple(witness["c"])
+        for h, c in brute_hirzebruch(n, require_moving=False):
             kh_dot_c = surface.dot((k[0] + h[0], k[1] + h[1]), c)
             assert kh_dot_c == 1 - surface.dot(c, c)
+            checked += 1
+    assert checked > 0
 
 
-def test_plane_square_check():
+def test_plane_square_check(monkeypatch):
     assert p2_square_ten().passed
-    assert not p2_square_ten(9).passed
-    assert not p2_square_ten(0).passed
+    for square in (9, 0):
+        monkeypatch.setattr(ruled, "H_SQUARE", square)
+        check = p2_square_ten()
+        assert not check.passed
+        assert check.inputs == {"square": square}
 
 
 def test_noether_bound():

@@ -3,8 +3,11 @@ between modules, no catalog import in pipelines, verdicts decided by the
 proofs alone, one degree-line and one line-solving primitive in
 diophantine, each check name built at one call site, a standard-library
 runtime, one dataclass, no ``object.__setattr__`` in the value types, value
-equality and ``read_only`` defined in ``values`` alone, and a cold import
-without ``importlib.resources``.
+equality and ``read_only`` defined in ``values`` alone, a cold import
+without ``importlib.resources``, a package root that binds only
+``load_cases`` and ``__version__``, and no defaulted parameter of a public
+function or constructor that no call in the package sets (``cli.main``'s
+``argv`` aside).
 
 A proof's own code builds its case's lattice once; the nef, free and
 non-tetragonality certificates take (family, d, g) and build it again, so a
@@ -217,6 +220,16 @@ def test_cold_import_leaves_out_importlib_resources():
     assert done.returncode == 0, done.stderr
 
 
+def test_package_root_binds_only_load_cases():
+    # The benchmark's setup code calls fanocert.load_cases(); every other
+    # name is imported from the module that defines it.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    bound = [alias.asname or alias.name for node in _imports(tree) for alias in node.names]
+    bound += [target.id for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets]
+    assert bound == ["load_cases", "__version__"]
+
+
 def test_pipelines_do_not_import_catalog():
     tree = ast.parse((PACKAGE / "pipelines.py").read_text())
     names = set()
@@ -260,3 +273,83 @@ def test_verify_case_reads_no_proof_tags():
     read = {node.attr for node in ast.walk(verify_case) if isinstance(node, ast.Attribute)}
     assert "proof" in read
     assert not read & {"route", "smallness", "construction"}
+
+
+# Defaulted parameters that no call in the package sets.  The console script
+# calls cli.main() with no arguments, and a command line comes in as argv.
+UNSET_DEFAULTS_ALLOWED = {"cli.main(argv)"}
+
+
+def _defaulted(args, skip: int):
+    """(name, positional index or None) of each defaulted parameter."""
+    positional = (args.posonlyargs + args.args)[skip:]
+    first = len(positional) - len(args.defaults)
+    return ([(arg.arg, index) for index, arg in enumerate(positional) if index >= first]
+            + [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None])
+
+
+def _constructor_defaults(node: ast.ClassDef):
+    """A class's defaulted constructor parameters: its own ``__init__`` or
+    ``__new__``, else its dataclass fields or its named tuple's defaults."""
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef) and item.name in ("__init__", "__new__"):
+            return _defaulted(item.args, 1)
+    if node.decorator_list:
+        fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+        return [(f.target.id, index) for index, f in enumerate(fields) if f.value is not None]
+    for base in node.bases:
+        if isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple":
+            fields = base.args[1].value.replace(",", " ").split()
+            for kw in base.keywords:
+                if kw.arg == "defaults":
+                    first = len(fields) - len(kw.value.elts)
+                    return [(name, index) for index, name in enumerate(fields) if index >= first]
+    return []
+
+
+def _set_by(call: ast.Call, params) -> set[str]:
+    """The parameters among ``params`` that one call passes."""
+    if (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg is None for kw in call.keywords)):
+        return {name for name, _ in params}
+    keywords = {kw.arg for kw in call.keywords}
+    return {name for name, index in params
+            if name in keywords or (index is not None and index < len(call.args))}
+
+
+def test_every_default_is_set_by_some_caller():
+    # A default that no call in the package overrides is a constant in
+    # disguise: a knob only tests turn.  Such a value is a module constant,
+    # which a test can monkeypatch.
+    defaults, calls = [], {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                defaults.append((f"{path.stem}.{node.name}", node.name, _defaulted(node.args, 0)))
+                continue
+            defaults.append((f"{path.stem}.{node.name}", node.name, _constructor_defaults(node)))
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    defaults.append((f"{path.stem}.{node.name}.{item.name}", item.name,
+                                     _defaulted(item.args, 0 if static else 1)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                # Inside a class, cls(...) calls that class.
+                calls.setdefault(node.name, []).extend(
+                    call for call in ast.walk(node) if isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "cls")
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = set()
+    for qualified, name, params in defaults:
+        passed = set().union(*(_set_by(call, params) for call in calls.get(name, ())))
+        unset |= {f"{qualified}({param})" for param, _ in params if param not in passed}
+    assert sum(len(params) for *_, params in defaults) > 15
+    assert unset == UNSET_DEFAULTS_ALLOWED

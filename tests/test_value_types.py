@@ -22,10 +22,9 @@ CHECK = CheckOutcome(name="n", rule="r", kind="verified", passed=True, inputs={"
 VALUES = {
     DivisorClass: ({"a": 1, "b": -2}, {"a": 1, "b": -3}),
     IntersectionLattice: ({"gram": ((6, 5), (5, -2))}, {"gram": ((6, 5), (5, 0))}),
-    FamilySpec: ({"name": "q", "h_square": 6, "index_multiplier": 3, "cutting_bound": 18,
-                  "anticanonical_cube_base": 54},
+    FamilySpec: ({"name": "q", "h_square": 6, "index_multiplier": 3, "cutting_bound": 18},
                  {"name": "q", "h_square": 6, "index_multiplier": 3, "cutting_bound": 18,
-                  "anticanonical_cube_base": 54, "derived_constants": True}),
+                  "derived_constants": True}),
     CheckOutcome: ({"name": "n", "rule": "r", "kind": "verified", "passed": True},
                    {"name": "n", "rule": "r", "kind": "verified", "passed": False}),
     Interval: ({"lo": 0, "hi": 6}, {"lo": 0, "hi": 6, "hi_open": True}),
@@ -84,11 +83,11 @@ def test_checks_and_classes_are_not_tuples():
     (lambda: IntersectionLattice(((6, 3), (2, 4))), "^Gram matrix must be symmetric$"),
     (lambda: IntersectionLattice(((5, 3), (3, 4))), "^diagonal Gram entries must be even$"),
     (lambda: IntersectionLattice(((6, 3), (3, 5))), "^diagonal Gram entries must be even$"),
-    (lambda: FamilySpec("q", 0, 3, 18, 54),
+    (lambda: FamilySpec("q", 0, 3, 18),
      "^polarization square must be a positive even integer$"),
-    (lambda: FamilySpec("q", 7, 3, 18, 54),
+    (lambda: FamilySpec("q", 7, 3, 18),
      "^polarization square must be a positive even integer$"),
-    (lambda: FamilySpec("q", 6, 0, 18, 54), r"^index multiplier must be >= 1$"),
+    (lambda: FamilySpec("q", 6, 0, 18), r"^index multiplier must be >= 1$"),
     (lambda: CheckOutcome("n", "r", "proved", True), "^unknown outcome kind 'proved'$"),
     (lambda: LinearSeries(-1, 6), r"^a linear series needs r >= 0 and d >= 0$"),
     (lambda: LinearSeries(r=1, d=-1), r"^a linear series needs r >= 0 and d >= 0$"),
@@ -112,7 +111,7 @@ def test_default_dicts_are_fresh():
 def test_defaults_and_keyword_construction():
     assert Interval(0, 6) == Interval(lo=0, hi=6, lo_open=False, hi_open=False)
     assert Interval.open(0, 6) == Interval(0, 6, True, True)
-    assert FamilySpec("q", 6, 3, 18, 54).derived_constants is False
+    assert FamilySpec("q", 6, 3, 18).derived_constants is False
     assert Certificate(case=CASE, computed="Realizable", checks=()).discrepancies == ()
     assert CheckOutcome("n", "r", "verified", True).witnesses == ()
 
