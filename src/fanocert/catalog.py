@@ -207,8 +207,7 @@ def verify_case(case: CaseRecord) -> Certificate:
     """Run the row's proof; its conclusion is the verdict if every check passed."""
     checks, discrepancies, conclusion = PIPELINES[case.proof](case)
     computed = conclusion if all(c.passed for c in checks) else UNVERIFIED
-    return Certificate(case=case, computed=computed, checks=tuple(checks),
-                       discrepancies=tuple(discrepancies))
+    return Certificate(case, computed, tuple(checks), tuple(discrepancies))
 
 
 def run_all(case_id: int | None = None, family: str | None = None,

@@ -17,15 +17,18 @@ gives the exact maximum square off a line's range.
 One primitive solves a linear form's level lines (``_line`` and
 ``_line_base``): the degree lines and the band use it.  Band points come
 from form1's lines, one floor-division range of each line's parameter per
-value of form1.  The decomposition search refuses a target outside the
+value of form1.  Only the multiples of gcd(form1) have lines with integer
+points, so the band walks just those: one ``_line_base`` call for the
+first, then a fixed step of the base and of form2's value per multiple.
+The decomposition search refuses a target outside the
 candidates' real cone before it sweeps anything.  By Hodge index, H^2 x^2 =
 deg(x)^2 + det b(x)^2 for every class x = aH + bC, so a candidate (x^2 >= -2,
 degree a positive multiple of step = gcd(H^2, d)) has -det b^2 step^2 <=
 deg^2 (step^2 + 2 H^2), and by the triangle inequality so does any sum of
 candidates.  Past that test it builds the pool, refuses a target outside
 the pool's slope cone, and runs on the sweep's integer tuples, building
-``DivisorClass`` objects only for what it returns.  It returns at most
-``DECOMPOSITION_LIMIT`` (32) decompositions, a module constant.
+``DivisorClass`` objects only for what it returns.  It stops as soon as it
+has ``DECOMPOSITION_LIMIT`` (32) decompositions, a module constant.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from collections import namedtuple
 from math import gcd, isqrt
 
 from .lattice import DivisorClass, IntersectionLattice, LatticeSignatureError, as_class
-from .outcome import CheckOutcome, VERIFIED, verified
+from .outcome import CheckOutcome, verified
 from .values import ValueTuple
 
 
@@ -226,10 +229,14 @@ def band_empty(form1: tuple[int, int], range1: Interval,
 
     Passes when the region holds no integer point; otherwise the full
     witness list is attached, sorted.  Proportional forms are rejected since
-    the region would be an unbounded strip.  Form1's line is solved once;
-    each value of range1 is one line base, and along that line form2 moves
-    by a nonzero constant per step (det != 0), so the points with form2 in
-    range2 are one floor-division range of the line's parameter.
+    the region would be an unbounded strip.  Form1's line is solved once,
+    and only the multiples of g = gcd(form1) in range1 have integer points.
+    The walk visits just those: one ``_line_base`` call gives the first
+    multiple's base, and each next multiple adds the solution (u, v) of
+    form1 = g to the base and r u + s v to form2's value.  Along each line
+    form2 moves by a nonzero constant per step (det != 0), so the points
+    with form2 in range2 are one floor-division range of the line's
+    parameter.
     """
     p, q = form1
     r, s = form2
@@ -237,27 +244,31 @@ def band_empty(form1: tuple[int, int], range1: Interval,
     if det == 0:
         raise DependentFormsError("band forms are linearly dependent")
     line = _line(p, q)
-    *_, step_a, step_b = line
+    spacing, u, v, step_a, step_b = line
     climb = r * step_a + s * step_b
     if climb < 0:
         step_a, step_b, climb = -step_a, -step_b, -climb
-    ints2 = range2.integers()
+    ints1, ints2 = range1.integers(), range2.integers()
     lo2, hi2 = ints2.start, ints2.stop
     witnesses = []
-    for u in range1.integers():
-        base = _line_base(line, u)
-        if base is None:
-            continue
-        base_a, base_b = base
+    # The walk's bases are not _line_base's canonical ones, but any base of
+    # a line gives the same points, and the witnesses are sorted below.
+    first = ints1.start + (-ints1.start) % spacing
+    if first < ints1.stop:
+        base_a, base_b = _line_base(line, first)
         value = r * base_a + s * base_b
-        # lo2 <= value + k*climb < hi2, with climb > 0
-        for k in range(-((value - lo2) // climb), -((value - hi2) // climb)):
-            witnesses.append([base_a + k * step_a, base_b + k * step_b])
+        lift = r * u + s * v
+        for _ in range(first, ints1.stop, spacing):
+            # lo2 <= value + k*climb < hi2, with climb > 0
+            for k in range(-((value - lo2) // climb), -((value - hi2) // climb)):
+                witnesses.append([base_a + k * step_a, base_b + k * step_b])
+            base_a += u
+            base_b += v
+            value += lift
     witnesses.sort()
-    return CheckOutcome(
+    return verified(
         name="integer-points-in-band",
         rule="band-enumeration",
-        kind=VERIFIED,
         passed=not witnesses,
         inputs={"form1": list(form1), "range1": range1.label(),
                 "form2": list(form2), "range2": range2.label()},
@@ -295,11 +306,13 @@ def effective_decompositions(lattice: IntersectionLattice,
     degree, so a target outside it is refused in constant time.  Pool: one
     ``curve_classes`` sweep of the degrees from the target's down.  Integer
     cone: a target outside the pool's extreme slopes b/deg is refused.  DFS:
-    the depth-first search runs on pool indices and prunes each remainder by
-    the same slopes; ``DivisorClass`` objects are built only for emitted
-    components.
+    the depth-first search runs on pool indices, prunes each remainder by
+    the same slopes, and returns as soon as it appends decomposition number
+    ``DECOMPOSITION_LIMIT``; one ``DivisorClass`` is built per pool index
+    that some returned decomposition uses.
     """
-    target_a, target_b = as_class(target)
+    target = as_class(target)
+    target_a, target_b = target.a, target.b
     (h2, d), _ = lattice.gram
     total = h2 * target_a + d * target_b
     if total < 1:
@@ -335,11 +348,11 @@ def effective_decompositions(lattice: IntersectionLattice,
     results: list[tuple[int, ...]] = []
     chosen: list[int] = []
     limit = DECOMPOSITION_LIMIT
+    size = len(pool)
 
-    def search(start: int, rem_a: int, rem_b: int, budget: int):
-        for idx in range(start, len(pool)):
-            if len(results) >= limit:
-                return
+    def search(start: int, rem_a: int, rem_b: int, budget: int) -> bool:
+        """Extend ``chosen``; True once the results are full, so every caller stops."""
+        for idx in range(start, size):
             deg, a, b, _ = pool[idx]
             if deg > budget:
                 continue
@@ -347,14 +360,24 @@ def effective_decompositions(lattice: IntersectionLattice,
                 # Closes the decomposition exactly when it is the remainder.
                 if a == rem_a and b == rem_b:
                     results.append((*chosen, idx))
+                    if len(results) == limit:
+                        return True
                 continue
             rest_b, rest = rem_b - b, budget - deg
             if rest_b * low_deg < low_b * rest or rest_b * high_deg > high_b * rest:
                 continue
             chosen.append(idx)
-            search(idx, rem_a - a, rest_b, rest)
+            if search(idx, rem_a - a, rest_b, rest):
+                return True
             chosen.pop()
+        return False
 
     search(0, target_a, target_b, total)
-    classes = {idx: DivisorClass(*pool[idx][1:3]) for idx in set().union(*results)}
-    return tuple(tuple(classes[idx] for idx in found) for found in results)
+    # One DivisorClass per pool index met, shared by every decomposition.
+    # A loop that unpacks the pool entry beats a comprehension over
+    # DivisorClass(*pool[idx][1:3]) on CPython 3.11.
+    boxed = {}
+    for idx in set().union(*results):
+        _, a, b, _ = pool[idx]
+        boxed[idx] = DivisorClass(a, b)
+    return tuple(tuple(map(boxed.__getitem__, found)) for found in results)

@@ -107,7 +107,8 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
     h2 = family_spec.h_square
 
     degree_form = (h2, d)
-    values = [v for v in DONOR_DEGREES if v % gcd(h2, d) == 0]
+    step = gcd(h2, d)
+    values = [v for v in DONOR_DEGREES if v % step == 0]
     if not values:
         raise DonorWindowEmptyError(
             f"x14 (d={d}, g={g}): no donor degree in the window "
@@ -178,19 +179,19 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
 
     for value, a, b, square in specials:
         elimination, kind, note = _eliminate_special(square, value)
-        checks.append(CheckOutcome(
+        checks.append(verified(
             name=f"special-donor-({a},{b})",
             rule="special-solution-elimination",
-            kind=kind,
             passed=elimination != "unresolved",
             inputs={"t_degree": value},
             result={"square": square, "elimination": elimination},
             witnesses=({"class": [a, b], "square": square, "t_degree": value,
                         "elimination": elimination, "note": note},),
+            kind=kind,
         ))
         if kind == CITED:
             discrepancies.append(
                 f"special donor ({a},{b}) with square {square} eliminated only "
                 f"by a cited rule")
 
-    return TetragonalReport(checks=tuple(checks), discrepancies=tuple(discrepancies))
+    return TetragonalReport(tuple(checks), tuple(discrepancies))

@@ -52,8 +52,8 @@ class DivisorClass:
         return hash((self.a, self.b))
 
     def __iter__(self):
-        yield self.a
-        yield self.b
+        # A tuple iterator, not a generator: ``a, b = cls`` starts no frame.
+        return iter((self.a, self.b))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.a + other.a, self.b + other.b)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .diophantine import curve_classes
 from .lattice import FamilySpec, make_family_lattice
-from .outcome import CheckOutcome, DERIVED, VERIFIED
+from .outcome import CheckOutcome, DERIVED, VERIFIED, verified
 from .secant import admissible_table
 
 
@@ -66,14 +66,14 @@ def nef_certificate(family: FamilySpec, d: int, g: int) -> CheckOutcome:
             "secancy_required": secancy,
             "eliminated": eliminated,
         })
-    return CheckOutcome(
+    return verified(
         name="adjoint-class-nef",
         rule="secant-obstruction-search",
-        kind=_table_kind(family),
         passed=all_eliminated,
         inputs={"family": family.name, "d": d, "g": g, "candidates": table},
         result={"witness_count": len(witnesses)},
         witnesses=tuple(witnesses),
+        kind=_table_kind(family),
     )
 
 
@@ -94,10 +94,9 @@ def free_certificate(family: FamilySpec, d: int, g: int) -> CheckOutcome:
     witnesses = [{"class": [a, b], "polarization_degree": degree}
                  for degree, a, b, class_square in curve_classes(lattice, searched, -2)
                  if class_square == -2]
-    return CheckOutcome(
+    return verified(
         name="adjoint-class-free",
         rule="elliptic-decomposition-budget",
-        kind=_table_kind(family),
         passed=not witnesses,
         inputs={"family": family.name, "d": d, "g": g},
         result={"elliptic_multiplicity": k,
@@ -105,4 +104,5 @@ def free_certificate(family: FamilySpec, d: int, g: int) -> CheckOutcome:
                 "rational_part_budget": budget,
                 "searched_degrees": searched},
         witnesses=tuple(witnesses),
+        kind=_table_kind(family),
     )

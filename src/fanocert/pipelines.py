@@ -318,13 +318,13 @@ def _residual_member_check(lattice: IntersectionLattice, expected: tuple[int, in
     residual = DivisorClass(2, -1)
     degree = lattice.degree(residual)
     square, genus = square_and_genus(lattice, residual)
-    return CheckOutcome(
+    return verified(
         name="residual-member-invariants",
         rule="residual-class-arithmetic",
-        kind=kind,
         passed=(degree, genus) == expected,
         inputs={**inputs, "residual_class": class_witness(residual)},
         result={"degree": degree, "square": square, "genus": genus},
+        kind=kind,
     )
 
 

@@ -426,19 +426,27 @@ def test_band_matches_box_scan_on_census_bands():
     assert count == 721 and points > 0
 
 
-def test_band_matches_box_scan_on_random_forms():
-    rng = random.Random(0xFA260B)
+def random_band(rng):
+    """(form1, range1, form2, range2): coefficients in [-7, 7], ranges near 0."""
 
     def interval():
         lo = rng.randint(-20, 20)
         # hi < lo, and lo == hi with an open end, give empty ranges
         return Interval(lo, lo + rng.randint(-3, 25), rng.random() < 0.5, rng.random() < 0.5)
 
+    form1 = (rng.randint(-7, 7), rng.randint(-7, 7))
+    form2 = (rng.randint(-7, 7), rng.randint(-7, 7))
+    return form1, interval(), form2, interval()
+
+
+RANDOM_BAND_SEED = 0xFA260B
+
+
+def test_band_matches_box_scan_on_random_forms():
+    rng = random.Random(RANDOM_BAND_SEED)
     dependent = zero_coeff = empty = found = 0
     for _ in range(600):
-        form1 = (rng.randint(-7, 7), rng.randint(-7, 7))
-        form2 = (rng.randint(-7, 7), rng.randint(-7, 7))
-        range1, range2 = interval(), interval()
+        form1, range1, form2, range2 = random_band(rng)
         try:
             expected = reference_band_empty(form1, range1, form2, range2)
         except DependentFormsError:
@@ -453,6 +461,60 @@ def test_band_matches_box_scan_on_random_forms():
     # proportional forms, zero and negative coefficients, empty ranges and
     # regions with points alike
     assert min(dependent, zero_coeff, empty) > 0 and found > 100
+
+
+def test_band_solves_at_most_one_line_base(monkeypatch):
+    # The band walks only the multiples of gcd(form1) in range1: one
+    # _line_base call for the first, and (u, v) added per further multiple.
+    calls = []
+    line_base = diophantine._line_base
+    monkeypatch.setattr(diophantine, "_line_base",
+                        lambda *args: calls.append(args) or line_base(*args))
+    bands = [census_band(name, d, g) for name, d, g, _ in census_lattices()]
+    rng = random.Random(RANDOM_BAND_SEED)
+    bands += [random_band(rng) for _ in range(600)]
+    walked = stepped = 0
+    for form1, range1, form2, range2 in bands:
+        calls.clear()
+        try:
+            band_empty(form1, range1, form2, range2)
+        except DependentFormsError:
+            continue
+        assert len(calls) <= 1, (form1, range1, form2, range2)
+        walked += 1
+        spacing = gcd(*form1)
+        stepped += sum(1 for u in range1.integers() if u % spacing == 0) > 1
+    assert walked > 721 + 500 and stepped > 721
+
+
+def test_band_matches_box_scan_with_range1_ends_off_the_gcd():
+    # gcd(form1) >= 2 and both ends of range1 off its multiples, negative,
+    # open and closed alike: the walk starts at the first multiple inside.
+    rng = random.Random(0xFA2615)
+    seen = set()
+    checked = found = 0
+    while checked < 400:
+        spacing = rng.randint(2, 6)
+        form1 = (spacing * rng.randint(-4, 4), spacing * rng.randint(-4, 4))
+        form2 = (rng.randint(-7, 7), rng.randint(-7, 7))
+        lo = rng.randint(-30, 10)
+        hi = lo + rng.randint(1, 30)
+        if gcd(*form1) != spacing or lo % spacing == 0 or hi % spacing == 0:
+            continue
+        range1 = Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+        range2 = Interval(rng.randint(-20, 0), rng.randint(0, 20),
+                          rng.random() < 0.5, rng.random() < 0.5)
+        try:
+            expected = reference_band_empty(form1, range1, form2, range2)
+        except DependentFormsError:
+            continue
+        assert band_empty(form1, range1, form2, range2) == expected
+        checked += 1
+        found += bool(expected.witnesses)
+        seen.update({"lo < 0" if lo < 0 else "lo > 0", "hi < 0" if hi < 0 else "hi > 0",
+                     "lo open" if range1.lo_open else "lo closed",
+                     "hi open" if range1.hi_open else "hi closed"})
+    assert len(seen) == 8 and found > 100
 
 
 def test_family_solutions_reference_families():
@@ -703,6 +765,22 @@ def test_effective_decompositions_match_reference_on_census_splits():
         count += 1
         found += bool(expected)
     assert count == 3801 and found == 837
+
+
+def test_search_stops_at_the_limit_without_dropping_or_reordering():
+    # The search returns as soon as it appends decomposition number 32.  On
+    # every census split it truncates, its result is the first 32 of a
+    # reference search allowed 64, so the stop cut only what came after.
+    truncated = 0
+    for name, d, g, lattice, cls in census_splits():
+        found = effective_decompositions(lattice, DivisorClass(*cls))
+        if len(found) < diophantine.DECOMPOSITION_LIMIT:
+            continue
+        longer = reference_effective_decompositions(lattice, cls, limit=64)
+        assert len(longer) > len(found) == 32, (name, d, g, cls)
+        assert found == longer[:32], (name, d, g, cls)
+        truncated += 1
+    assert truncated == 20
 
 
 def test_census_splits_are_refused_by_the_real_cone_before_any_sweep(monkeypatch):

@@ -1,7 +1,8 @@
 """Module layout: imports at module level only, no private names shared
 between modules, no catalog import in pipelines, verdicts decided by the
 proofs alone, one degree-line and one line-solving primitive in
-diophantine, each check name built at one call site, a standard-library
+diophantine, each check name built at one call site, checks built only by
+the ``outcome`` builders and by position, a standard-library
 runtime, one dataclass, no ``object.__setattr__`` in the value types, value
 equality and ``read_only`` defined in ``values`` alone, a cold import
 without ``importlib.resources``, a package root that binds only
@@ -124,6 +125,29 @@ def test_each_check_name_is_built_at_one_call_site():
                         sites.setdefault(name, []).append(f"{path.name}:{node.lineno}")
     assert len(sites) > 50
     assert {name: where for name, where in sites.items() if len(where) > 1} == {}
+
+
+def test_only_the_builders_call_check_outcome_and_by_position():
+    # Calling a class with keyword arguments goes through type.__call__ with
+    # a keyword dict, about twice the cost of a call by position, and a
+    # census pass builds 2,522 checks.  So every check is built by verified
+    # or cited, which pass CheckOutcome's fields by position; a caller names
+    # its fields at the builder.
+    sites = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        owner = {}
+        # ast.walk meets an outer function before the ones nested in it, so
+        # each node ends up owned by its innermost function.
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                owner.update((id(node), f"{path.stem}.{func.name}") for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "CheckOutcome" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                sites.append((owner.get(id(node), f"{path.stem} module level"),
+                              [kw.arg for kw in node.keywords]))
+    assert sorted(sites) == [("outcome.cited", []), ("outcome.verified", [])]
 
 
 def test_only_the_construction_skeleton_certifies_the_adjoint_class():
