@@ -8,20 +8,24 @@ is one exact integer range of the line's parameter (``_nonnegative_range``).
 
 One primitive walks degree lines: ``degree_lines`` gives each listed
 degree's line as plain ints (base, step, the square's quadratic and its
-exact "square >= m" range), solving the line once per call.
+exact "square >= m" range).  It solves the line and one base per call, as
+the band does: each later degree steps the previous base by a multiple of
+the gcd solution and returns it to the canonical window.
 ``curve_classes`` lists the classes on those ranges; every class search by
 degree goes through it, the decomposition pool included.  The donor
 families of ``gonality`` read the lines directly, and ``line_maximum``
 gives the exact maximum square off a line's range.
 
 One primitive solves a linear form's level lines (``_line`` and
-``_line_base``): the degree lines and the band use it.  Band points come
-from form1's lines, one floor-division range of each line's parameter per
-value of form1.  Only the multiples of gcd(form1) have lines with integer
-points, so the band walks just those: one ``_line_base`` call for the
-first, then a fixed step of the base and of form2's value per multiple.
-The decomposition search refuses a target outside the
-candidates' real cone before it sweeps anything.  By Hodge index, H^2 x^2 =
+``_line_base``): the degree lines and the band use it, each calling
+``_line_base`` at most once per call.  Band points come from form1's lines,
+one floor-division range of each line's parameter per value of form1.  Only
+the multiples of gcd(form1) have lines with integer points, so the band
+walks just those: one ``_line_base`` call for the first, then a fixed step
+of the base and of form2's value per multiple.
+
+The decomposition search refuses a target outside the candidates' real cone
+before it sweeps anything.  By Hodge index, H^2 x^2 =
 deg(x)^2 + det b(x)^2 for every class x = aH + bC, so a candidate (x^2 >= -2,
 degree a positive multiple of step = gcd(H^2, d)) has -det b^2 step^2 <=
 deg^2 (step^2 + 2 H^2), and by the triangle inequality so does any sum of
@@ -147,14 +151,22 @@ def degree_lines(lattice: IntersectionLattice, degrees, min_square: int) -> list
     """The degree line of each listed polarization degree, as plain ints.
 
     Returns (degree, base_a, base_b, step_a, step_b, quad_a, quad_b, base_sq,
-    ks) tuples for the listed degrees on the degree form's gcd, in the order
-    given.  The line is base + k*step with the canonical base and the
-    lexicographically positive step; its square is quad_a k^2 + quad_b k +
-    base_sq with quad_a < 0, and ``ks`` is exactly the range of k with
-    square >= min_square.  The degree line is solved once per call.
+    ks) tuples for the listed degrees on the degree form's gcd g, in the
+    order given.  The line is base + k*step with the canonical base (the fast
+    coordinate in [0, step)) and the lexicographically positive step; its
+    square is quad_a k^2 + quad_b k + base_sq with quad_a < 0, and ``ks`` is
+    exactly the range of k with square >= min_square.
+
+    The degree line is solved once per call, and as in the band one
+    ``_line_base`` call gives the first listed degree on the gcd its base.
+    Each later degree adds ((degree - last) / g) (u, v) to the previous base,
+    (u, v) being the solution of degree g, and one floor division on the
+    fast coordinate returns it to the canonical window.  Any order of
+    degrees, repeats, zero and negative degrees included, gives the bases
+    ``_line_base`` would.
     """
     line = _degree_line(lattice)
-    *_, step_a, step_b = line
+    spacing, u, v, step_a, step_b = line
     (_, q), (_, s) = lattice.gram
     # The step has degree 0, so it pairs with any (a, b) as b * step_c, and
     # (base + k*step)^2 = quad_a k^2 + quad_b k + base^2 with only quad_b and
@@ -162,11 +174,20 @@ def degree_lines(lattice: IntersectionLattice, degrees, min_square: int) -> list
     step_c = q * step_a + s * step_b
     quad_a = step_b * step_c
     lines = []
+    last = None
     for degree in degrees:
-        base = _line_base(line, degree)
-        if base is None:
+        if degree % spacing:
             continue
-        base_a, base_b = base
+        if last is None:
+            base_a, base_b = _line_base(line, degree)
+        else:
+            scale = (degree - last) // spacing
+            base_a += scale * u
+            base_b += scale * v
+            shift = base_a // step_a if step_a else base_b // step_b
+            base_a -= shift * step_a
+            base_b -= shift * step_b
+        last = degree
         quad_b = 2 * base_b * step_c
         # The base has the given degree, so base^2 = base_a*degree + base_b*(base.C).
         base_sq = base_a * degree + base_b * (q * base_a + s * base_b)

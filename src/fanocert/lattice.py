@@ -23,6 +23,8 @@ read it; equality, hashing and repr see only ``gram``.
 """
 from __future__ import annotations
 
+from operator import index
+
 from .values import SlotValue, read_only, slot_setters
 
 
@@ -69,11 +71,26 @@ _set_a, _set_b = slot_setters(DivisorClass)
 
 
 def as_class(value) -> DivisorClass:
-    """Coerce a ``DivisorClass`` or a plain ``(a, b)`` pair."""
+    """Coerce a ``DivisorClass`` or a plain ``(a, b)`` pair of integers.
+
+    A pair's entries go through ``operator.index``, so an integer subclass
+    becomes a plain int.  A ``bool``, a float or a string is refused with a
+    ``TypeError`` naming it, where ``int`` would have truncated or parsed it.
+    """
     if isinstance(value, DivisorClass):
         return value
     a, b = value
-    return DivisorClass(int(a), int(b))
+    return DivisorClass(_coefficient(a), _coefficient(b))
+
+
+def _coefficient(value) -> int:
+    """``value`` as a plain int; a bool is refused although it is an int."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"class coefficient must be an integer, got {type(value).__name__} {value!r}")
 
 
 class IntersectionLattice:

@@ -6,13 +6,16 @@ the cutting bound of the family, and its arithmetic genus by the index-style
 inequality p_a <= (d+m)^2 / (2 H^2) + 1 - g - s*m together with the classical
 maximum (m-1)(m-2)/2 for irreducible curves of degree m.  A table lists
 plain (m, p_a, secancy) tuples, built directly in (p_a, m) order.
+
+``genus_cap`` is the documented bound.  ``admissible_table`` computes every
+degree's cap in one loop of integer arithmetic, with no call per degree;
+the tests pin that loop to ``genus_cap`` and ``riemannroch.plane_curve_genus``.
 """
 from __future__ import annotations
 
 from math import comb
 
 from .lattice import FamilySpec
-from .riemannroch import plane_curve_genus
 
 
 class SecantBoundError(ValueError):
@@ -49,15 +52,27 @@ def admissible_table(family: FamilySpec, d: int,
     genus-0 entry.  The entry m = 3, p_a = 1 is dropped when s*3 + 1 > d: a
     genus-one cubic is a plane curve and cannot meet the degree-d curve in
     more points than its own degree provides.
+
+    Each cap is ``genus_cap`` and ``riemannroch.plane_curve_genus`` written
+    out in one loop; a degree whose cap is negative lists nothing.
     """
     s = family.index_multiplier
+    den = 2 * family.h_square
+    shift = 1 - g
+    cubic_hole = 3 * s + 1 > d
     caps = []
+    top = -1
     for m in range(1, max_secant_degree(family, d) + 1):
-        cap = min(genus_cap(family, d, g, m), plane_curve_genus(m))
-        if m == 3 and 3 * s + 1 > d:
-            cap = min(cap, 0)
-        caps.append((m, cap, s * m + 1))
-    top = max(cap for _, cap, _ in caps)
+        cap = (d + m) * (d + m) // den + shift - s * m
+        plane = (m - 1) * (m - 2) // 2
+        if plane < cap:
+            cap = plane
+        if m == 3 and cubic_hole and cap > 0:
+            cap = 0
+        if cap >= 0:
+            caps.append((m, cap, s * m + 1))
+            if cap > top:
+                top = cap
     return tuple([(m, p_a, secancy) for p_a in range(top + 1)
                   for m, cap, secancy in caps if cap >= p_a])
 

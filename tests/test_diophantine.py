@@ -8,10 +8,11 @@ from fanocert.diophantine import (DependentFormsError, Interval, band_empty,
                                   curve_classes, degree_lines, effective_decompositions,
                                   line_maximum)
 from fanocert.diophantine import _line, _line_base, _nonnegative_range
-from fanocert import diophantine
+from fanocert import diophantine, gonality
 from fanocert.gonality import DONOR_DEGREES, DonorWindowEmptyError, tetragonal_certificate
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
                               LatticeSignatureError, as_class, make_family_lattice)
+from fanocert.nefness import FreenessInapplicableError, free_certificate, nef_certificate
 from fanocert.outcome import VERIFIED, CheckOutcome
 
 WINDOW = 50
@@ -599,6 +600,128 @@ def test_donor_families_match_side_filtered_reference_on_x14_census():
                 for w in witnesses] == expected, (d, g)
         families_seen += len(expected)
     assert pairs == 290 and families_seen > 0
+
+
+def reference_degree_lines(lattice, degrees, min_square):
+    """The per-degree solve: one ``_line_base`` call for every listed degree,
+    the square's quadratic read off the pairing."""
+    (h2, d), _ = lattice.gram
+    line = _line(h2, d)
+    step = line[3:]
+    lines = []
+    for degree in degrees:
+        base = _line_base(line, degree)
+        if base is None:
+            continue
+        quad_a, quad_b = lattice.pair(step, step), 2 * lattice.pair(base, step)
+        base_sq = lattice.pair(base, base)
+        lines.append((degree, *base, *step, quad_a, quad_b, base_sq,
+                      _nonnegative_range(quad_a, quad_b, base_sq - min_square)))
+    return lines
+
+
+def random_degree_list(rng, spacing):
+    """(kind, degrees): a pool, nef-style caps, a messy list, or one that
+    starts off the gcd."""
+    kind = rng.choice(("pool", "caps", "messy", "off-first" if spacing > 1 else "messy"))
+    if kind == "pool":
+        total = rng.randint(-5, 60)
+        return kind, range(total - total % spacing, 0, -spacing)
+    if kind == "caps":
+        return kind, sorted(rng.sample(range(1, 30), rng.randint(0, 12)))
+    degrees = [rng.randint(-40, 40) for _ in range(rng.randint(0, 14))]
+    degrees += rng.sample(degrees, min(len(degrees), 3)) + [0] * rng.randint(0, 2)
+    rng.shuffle(degrees)
+    if kind == "off-first":
+        degrees = [spacing * rng.randint(-9, 9) + rng.randint(1, spacing - 1)
+                   for _ in range(rng.randint(1, 3))] + degrees
+    return kind, degrees
+
+
+def random_degree_lattice(rng):
+    """A random lattice with det < 0 < H^2; d = 0 and d < 0 included."""
+    while True:
+        h2 = 2 * rng.randint(1, 9)
+        d = rng.choice((0, rng.randint(-12, 12)))
+        c2 = 2 * rng.randint(-6, 10)
+        if h2 * c2 - d * d < 0:
+            return IntersectionLattice(((h2, d), (d, c2)))
+
+
+def test_degree_lines_match_per_degree_reference():
+    rng = random.Random(0xFA2618)
+    seen = set()
+    stepped = 0
+    for _ in range(800):
+        lattice = random_degree_lattice(rng)
+        (h2, d), _ = lattice.gram
+        spacing = gcd(h2, d)
+        kind, degrees = random_degree_list(rng, spacing)
+        min_square = rng.randint(-40, 6)
+        lines = degree_lines(lattice, degrees, min_square)
+        assert lines == reference_degree_lines(lattice, degrees, min_square), (
+            lattice.gram, degrees, min_square)
+        stepped += len(lines) > 1
+        seen.add(kind)
+        seen.add("d = 0" if d == 0 else "d < 0" if d < 0 else "d > 0")
+        listed = list(degrees)
+        if len(set(listed)) < len(listed):
+            seen.add("repeated")
+        if any(x > y for x, y in zip(listed, listed[1:])) and kind != "pool":
+            seen.add("unsorted")
+        if any(x <= 0 for x in listed if x % spacing == 0):
+            seen.add("zero or negative")
+        if d == 0 and len(lines) > 1:
+            seen.add("stepped at d = 0")
+    assert seen == {"pool", "caps", "messy", "off-first", "d = 0", "d < 0", "d > 0",
+                    "repeated", "unsorted", "zero or negative", "stepped at d = 0"}
+    assert stepped > 500
+
+
+def test_degree_lines_solve_at_most_one_line_base(monkeypatch):
+    # As in the band: one _line_base call for the first listed degree on the
+    # gcd, and each later degree steps the previous base.  Every degree list
+    # that nef, free, tetragonality and the decomposition pool pass on the
+    # census lattices is counted, then random lattices and lists.
+    calls = []
+    line_base = diophantine._line_base
+    monkeypatch.setattr(diophantine, "_line_base",
+                        lambda *args: calls.append(args) or line_base(*args))
+    walk = diophantine.degree_lines
+    counted = []
+
+    def counting_degree_lines(lattice, degrees, min_square):
+        calls.clear()
+        lines = walk(lattice, degrees, min_square)
+        counted.append((len(lines), len(calls)))
+        return lines
+
+    monkeypatch.setattr(diophantine, "degree_lines", counting_degree_lines)
+    monkeypatch.setattr(gonality, "degree_lines", counting_degree_lines)
+    for name, d, g, lattice in census_lattices():
+        family = FAMILIES[name]
+        nef_certificate(family, d, g)
+        try:
+            free_certificate(family, d, g)
+        except FreenessInapplicableError:
+            pass
+        if name == "x14":
+            try:
+                tetragonal_certificate(d, g)
+            except DonorWindowEmptyError:
+                pass
+    for name, d, g, lattice, cls in census_splits():
+        effective_decompositions(lattice, cls)
+    census = len(counted)
+    rng = random.Random(0xFA2619)
+    for _ in range(600):
+        lattice = random_degree_lattice(rng)
+        (h2, d), _ = lattice.gram
+        _, degrees = random_degree_list(rng, gcd(h2, d))
+        counting_degree_lines(lattice, degrees, rng.randint(-40, 6))
+    assert all(solved == min(lines, 1) for lines, solved in counted)
+    stepped = [lines > 1 for lines, _ in counted]
+    assert sum(stepped[:census]) > 1000 and sum(stepped[census:]) > 300
 
 
 def random_degree_line(rng, min_square):

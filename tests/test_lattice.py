@@ -1,10 +1,13 @@
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, strategies as st
 
 from fanocert.catalog import load_cases
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
-                              LatticeSignatureError, anticanonical_cube,
+                              LatticeSignatureError, anticanonical_cube, as_class,
                               make_family_lattice, square_and_genus)
+from fanocert.diophantine import effective_decompositions
 
 coeff = st.integers(min_value=-100, max_value=100)
 
@@ -46,6 +49,28 @@ def test_pair_values():
     assert quadric.pair((-2, 1), (0, 1)) == 0
     v4 = make_family_lattice(FAMILIES["v4"], 10, 6)
     assert v4.pair((-1, 1), (0, 1)) == 0
+
+
+def test_as_class_takes_only_integer_pairs():
+    class Coefficient(IntEnum):
+        THREE = 3
+
+    # An integer subclass is an integer, and becomes a plain int.
+    cls = as_class((Coefficient.THREE, -1))
+    assert cls == DivisorClass(3, -1) and type(cls.a) is int
+    cls = DivisorClass(2, 5)
+    assert as_class(cls) is cls
+    # A float, a string or a bool is refused by name; int() would have
+    # truncated 1.5 to 1, parsed '2' and read True as 1.
+    for pair, named in (((1.5, -1), "float 1.5"), (("2", 1), "str '2'"),
+                        ((2, True), "bool True"), ((0.9, 0), "float 0.9")):
+        with pytest.raises(TypeError, match=named):
+            as_class(pair)
+    lattice = make_family_lattice(FAMILIES["v5"], 7, 0)
+    with pytest.raises(TypeError, match="float 0.9"):
+        lattice.degree((0.9, 0))
+    with pytest.raises(TypeError, match="float 1.9"):
+        effective_decompositions(lattice, (1.9, -0.5))
 
 
 def test_square_and_genus():

@@ -1,10 +1,12 @@
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
 import pytest
 
-from fanocert.lattice import FAMILIES
+from fanocert import riemannroch, secant
+from fanocert.lattice import FAMILIES, FamilySpec
 from fanocert.riemannroch import plane_curve_genus
 from fanocert.secant import (SecantBoundError, admissible_table, genus_cap,
                              max_secant_degree)
@@ -173,3 +175,59 @@ def test_admissible_table_matches_reference():
                   and min(genus_cap(family, d, g, 3), 1) >= 1)
     # the census pairs, their secant entries, and tables the (3, 1) hole cuts
     assert (pairs, entries) == (721, 13586) and holes > 0
+
+
+def test_admissible_table_matches_reference_on_random_families():
+    # Even H^2 in [2, 30], s in [1, 4], cutting bounds up to 40 and genera
+    # past the census range (det >= 0 too): empty tables, the (3, 1) hole
+    # where the cubic's cap is 0 and where it is cut from >= 1, and d at or
+    # past the cutting bound.
+    rng = random.Random(0xFA2624)
+    seen = set()
+    checked = 0
+    for _ in range(3000):
+        family = FamilySpec("random", 2 * rng.randint(1, 15), rng.randint(1, 4),
+                            rng.randint(1, 40))
+        d = rng.randint(1, family.cutting_bound + 2)
+        g = rng.randint(0, 60)
+        if d >= family.cutting_bound:
+            with pytest.raises(SecantBoundError):
+                admissible_table(family, d, g)
+            seen.add("bound")
+            continue
+        expected = [(c.m, c.p_a, c.secancy)
+                    for c in reference_admissible_table(family, d, g)]
+        table = admissible_table(family, d, g)
+        assert type(table) is tuple and list(table) == expected, (family, d, g)
+        checked += 1
+        if not table:
+            seen.add("empty")
+        if 3 * family.index_multiplier + 1 > d and max_secant_degree(family, d) >= 3:
+            cap = min(genus_cap(family, d, g, 3), plane_curve_genus(3))
+            seen.add("hole at cap 0" if cap == 0 else "hole cuts" if cap >= 1 else "hole, cap < 0")
+        if family.h_square * (2 * g - 2) - d * d >= 0:
+            seen.add("det >= 0")
+    assert seen == {"bound", "empty", "hole at cap 0", "hole cuts", "hole, cap < 0", "det >= 0"}
+    assert checked > 2000
+
+
+def test_admissible_table_makes_no_call_per_degree(monkeypatch):
+    # The caps are computed inline; genus_cap and plane_curve_genus stay the
+    # documented bound, pinned to the table by the reference tests above.
+    calls = []
+
+    def spy(fn):
+        return lambda *args: calls.append(fn.__name__) or fn(*args)
+
+    monkeypatch.setattr(secant, "genus_cap", spy(genus_cap))
+    # secant writes the plane-curve bound inline; a spy under that name in
+    # secant catches a call through an import of it, the one in riemannroch
+    # any other.
+    monkeypatch.setattr(secant, "plane_curve_genus", spy(plane_curve_genus), raising=False)
+    monkeypatch.setattr(riemannroch, "plane_curve_genus", spy(plane_curve_genus))
+    tables = entries = 0
+    for name, d, g, _ in census_lattices():
+        entries += len(admissible_table(FAMILIES[name], d, g))
+        tables += 1
+    assert (tables, entries) == (721, 13586)
+    assert calls == []
