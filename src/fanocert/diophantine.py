@@ -29,9 +29,10 @@ before it sweeps anything.  By Hodge index, H^2 x^2 =
 deg(x)^2 + det b(x)^2 for every class x = aH + bC, so a candidate (x^2 >= -2,
 degree a positive multiple of step = gcd(H^2, d)) has -det b^2 step^2 <=
 deg^2 (step^2 + 2 H^2), and by the triangle inequality so does any sum of
-candidates.  Past that test it builds the pool, refuses a target outside
-the pool's slope cone, and runs on the sweep's integer tuples, building
-``DivisorClass`` objects only for what it returns.  It stops as soon as it
+candidates.  Past that test it builds the pool and refuses a target outside
+the pool's slope cone.  Only then does it box the pool, once, one
+``DivisorClass`` per candidate, and search depth first in one flat loop
+over a stack of pool indices, with no recursion.  It stops as soon as it
 has ``DECOMPOSITION_LIMIT`` (32) decompositions, a module constant.
 """
 from __future__ import annotations
@@ -115,7 +116,8 @@ def _line_base(line, target: int) -> tuple[int, int] | None:
         return None
     scale = target // g
     base_a, base_b = u * scale, v * scale
-    shift = base_a // step_a if step_a else base_b // step_b
+    # step_a == 0 only for a form (p, 0), where v == 0 and so base_b == 0.
+    shift = base_a // step_a if step_a else 0
     return base_a - shift * step_a, base_b - shift * step_b
 
 
@@ -184,7 +186,8 @@ def degree_lines(lattice: IntersectionLattice, degrees, min_square: int) -> list
             scale = (degree - last) // spacing
             base_a += scale * u
             base_b += scale * v
-            shift = base_a // step_a if step_a else base_b // step_b
+            # step_a == 0 only at d == 0, where v == 0 keeps base_b at 0.
+            shift = base_a // step_a if step_a else 0
             base_a -= shift * step_a
             base_b -= shift * step_b
         last = degree
@@ -327,10 +330,10 @@ def effective_decompositions(lattice: IntersectionLattice,
     degree, so a target outside it is refused in constant time.  Pool: one
     ``curve_classes`` sweep of the degrees from the target's down.  Integer
     cone: a target outside the pool's extreme slopes b/deg is refused.  DFS:
-    the depth-first search runs on pool indices, prunes each remainder by
-    the same slopes, and returns as soon as it appends decomposition number
-    ``DECOMPOSITION_LIMIT``; one ``DivisorClass`` is built per pool index
-    that some returned decomposition uses.
+    the pool is boxed once, one ``DivisorClass`` per candidate shared by
+    every decomposition; one flat loop walks the pool with a stack of the
+    indices taken, prunes each remainder by the same slopes, and returns as
+    soon as it appends decomposition number ``DECOMPOSITION_LIMIT``.
     """
     target = as_class(target)
     target_a, target_b = target.a, target.b
@@ -366,39 +369,40 @@ def effective_decompositions(lattice: IntersectionLattice,
             high_deg, high_b = deg, b
     if target_b * low_deg < low_b * total or target_b * high_deg > high_b * total:
         return ()
-    results: list[tuple[int, ...]] = []
+    # One DivisorClass per candidate, shared by every decomposition.
+    classes = [DivisorClass(a, b) for _, a, b, _ in pool]
+    results = []
+    # The stack: pool indices of the candidates taken so far.  Taking one
+    # leaves idx where it is, since a candidate may repeat; past the pool's
+    # end the last one taken is given back and the walk goes on after it.
     chosen: list[int] = []
     limit = DECOMPOSITION_LIMIT
     size = len(pool)
-
-    def search(start: int, rem_a: int, rem_b: int, budget: int) -> bool:
-        """Extend ``chosen``; True once the results are full, so every caller stops."""
-        for idx in range(start, size):
+    rem_a, rem_b, budget = target_a, target_b, total
+    idx = 0
+    while True:
+        if idx == size:
+            if not chosen:
+                break
+            idx = chosen.pop()
             deg, a, b, _ = pool[idx]
-            if deg > budget:
-                continue
-            if deg == budget:
-                # Closes the decomposition exactly when it is the remainder.
-                if a == rem_a and b == rem_b:
-                    results.append((*chosen, idx))
-                    if len(results) == limit:
-                        return True
-                continue
+            rem_a += a
+            rem_b += b
+            budget += deg
+            idx += 1
+            continue
+        deg, a, b, _ = pool[idx]
+        if deg < budget:
             rest_b, rest = rem_b - b, budget - deg
-            if rest_b * low_deg < low_b * rest or rest_b * high_deg > high_b * rest:
+            if low_b * rest <= rest_b * low_deg and rest_b * high_deg <= high_b * rest:
+                chosen.append(idx)
+                rem_a -= a
+                rem_b, budget = rest_b, rest
                 continue
-            chosen.append(idx)
-            if search(idx, rem_a - a, rest_b, rest):
-                return True
-            chosen.pop()
-        return False
-
-    search(0, target_a, target_b, total)
-    # One DivisorClass per pool index met, shared by every decomposition.
-    # A loop that unpacks the pool entry beats a comprehension over
-    # DivisorClass(*pool[idx][1:3]) on CPython 3.11.
-    boxed = {}
-    for idx in set().union(*results):
-        _, a, b, _ = pool[idx]
-        boxed[idx] = DivisorClass(a, b)
-    return tuple(tuple(map(boxed.__getitem__, found)) for found in results)
+        elif deg == budget and a == rem_a and b == rem_b:
+            # Closes the decomposition exactly when it is the remainder.
+            results.append((*map(classes.__getitem__, chosen), classes[idx]))
+            if len(results) == limit:
+                break
+        idx += 1
+    return tuple(results)

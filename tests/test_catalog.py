@@ -12,7 +12,7 @@ from fanocert.lattice import FAMILIES, anticanonical_cube
 from fanocert.report import report_to_json
 from fanocert.secant import trisecant_count
 
-from test_diophantine import census_lattices
+from test_diophantine import census_lattices, unreachable_after
 
 EXPECTED_VERDICTS = {
     "quadric": {
@@ -67,6 +67,10 @@ def test_run_all_matches_everywhere():
     assert report.all_match
     ordering = [(c.case.case_id, c.case.family) for c in report.certificates]
     assert ordering == sorted(ordering)
+
+
+def test_run_all_leaves_no_cyclic_garbage():
+    assert unreachable_after(run_all) == 0
 
 
 def test_family_filter():

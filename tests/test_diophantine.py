@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -518,6 +519,32 @@ def test_band_matches_box_scan_with_range1_ends_off_the_gcd():
     assert len(seen) == 8 and found > 100
 
 
+def test_forms_without_b_have_bases_with_b_zero():
+    # A form (p, 0) is the only one whose step has step_a == 0.  There
+    # _extended_gcd(p, 0) gives v == 0, so every base has b == 0, which is
+    # why _line_base and the stepped bases of degree_lines shift by 0 then.
+    # Each base is checked against the solutions of p*a = t in a box, b in
+    # the canonical window [0, step_b).
+    rng = random.Random(0xFA2625)
+    bases = 0
+    for _ in range(200):
+        p = rng.choice((-1, 1)) * rng.randint(1, 30)
+        _, _, v, step_a, step_b = line = _line(p, 0)
+        assert v == 0 and step_a == 0 < step_b, p
+        for target in range(-40, 41):
+            brute = [(a, b) for a in range(-40, 41) if p * a == target
+                     for b in range(-3, 4) if 0 <= b < step_b]
+            base = _line_base(line, target)
+            assert base == (brute[0] if brute else None), (p, target)
+            if base is not None:
+                assert base[1] == 0
+                bases += 1
+        lattice = IntersectionLattice(((abs(p) + abs(p) % 2, 0), (0, -2 * rng.randint(1, 9))))
+        degrees = [rng.randint(-40, 40) for _ in range(12)]
+        assert all(base_b == 0 for _, _, base_b, *_ in degree_lines(lattice, degrees, -40))
+    assert bases > 1000
+
+
 def test_family_solutions_reference_families():
     x14_40 = make_family_lattice(FAMILIES["x14"], 4, 0)
     lines = degree_lines(x14_40, range(4, 8), 0)
@@ -888,6 +915,31 @@ def test_effective_decompositions_match_reference_on_census_splits():
         count += 1
         found += bool(expected)
     assert count == 3801 and found == 837
+
+
+def unreachable_after(run) -> int:
+    """The objects ``run()`` leaves that only the cyclic collector frees."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_decomposition_searches_leave_no_cyclic_garbage():
+    # The search is one loop with no closure, so a search that finds
+    # something leaves no reference cycle behind it.
+    splits = [(lattice, DivisorClass(*cls)) for *_, lattice, cls in census_splits()]
+
+    def search_all():
+        for lattice, cls in splits:
+            effective_decompositions(lattice, cls)
+
+    assert unreachable_after(search_all) == 0
 
 
 def test_search_stops_at_the_limit_without_dropping_or_reordering():
