@@ -11,14 +11,15 @@ degree's line as plain ints (base, step, the square's quadratic and its
 exact "square >= m" range).  It solves the line and one base per call, as
 the band does: each later degree steps the previous base by a multiple of
 the gcd solution and returns it to the canonical window.
-``curve_classes`` lists the classes on those ranges; every class search by
-degree goes through it, the decomposition pool included.  The donor
-families of ``gonality`` read the lines directly, and ``line_maximum``
+``curve_classes`` lists the classes on those ranges; every other class
+search by degree goes through it.  The donor families of ``gonality`` and
+the decomposition search read the lines directly, and ``line_maximum``
 gives the exact maximum square off a line's range.
 
 One primitive solves a linear form's level lines (``_line`` and
 ``_line_base``): the degree lines and the band use it, each calling
-``_line_base`` at most once per call.  Band points come from form1's lines,
+``_line_base`` at most once per call; ``_line`` is a gcd and one modular
+inverse, with no loop of its own.  Band points come from form1's lines,
 one floor-division range of each line's parameter per value of form1.  Only
 the multiples of gcd(form1) have lines with integer points, so the band
 walks just those: one ``_line_base`` call for the first, then a fixed step
@@ -29,11 +30,11 @@ before it sweeps anything.  By Hodge index, H^2 x^2 =
 deg(x)^2 + det b(x)^2 for every class x = aH + bC, so a candidate (x^2 >= -2,
 degree a positive multiple of step = gcd(H^2, d)) has -det b^2 step^2 <=
 deg^2 (step^2 + 2 H^2), and by the triangle inequality so does any sum of
-candidates.  Past that test it builds the pool and refuses a target outside
-the pool's slope cone.  Only then does it box the pool, once, one
-``DivisorClass`` per candidate, and search depth first in one flat loop
-over a stack of pool indices, with no recursion.  It stops as soon as it
-has ``DECOMPOSITION_LIMIT`` (32) decompositions, a module constant.
+candidates.  A steep target walks first the degree lines below its split,
+past which no candidate reaches its slope.  Only a target inside the slope
+cone read off the lines' range ends expands them into the pool, boxed once,
+and searches depth first in one flat loop over a stack of pool indices.  It
+stops at ``DECOMPOSITION_LIMIT`` (32) decompositions, a module constant.
 """
 from __future__ import annotations
 
@@ -75,35 +76,24 @@ class Interval(ValueTuple,
         return f"{left}{self.lo},{self.hi}{right}"
 
 
-def _extended_gcd(x: int, y: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*x + v*y = g = gcd(x, y)."""
-    old_r, r = x, y
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 def _line(coeff_a: int, coeff_b: int) -> tuple[int, int, int, int, int]:
     """(g, u, v, step_a, step_b) describing the lines coeff_a*a + coeff_b*b = t.
 
     u*coeff_a + v*coeff_b = g = gcd(coeff_a, coeff_b), so the lines with
     integer points are those with t a multiple of g.  The step solves the
-    homogeneous equation and has its first nonzero coordinate positive.
+    homogeneous equation and has its first nonzero coordinate positive.  u
+    inverts coeff_a / g modulo step_a, v follows; for (p, 0), u = sign(p).
     """
     if coeff_a == 0 and coeff_b == 0:
         raise ValueError("zero form")
-    g, u, v = _extended_gcd(coeff_a, coeff_b)
+    g = gcd(coeff_a, coeff_b)
     step_a, step_b = coeff_b // g, -coeff_a // g
     if step_a < 0 or (step_a == 0 and step_b < 0):
         step_a, step_b = -step_a, -step_b
-    return g, u, v, step_a, step_b
+    if step_a == 0:
+        return g, g // coeff_a, 0, step_a, step_b
+    u = pow(coeff_a // g, -1, step_a)
+    return g, u, (g - coeff_a * u) // coeff_b, step_a, step_b
 
 
 def _line_base(line, target: int) -> tuple[int, int] | None:
@@ -327,13 +317,16 @@ def effective_decompositions(lattice: IntersectionLattice,
     Hodge index, so a candidate, of square >= -2 and degree >= step =
     gcd(H^2, d), has -det b^2 step^2 <= deg^2 (step^2 + 2 H^2); by the
     triangle inequality any sum of candidates obeys the bound with its total
-    degree, so a target outside it is refused in constant time.  Pool: one
-    ``curve_classes`` sweep of the degrees from the target's down.  Integer
-    cone: a target outside the pool's extreme slopes b/deg is refused.  DFS:
-    the pool is boxed once, one ``DivisorClass`` per candidate shared by
-    every decomposition; one flat loop walks the pool with a stack of the
-    indices taken, prunes each remainder by the same slopes, and returns as
-    soon as it appends decomposition number ``DECOMPOSITION_LIMIT``.
+    degree, so a target outside it is refused in constant time.  Lines: a
+    steep target (-det b^2 > deg^2) is refused unless a line below its
+    split, past which every candidate is flatter, reaches its slope on its
+    side; the lines above are walked after, put in front.  Integer cone: a
+    target outside the slopes b/deg at the lines' range ends is refused.
+    Pool: the lines' classes, expanded only now.  DFS: the pool is boxed
+    once, one ``DivisorClass`` per candidate shared by every decomposition;
+    one flat loop walks the pool with a stack of the indices taken, prunes
+    each remainder by the same slopes, and returns as soon as it appends
+    decomposition number ``DECOMPOSITION_LIMIT``.
     """
     target = as_class(target)
     target_a, target_b = target.a, target.b
@@ -353,24 +346,46 @@ def effective_decompositions(lattice: IntersectionLattice,
     det = lattice.det
     if det < 0 < h2 and -det * (target_b * step) ** 2 > total * total * (step * step + 2 * h2):
         return ()
-    pool = curve_classes(lattice, range(total - total % step, 0, -step), -2)
-    if not pool:
-        return ()
-    # Candidates of least and greatest slope b/deg.  Every candidate has
-    # positive degree, so a sum of them with total degree r has its b
-    # between r times those two slopes; a remainder outside is a dead end,
-    # the target (the first remainder) included.
-    low_deg, _, low_b, _ = pool[0]
-    high_deg, high_b = low_deg, low_b
-    for deg, _, b, _ in pool:
-        if b * low_deg < low_b * deg:
-            low_deg, low_b = deg, b
-        if b * high_deg > high_b * deg:
-            high_deg, high_b = deg, b
+    # A candidate of degree m is flatter than a steep target (excess = -det
+    # b_T^2 - total^2 > 0) once m^2 excess > 2 H^2 total^2; ``split`` is the
+    # least such multiple of step, capped at top + step.
+    top = total - total % step
+    split = top + step
+    if det < 0 < h2:
+        excess = -det * target_b * target_b - total * total
+        if excess > 0:
+            split = min(split, (isqrt(2 * h2 * total * total // excess) // step + 1) * step)
+    lines = degree_lines(lattice, range(split - step, 0, -step), -2)
+    if split <= top:
+        # Refused unless a line below split reaches its slope on its side.
+        for deg, _, base_b, _, step_b, _, _, _, ks in lines:
+            if ks:
+                end = ks[-1] if step_b * target_b > 0 else ks[0]
+                if ((base_b + end * step_b) * total - target_b * deg) * target_b >= 0:
+                    break
+        else:
+            return ()
+        lines = degree_lines(lattice, range(top, split - step, -step), -2) + lines
+    # Least and greatest candidate slopes b/deg, at the lines' range ends;
+    # (0, 1) and (0, -1) stand for +-inf, so an empty pool refuses all.  A
+    # sum of candidates of total degree r has its b between r times them; a
+    # remainder outside is a dead end, the target (the first) included.
+    low_deg, low_b, high_deg, high_b = 0, 1, 0, -1
+    for deg, _, base_b, _, step_b, _, _, _, ks in lines:
+        if ks:
+            least, most = base_b + ks[0] * step_b, base_b + ks[-1] * step_b
+            if step_b < 0:
+                least, most = most, least
+            if least * low_deg < low_b * deg:
+                low_deg, low_b = deg, least
+            if most * high_deg > high_b * deg:
+                high_deg, high_b = deg, most
     if target_b * low_deg < low_b * total or target_b * high_deg > high_b * total:
         return ()
+    pool = [(deg, base_a + k * step_a, base_b + k * step_b)
+            for deg, base_a, base_b, step_a, step_b, _, _, _, ks in lines for k in ks]
     # One DivisorClass per candidate, shared by every decomposition.
-    classes = [DivisorClass(a, b) for _, a, b, _ in pool]
+    classes = [DivisorClass(a, b) for _, a, b in pool]
     results = []
     # The stack: pool indices of the candidates taken so far.  Taking one
     # leaves idx where it is, since a candidate may repeat; past the pool's
@@ -385,13 +400,13 @@ def effective_decompositions(lattice: IntersectionLattice,
             if not chosen:
                 break
             idx = chosen.pop()
-            deg, a, b, _ = pool[idx]
+            deg, a, b = pool[idx]
             rem_a += a
             rem_b += b
             budget += deg
             idx += 1
             continue
-        deg, a, b, _ = pool[idx]
+        deg, a, b = pool[idx]
         if deg < budget:
             rest_b, rest = rem_b - b, budget - deg
             if low_b * rest <= rest_b * low_deg and rest_b * high_deg <= high_b * rest:

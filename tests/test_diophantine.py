@@ -521,8 +521,8 @@ def test_band_matches_box_scan_with_range1_ends_off_the_gcd():
 
 def test_forms_without_b_have_bases_with_b_zero():
     # A form (p, 0) is the only one whose step has step_a == 0.  There
-    # _extended_gcd(p, 0) gives v == 0, so every base has b == 0, which is
-    # why _line_base and the stepped bases of degree_lines shift by 0 then.
+    # _line(p, 0) gives u = sign(p) and v == 0, so every base has b == 0, which
+    # is why _line_base and the stepped bases of degree_lines shift by 0 then.
     # Each base is checked against the solutions of p*a = t in a box, b in
     # the canonical window [0, step_b).
     rng = random.Random(0xFA2625)
@@ -543,6 +543,32 @@ def test_forms_without_b_have_bases_with_b_zero():
         degrees = [rng.randint(-40, 40) for _ in range(12)]
         assert all(base_b == 0 for _, _, base_b, *_ in degree_lines(lattice, degrees, -40))
     assert bases > 1000
+
+
+def test_line_solves_every_small_form():
+    # Every form (p, q) in [-40, 40]^2 but (0, 0): g is the gcd, (u, v)
+    # solves p*u + q*v = g, and the step is a primitive, lexicographically
+    # positive solution of the homogeneous equation.  Each base equals the
+    # brute-force canonical one: the solution with the fast coordinate (a,
+    # or b when step_a == 0) in [0, step).
+    checked = 0
+    for p in range(-40, 41):
+        for q in range(-40, 41):
+            if p == q == 0:
+                continue
+            g, u, v, step_a, step_b = line = _line(p, q)
+            assert g == gcd(p, q) and u * p + v * q == g, (p, q)
+            assert p * step_a + q * step_b == 0 and gcd(step_a, step_b) == 1, (p, q)
+            assert step_a > 0 or (step_a == 0 and step_b > 0), (p, q)
+            for target in range(-10, 11):
+                if step_a:
+                    brute = [(a, (target - p * a) // q) for a in range(step_a)
+                             if (target - p * a) % q == 0]
+                else:
+                    brute = [(target // p, 0)] if target % p == 0 else []
+                assert _line_base(line, target) == (brute[0] if brute else None), (p, q, target)
+                checked += 1
+    assert checked == 6560 * 21
 
 
 def test_family_solutions_reference_families():
@@ -979,6 +1005,134 @@ def test_census_splits_are_refused_by_the_real_cone_before_any_sweep(monkeypatch
             assert result == ()
             assert reference_effective_decompositions(lattice, cls) == (), (name, d, g, cls)
     assert count == 3801 and refused == 1803 and swept == 1389
+
+
+def scanned_split(lattice, target) -> int:
+    """The least multiple m of step = gcd(H^2, d) with m^2 (-det b_T^2 - T^2) >
+    2 H^2 T^2, by a linear scan: past it every candidate is flatter than the
+    steep target T."""
+    (h2, d), _ = lattice.gram
+    step = gcd(h2, d)
+    total = lattice.degree(target)
+    excess = -lattice.det * target.b ** 2 - total * total
+    assert excess > 0
+    split = step
+    while split * split * excess <= 2 * h2 * total * total:
+        split += step
+    return split
+
+
+def random_steep_targets(seed, count):
+    """(lattice, target) pairs: on a random degree-T line, the two steep
+    points nearest the real bound -det b^2 = T^2 and one random steep point."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        lattice = random_hyperbolic_lattice(rng)
+        h2, d = lattice.gram[0]
+        total = rng.randint(1, 30)
+        line = _line(h2, d)
+        base = _line_base(line, total)
+        if base is None:
+            continue
+        members = [DivisorClass(base[0] + k * line[3], base[1] + k * line[4])
+                   for k in range(-60, 61)]
+        steep = sorted((cls for cls in members if -lattice.det * cls.b ** 2 > total * total),
+                       key=lambda cls: abs(cls.b))
+        found += [(lattice, cls) for cls in dict.fromkeys((*steep[:2], rng.choice(steep)))]
+    return found
+
+
+def test_steep_targets_walk_the_lines_below_the_split_first(monkeypatch):
+    # A steep target (-det b_T^2 > T^2) at split == step is refused before
+    # any sweep.  Otherwise the search walks the degrees below the split
+    # first, top-down, and only then, if it goes on, the rest from T's line
+    # down to the split.  A Hodge-bounded brute force confirms that no
+    # candidate of degree >= split reaches the target's slope.
+    walks = []
+    sweep = diophantine.degree_lines
+    monkeypatch.setattr(diophantine, "degree_lines",
+                        lambda lattice, degrees, m: walks.append(list(degrees))
+                        or sweep(lattice, degrees, m))
+    seen = set()
+    for lattice, target in random_steep_targets(0xFA261A, 600):
+        (h2, d), _ = lattice.gram
+        step, det = gcd(h2, d), lattice.det
+        total = lattice.degree(target)
+        top = total - total % step
+        split = scanned_split(lattice, target)
+        walks.clear()
+        result = effective_decompositions(lattice, target)
+        low, high = list(range(split - step, 0, -step)), list(range(top, split - step, -step))
+        if split == step:
+            assert walks == [] and result == ()
+            seen.add("refused")
+        elif split <= top:
+            assert walks in ([low], [low, high]), (lattice.gram, target)
+            seen.add(f"walked {len(walks)}")
+        else:
+            assert walks == [list(range(top, 0, -step))], (lattice.gram, target)
+            seen.add("one walk")
+        checked = 0
+        for deg in range(split, max(top, split) + 3 * step + 1, step):
+            reach = isqrt((deg * deg + 2 * h2) // -det) + 1
+            for b in range(-reach, reach + 1):
+                if (deg - d * b) % h2:
+                    continue
+                cls = DivisorClass((deg - d * b) // h2, b)
+                if lattice.pair(cls, cls) >= -2:
+                    assert abs(b) * total < abs(target.b) * deg, (lattice.gram, target, cls)
+                    checked += 1
+        seen.add("brute" if checked else "brute empty")
+    assert seen == {"refused", "walked 1", "walked 2", "one walk", "brute", "brute empty"}
+
+
+def test_steep_targets_are_refused_exactly_outside_the_slope_cone():
+    # A steep target is refused exactly when the slopes b/deg of every class
+    # of degree 1..T and square >= -2 miss its own: the split's early
+    # refusal drops no target inside that cone, and on this sample every
+    # steep target inside it decomposes.  Small targets match the reference.
+    refused = decomposed = matched = 0
+    for lattice, target in random_steep_targets(0xFA261B, 900):
+        total = lattice.degree(target)
+        slopes = [Fraction(b, deg)
+                  for deg, _, b, _ in curve_classes(lattice, range(total, 0, -1), -2)]
+        inside = bool(slopes) and min(slopes) <= Fraction(target.b, total) <= max(slopes)
+        result = effective_decompositions(lattice, target)
+        assert bool(result) == inside, (lattice.gram, target)
+        refused += not inside
+        decomposed += inside
+        if total <= 12:
+            assert result == reference_effective_decompositions(lattice, target)
+            matched += 1
+    assert refused > 500 and decomposed > 100 and matched > 300
+
+
+def test_census_splits_walk_only_the_lines_that_can_decide_them(monkeypatch):
+    # Per pass over the 3,801 census splits the search calls degree_lines
+    # 1,512 times for 4,939 lines in all (a single walk from T down gave
+    # 1,389 calls and 7,580 lines).  Each of the 552 searches refused after
+    # a sweep has a steep target and walks only the degrees below its split.
+    walks = []
+    sweep = diophantine.degree_lines
+
+    def counting(lattice, degrees, min_square):
+        lines = sweep(lattice, degrees, min_square)
+        walks.append([line[0] for line in lines])
+        return lines
+
+    monkeypatch.setattr(diophantine, "degree_lines", counting)
+    late_refusals = 0
+    for name, d, g, lattice, cls in census_splits():
+        target = DivisorClass(*cls)
+        before = len(walks)
+        if effective_decompositions(lattice, target) or len(walks) == before:
+            continue
+        late_refusals += 1
+        walked = [deg for walk in walks[before:] for deg in walk]
+        assert max(walked) < scanned_split(lattice, target), (name, d, g, cls)
+    assert len(walks) == 1512 and sum(map(len, walks)) == 4939
+    assert late_refusals == 552
 
 
 def test_effective_decompositions_refuse_targets_outside_the_slope_cone():

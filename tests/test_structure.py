@@ -84,12 +84,11 @@ def test_only_degree_lines_walks_a_degree_line():
 
 
 def test_one_line_primitive_solves_linear_forms():
-    # _line (extended gcd and step) and _line_base (floor-division base) are
-    # the one solver of a linear form's level lines.  The degree lines (via
-    # _degree_line) and the band are its only users, so no second copy of
-    # that arithmetic can drift from it.
-    assert _callers(("_extended_gcd", "_line", "_line_base")) == {
-        "_extended_gcd": {"diophantine._line"},
+    # _line (gcd, modular inverse and step) and _line_base (floor-division
+    # base) are the one solver of a linear form's level lines.  The degree
+    # lines (via _degree_line) and the band are its only users, so no second
+    # copy of that arithmetic can drift from it.
+    assert _callers(("_line", "_line_base")) == {
         "_line": {"diophantine._degree_line", "diophantine.band_empty"},
         "_line_base": {"diophantine.degree_lines", "diophantine.band_empty"}}
 
