@@ -80,6 +80,11 @@ class CaseRecord:
                 make_family_lattice(family, self.d, self.g)
             except ValueError as exc:
                 raise CaseTableError(f"{self.label()}: {exc}") from None
+            # A construction's nef certificate reads the secant table, which
+            # needs d below the family's cutting bound.
+            if self.route == "construction" and self.d >= family.cutting_bound:
+                raise CaseTableError(f"{self.label()}: a construction needs d below the "
+                                     f"cutting bound {family.cutting_bound} of {family.name}")
             if self.construction == "residual":
                 try:
                     make_family_lattice(family, self.seed_d, self.seed_g)

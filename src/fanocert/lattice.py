@@ -14,12 +14,13 @@ s = r (index r, H^3 = n) as the adjoint square (sH - C)^2 = r^3 n - 2rd + 2g - 2
 The value types follow :mod:`fanocert.values`.  ``DivisorClass`` and
 ``IntersectionLattice`` are not tuples, since the report writer must refuse a
 ``DivisorClass`` that reaches it and a slot read is faster than a named-tuple
-field read on the hot ``gram`` path, and they keep their own equality, hash
-and repr over a subset of their slots.  Each class binds its slot setters
-once below it (``_set_a, _set_b = slot_setters(DivisorClass)``).  A lattice
-stores its determinant in a second read-only slot, computed once, since the
-signature check, the degree-line solver and the decomposition search all
-read it; equality, hashing and repr see only ``gram``.
+field read on the hot ``gram`` path.  ``DivisorClass`` takes its equality,
+repr and read-only fields from ``SlotValue`` and adds hashing and the class
+arithmetic.  Only ``IntersectionLattice`` keeps its own equality, hash and
+repr, over ``gram`` alone: a lattice stores its determinant in a second
+read-only slot, computed once, since the signature check, the degree-line
+solver and the decomposition search all read it.  Each class binds its slot
+setters once below it (``_set_a, _set_b = slot_setters(DivisorClass)``).
 """
 from __future__ import annotations
 
@@ -32,23 +33,14 @@ class LatticeSignatureError(ValueError):
     """The Gram determinant is >= 0; index-style bounds do not apply."""
 
 
-class DivisorClass:
+class DivisorClass(SlotValue):
     """Integer coefficient pair against a lattice's ordered basis."""
 
     __slots__ = ("a", "b")
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, a: int, b: int):
         _set_a(self, a)
         _set_b(self, b)
-
-    def __repr__(self) -> str:
-        return f"DivisorClass(a={self.a!r}, b={self.b!r})"
-
-    def __eq__(self, other):
-        if type(other) is not DivisorClass:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
 
     def __hash__(self) -> int:
         return hash((self.a, self.b))

@@ -3,15 +3,16 @@
 The report schema is versioned and uses integers and strings only.  One
 recursive writer walks the report once and emits exactly the bytes of
 ``json.dumps(data, indent=2)``; on the way it refuses, with the JSON path of
-the offending node, a float, a dict key that is not a string, or a value of
+the offending node, a float, a dict key that is not a ``str``, or a value of
 any other type.  Field order is fixed by construction, which together with
 the deterministic case order makes consecutive runs byte-identical.
 
-The writer dispatches on the exact type first.  A list or tuple whose items
-are all exactly ``str`` or ``int`` is joined in one step, and a dict value
-of those two types is written next to its key, so leaves cost no call.
-``bool``, ``None``, subclasses and every other type take the general
-``isinstance`` path, whose order and refusals match ``json.dumps``.
+The writer has one dispatch, on the exact type: a report holds only
+``dict``, ``list``, ``tuple``, ``str``, ``int``, ``True``, ``False`` and
+``None``.  A subclass of any of them, an ``IntEnum`` or a named tuple say,
+is refused like any other type.  A list or tuple whose items are all
+exactly ``str`` or ``int`` is joined in one step, and a dict value of those
+two types is written next to its key, so leaves cost no call.
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ def _encode(node, indent: str, out: list) -> None:
         out.append("{\n" + inner)
         try:
             for key, value in node.items():
-                if not isinstance(key, str):
+                if type(key) is not str:
                     raise ReportValueError(f"{type(key).__name__} key {key!r}",
                                            "; report keys are strings")
                 kind = type(value)
@@ -99,27 +100,21 @@ def _encode(node, indent: str, out: list) -> None:
             exc.steps.append(f"[{step}]")
             raise
         out[-1] = "\n" + indent + "]"
-    # a str or int reaches here only as the root or as an item of a mixed
-    # list; bool, None, subclasses and every other type take this path too
-    elif isinstance(node, str):
+    # a str or int reaches here only as the root or as an item of a mixed list
+    elif kind is str:
         out.append(_quote(node))
-    elif node is None:
-        out.append("null")
+    elif kind is int:
+        out.append(int.__repr__(node))
     elif node is True:
         out.append("true")
     elif node is False:
         out.append("false")
-    elif isinstance(node, int):
-        out.append(int.__repr__(node))
-    elif isinstance(node, (list, tuple)):
-        # json.dumps iterates a subclass like the plain container of its items
-        _encode(list(node), indent, out)
-    elif isinstance(node, dict):
-        _encode(dict(node.items()), indent, out)
-    elif isinstance(node, float):
+    elif node is None:
+        out.append("null")
+    elif kind is float:
         raise ReportValueError("float", "; reports are integer-only")
     else:
-        raise ReportValueError(f"unserializable value of type {type(node)}")
+        raise ReportValueError(f"unserializable value of type {kind}")
 
 
 def report_to_dict(report: Report) -> dict:

@@ -7,9 +7,9 @@ inequality p_a <= (d+m)^2 / (2 H^2) + 1 - g - s*m together with the classical
 maximum (m-1)(m-2)/2 for irreducible curves of degree m.  A table lists
 plain (m, p_a, secancy) tuples, built directly in (p_a, m) order.
 
-``genus_cap`` is the documented bound.  ``admissible_table`` computes every
-degree's cap in one loop of integer arithmetic, with no call per degree;
-the tests pin that loop to ``genus_cap`` and ``riemannroch.plane_curve_genus``.
+``admissible_table`` computes every degree's cap in one loop of integer
+arithmetic, with no call per degree; the tests pin that loop to a reference
+genus cap and ``riemannroch.plane_curve_genus``.
 """
 from __future__ import annotations
 
@@ -31,17 +31,6 @@ def max_secant_degree(family: FamilySpec, d: int) -> int:
     return family.cutting_bound - d
 
 
-def genus_cap(family: FamilySpec, d: int, g: int, m: int) -> int:
-    """Floor of (d+m)^2 / (2 H^2) + 1 - g - s*m, by integer floor division.
-
-    Only the first term is fractional, so flooring it alone floors the sum.
-    """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    return ((d + m) ** 2 // (2 * family.h_square)
-            + 1 - g - family.index_multiplier * m)
-
-
 def admissible_table(family: FamilySpec, d: int,
                      g: int) -> tuple[tuple[int, int, int], ...]:
     """All (m, p_a, secancy) a nef-obstructing curve could have for this case.
@@ -53,8 +42,9 @@ def admissible_table(family: FamilySpec, d: int,
     genus-one cubic is a plane curve and cannot meet the degree-d curve in
     more points than its own degree provides.
 
-    Each cap is ``genus_cap`` and ``riemannroch.plane_curve_genus`` written
-    out in one loop; a degree whose cap is negative lists nothing.
+    Each cap is the floor of the index-style bound, its one fractional term
+    floored alone, capped by ``riemannroch.plane_curve_genus``, written out
+    in one loop; a degree whose cap is negative lists nothing.
     """
     s = family.index_multiplier
     den = 2 * family.h_square

@@ -390,7 +390,8 @@ def test_verify_case_detects_regressions():
 # SHA-256 of every census pair's verify_case outcome, in census order: each
 # pair as a construction row, and v5 and x14 pairs also as contradiction
 # rows.  Each outcome is the JSON of the verdict, checks and discrepancies,
-# or the refusal's "ClassName: message", followed by a newline.
+# or the refusal's "ClassName: message", followed by a newline.  Every
+# certificate also passes through the report writer without a refusal.
 CENSUS_OUTCOMES_SHA256 = "842a9f47c2f467a803a440e585b368ac1f9e3bab9bf8cc05f84a2c6d6b3d6f11"
 
 
@@ -410,6 +411,8 @@ def test_census_outcomes_are_pinned():
                 outcome = "certificate"
                 line = json.dumps([cert.computed, [c.to_dict() for c in cert.checks],
                                    list(cert.discrepancies)], sort_keys=True)
+                # the pin digests with json.dumps; the writer must take it too
+                report_to_json(Report(certificates=(cert,)))
             tally[route, outcome] = tally.get((route, outcome), 0) + 1
             digest.update((line + "\n").encode())
     assert tally == {
@@ -512,6 +515,44 @@ def test_row_without_a_picard_lattice_is_a_table_error(tmp_path, capsys, family,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"fanocert: {full}\n"
+
+
+@pytest.mark.parametrize("family, d, g", [("quadric", 18, 0), ("quadric", 40, 134)])
+def test_construction_row_past_the_cutting_bound_is_a_table_error(tmp_path, capsys, family, d, g):
+    # A construction's secant table needs d below the cutting bound; past
+    # it, these rows would escape the proof as SecantBoundError and
+    # SectionCountError, an internal error (exit 3).
+    path = _one_row_table(tmp_path, family, d, g)
+    full = (f"case 1 {family} (d,g)=({d},{g}): a construction needs d below the "
+            f"cutting bound {FAMILIES[family].cutting_bound} of {family}")
+    with pytest.raises(CaseTableError, match=f"^{re.escape(full)}$"):
+        load_cases(str(path))
+    assert main(["verify", "--table", str(path), "--strict"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fanocert: {full}\n"
+
+
+def test_contradiction_row_past_the_cutting_bound_is_accepted(tmp_path):
+    path = _one_row_table(tmp_path, "x14", 30, 2, route="contradiction")
+    assert run_all(table=str(path)).certificates[0].computed == "Unverified"
+
+
+def test_loader_accepts_a_construction_row_exactly_on_census_pairs():
+    # So the census pin covers every construction row the loader accepts.
+    census = {(name, d, g) for name, d, g, _ in census_lattices()}
+    accepted = set()
+    for name, family in FAMILIES.items():
+        top = 2 * family.cutting_bound
+        for d in range(top + 1):
+            for g in range(-1, top * top // (2 * family.h_square) + 3):
+                try:
+                    CaseRecord(case_id=1, family=name, d=d, g=g, expected="Realizable")
+                except CaseTableError:
+                    continue
+                accepted.add((name, d, g))
+    assert len(census) == 721
+    assert accepted == census
 
 
 @pytest.mark.parametrize("family, d, g, error", [

@@ -8,9 +8,20 @@ import pytest
 from fanocert import riemannroch, secant
 from fanocert.lattice import FAMILIES, FamilySpec
 from fanocert.riemannroch import plane_curve_genus
-from fanocert.secant import (SecantBoundError, admissible_table, genus_cap,
-                             max_secant_degree)
+from fanocert.secant import SecantBoundError, admissible_table, max_secant_degree
 from test_diophantine import census_lattices
+
+
+def genus_cap(family: FamilySpec, d: int, g: int, m: int) -> int:
+    """Reference cap: floor of (d+m)^2 / (2 H^2) + 1 - g - s*m.
+
+    Only the first term is fractional, so flooring it alone floors the sum.
+    """
+    if m < 1:
+        raise ValueError("need m >= 1")
+    return ((d + m) ** 2 // (2 * family.h_square)
+            + 1 - g - family.index_multiplier * m)
+
 
 # Frozen reference tables: the printed obstruction case lists, one entry per
 # (degree, arithmetic genus), ordered rational entries first.
@@ -212,17 +223,17 @@ def test_admissible_table_matches_reference_on_random_families():
 
 
 def test_admissible_table_makes_no_call_per_degree(monkeypatch):
-    # The caps are computed inline; genus_cap and plane_curve_genus stay the
-    # documented bound, pinned to the table by the reference tests above.
+    # The caps are computed inline; genus_cap above and plane_curve_genus
+    # stay the documented bound, pinned to the table by the reference tests.
     calls = []
 
     def spy(fn):
         return lambda *args: calls.append(fn.__name__) or fn(*args)
 
-    monkeypatch.setattr(secant, "genus_cap", spy(genus_cap))
-    # secant writes the plane-curve bound inline; a spy under that name in
-    # secant catches a call through an import of it, the one in riemannroch
-    # any other.
+    # secant writes both bounds inline; a spy under each name in secant
+    # catches a call through an import of it, the one in riemannroch any
+    # other call of the plane-curve bound.
+    monkeypatch.setattr(secant, "genus_cap", spy(genus_cap), raising=False)
     monkeypatch.setattr(secant, "plane_curve_genus", spy(plane_curve_genus), raising=False)
     monkeypatch.setattr(riemannroch, "plane_curve_genus", spy(plane_curve_genus))
     tables = entries = 0

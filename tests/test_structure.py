@@ -4,7 +4,8 @@ proofs alone, one degree-line and one line-solving primitive in
 diophantine, each check name built at one call site, checks built only by
 the ``outcome`` builders and by position, a standard-library
 runtime, one dataclass, no ``object.__setattr__`` in the value types, value
-equality and ``read_only`` defined in ``values`` alone, a cold import
+equality and ``read_only`` defined in ``values`` alone, a report writer
+that dispatches on exact types only, a cold import
 without ``importlib.resources``, a package root that binds only
 ``load_cases`` and ``__version__``, and no defaulted parameter of a public
 function or constructor that no call in the package sets (``cli.main``'s
@@ -207,8 +208,8 @@ def test_no_value_type_fills_its_slots_through_object_setattr():
 
 def test_value_semantics_live_in_values():
     # A value equals only its own type and its fields are read-only; that
-    # policy is written once, in values.  Only the lattice's two hot types
-    # keep an equality of their own, over a subset of their slots.
+    # policy is written once, in values.  Only IntersectionLattice keeps an
+    # equality of its own, over gram alone and not its cached determinant.
     equalities, read_only, tuples = [], [], []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -226,10 +227,22 @@ def test_value_semantics_live_in_values():
                 bases = [base.id for base in node.bases if isinstance(base, ast.Name)]
                 tuples.append((f"{path.stem}.{node.name}", "ValueTuple" in bases))
     assert sorted(equalities) == [
-        "lattice.DivisorClass.__eq__", "lattice.IntersectionLattice.__eq__",
+        "lattice.IntersectionLattice.__eq__",
         "values.SlotValue.__eq__", "values.ValueTuple.__eq__", "values.ValueTuple.__ne__"]
     assert read_only == ["values.read_only"]
     assert len(tuples) == 6 and all(based for _, based in tuples), tuples
+
+
+def test_report_writer_dispatches_on_exact_type_only():
+    # One dispatch per value: the writer reads type(node) and never asks
+    # isinstance, so a subclass is refused like any other type.
+    tree = ast.parse((PACKAGE / "report.py").read_text())
+    encode = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_encode")
+    calls = [node.func.id for node in ast.walk(encode)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert "type" in calls
+    assert "isinstance" not in calls
 
 
 def test_cold_import_leaves_out_importlib_resources():
