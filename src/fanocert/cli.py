@@ -78,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
           f"mismatch={summary['mismatch']} open={summary['open']} "
           f"flagged={summary['flagged']}")
 
-    if args.json:
+    if args.json is not None:
         try:
             write_report(report, args.json)
         except OSError as exc:

@@ -8,33 +8,34 @@ is one exact integer range of the line's parameter (``_nonnegative_range``).
 
 One primitive walks degree lines: ``degree_lines`` gives each listed
 degree's line as plain ints (base, step, the square's quadratic and its
-exact "square >= m" range).  It solves the line and one base per call, as
-the band does: each later degree steps the previous base by a multiple of
+exact "square >= m" range).  It solves the line once per call, and each
+degree steps the previous base, the first the zero base, by a multiple of
 the gcd solution and returns it to the canonical window.
 ``curve_classes`` lists the classes on those ranges; every other class
 search by degree goes through it.  The donor families of ``gonality`` and
 the decomposition search read the lines directly, and ``line_maximum``
 gives the exact maximum square off a line's range.
 
-One primitive solves a linear form's level lines (``_line`` and
-``_line_base``): the degree lines and the band use it, each calling
-``_line_base`` at most once per call; ``_line`` is a gcd and one modular
-inverse, with no loop of its own.  Band points come from form1's lines,
-one floor-division range of each line's parameter per value of form1.  Only
+One primitive solves a linear form's level lines: ``_line`` is a gcd and
+one modular inverse, with no loop of its own, and the degree lines and the
+band call it once per call.  Each steps its bases from the one solution
+(u, v) of the level g = gcd.  Band points come from form1's lines, one
+floor-division range of each line's parameter per value of form1.  Only
 the multiples of gcd(form1) have lines with integer points, so the band
-walks just those: one ``_line_base`` call for the first, then a fixed step
+walks just those: the first from the unreduced solution, then a fixed step
 of the base and of form2's value per multiple.
 
-The decomposition search refuses a target outside the candidates' real cone
-before it sweeps anything.  By Hodge index, H^2 x^2 =
-deg(x)^2 + det b(x)^2 for every class x = aH + bC, so a candidate (x^2 >= -2,
-degree a positive multiple of step = gcd(H^2, d)) has -det b^2 step^2 <=
-deg^2 (step^2 + 2 H^2), and by the triangle inequality so does any sum of
-candidates.  A steep target walks first the degree lines below its split,
-past which no candidate reaches its slope.  Only a target inside the slope
-cone read off the lines' range ends expands them into the pool, boxed once,
-and searches depth first in one flat loop over a stack of pool indices.  It
-stops at ``DECOMPOSITION_LIMIT`` (32) decompositions, a module constant.
+The decomposition search reads one Hodge-index rule.  H^2 x^2 = deg(x)^2 +
+det b(x)^2 for every class x = aH + bC, so a candidate (x^2 >= -2) of
+degree m is flatter than a steep target T once m^2 (-det b_T^2 - T^2) >
+2 H^2 T^2.  The target's split is the least multiple of step = gcd(H^2, d)
+past which that holds.  At split == step every candidate is flatter, and by
+the triangle inequality so is any sum of them: the real cone refuses the
+target before any sweep.  Otherwise a steep target walks first the degree
+lines below its split.  Only a target inside the slope cone read off the
+lines' range ends expands them into the pool, boxed once, and searches
+depth first in one flat loop over a stack of pool indices.  It stops at
+``DECOMPOSITION_LIMIT`` (32) decompositions, a module constant.
 """
 from __future__ import annotations
 
@@ -96,21 +97,6 @@ def _line(coeff_a: int, coeff_b: int) -> tuple[int, int, int, int, int]:
     return g, u, (g - coeff_a * u) // coeff_b, step_a, step_b
 
 
-def _line_base(line, target: int) -> tuple[int, int] | None:
-    """Canonical base (a, b) of ``_line`` output ``line`` at ``target``.
-
-    None when the target is off the gcd; the fast coordinate lies in [0, step).
-    """
-    g, u, v, step_a, step_b = line
-    if target % g:
-        return None
-    scale = target // g
-    base_a, base_b = u * scale, v * scale
-    # step_a == 0 only for a form (p, 0), where v == 0 and so base_b == 0.
-    shift = base_a // step_a if step_a else 0
-    return base_a - shift * step_a, base_b - shift * step_b
-
-
 def _nonnegative_range(quad_a: int, quad_b: int, quad_c: int) -> range:
     """Exactly the integers k with quad_a*k^2 + quad_b*k + quad_c >= 0.
 
@@ -149,16 +135,14 @@ def degree_lines(lattice: IntersectionLattice, degrees, min_square: int) -> list
     square is quad_a k^2 + quad_b k + base_sq with quad_a < 0, and ``ks`` is
     exactly the range of k with square >= min_square.
 
-    The degree line is solved once per call, and as in the band one
-    ``_line_base`` call gives the first listed degree on the gcd its base.
-    Each later degree adds ((degree - last) / g) (u, v) to the previous base,
-    (u, v) being the solution of degree g, and one floor division on the
-    fast coordinate returns it to the canonical window.  Any order of
-    degrees, repeats, zero and negative degrees included, gives the bases
-    ``_line_base`` would.
+    The degree line is solved once per call.  Each listed degree on the gcd
+    adds ((degree - last) / g) (u, v) to the previous base, (u, v) being the
+    solution of degree g; the walk starts from the base (0, 0) of degree 0.
+    One floor division on the fast coordinate returns the base to the
+    canonical window.  Any order of degrees, repeats, zero and negative
+    degrees included, gives the canonical bases.
     """
-    line = _degree_line(lattice)
-    spacing, u, v, step_a, step_b = line
+    spacing, u, v, step_a, step_b = _degree_line(lattice)
     (_, q), (_, s) = lattice.gram
     # The step has degree 0, so it pairs with any (a, b) as b * step_c, and
     # (base + k*step)^2 = quad_a k^2 + quad_b k + base^2 with only quad_b and
@@ -166,20 +150,17 @@ def degree_lines(lattice: IntersectionLattice, degrees, min_square: int) -> list
     step_c = q * step_a + s * step_b
     quad_a = step_b * step_c
     lines = []
-    last = None
+    base_a = base_b = last = 0
     for degree in degrees:
         if degree % spacing:
             continue
-        if last is None:
-            base_a, base_b = _line_base(line, degree)
-        else:
-            scale = (degree - last) // spacing
-            base_a += scale * u
-            base_b += scale * v
-            # step_a == 0 only at d == 0, where v == 0 keeps base_b at 0.
-            shift = base_a // step_a if step_a else 0
-            base_a -= shift * step_a
-            base_b -= shift * step_b
+        scale = (degree - last) // spacing
+        base_a += scale * u
+        base_b += scale * v
+        # step_a == 0 only at d == 0, where v == 0 keeps base_b at 0.
+        shift = base_a // step_a if step_a else 0
+        base_a -= shift * step_a
+        base_b -= shift * step_b
         last = degree
         quad_b = 2 * base_b * step_c
         # The base has the given degree, so base^2 = base_a*degree + base_b*(base.C).
@@ -245,9 +226,9 @@ def band_empty(form1: tuple[int, int], range1: Interval,
     witness list is attached, sorted.  Proportional forms are rejected since
     the region would be an unbounded strip.  Form1's line is solved once,
     and only the multiples of g = gcd(form1) in range1 have integer points.
-    The walk visits just those: one ``_line_base`` call gives the first
-    multiple's base, and each next multiple adds the solution (u, v) of
-    form1 = g to the base and r u + s v to form2's value.  Along each line
+    The walk visits just those: the first multiple f takes the base (f / g)
+    (u, v), (u, v) being the solution of form1 = g, and each next multiple
+    adds (u, v) to the base and r u + s v to form2's value.  Along each line
     form2 moves by a nonzero constant per step (det != 0), so the points
     with form2 in range2 are one floor-division range of the line's
     parameter.
@@ -257,19 +238,19 @@ def band_empty(form1: tuple[int, int], range1: Interval,
     det = p * s - q * r
     if det == 0:
         raise DependentFormsError("band forms are linearly dependent")
-    line = _line(p, q)
-    spacing, u, v, step_a, step_b = line
+    spacing, u, v, step_a, step_b = _line(p, q)
     climb = r * step_a + s * step_b
     if climb < 0:
         step_a, step_b, climb = -step_a, -step_b, -climb
     ints1, ints2 = range1.integers(), range2.integers()
     lo2, hi2 = ints2.start, ints2.stop
     witnesses = []
-    # The walk's bases are not _line_base's canonical ones, but any base of
-    # a line gives the same points, and the witnesses are sorted below.
     first = ints1.start + (-ints1.start) % spacing
     if first < ints1.stop:
-        base_a, base_b = _line_base(line, first)
+        # The unreduced solution: any base of a line gives the same points,
+        # and the witnesses are sorted below.
+        scale = first // spacing
+        base_a, base_b = u * scale, v * scale
         value = r * base_a + s * base_b
         lift = r * u + s * v
         for _ in range(first, ints1.stop, spacing):
@@ -313,20 +294,21 @@ def effective_decompositions(lattice: IntersectionLattice,
     The steps, in order.  Signature: a lattice without det < 0 < H^2 is
     refused with ``LatticeSignatureError`` (raised by ``degree_lines``)
     before any refusal but the degree one.  Degree: a target of degree < 1
-    has no decomposition.  Real cone: H^2 x^2 = deg(x)^2 + det b(x)^2 by
-    Hodge index, so a candidate, of square >= -2 and degree >= step =
-    gcd(H^2, d), has -det b^2 step^2 <= deg^2 (step^2 + 2 H^2); by the
-    triangle inequality any sum of candidates obeys the bound with its total
-    degree, so a target outside it is refused in constant time.  Lines: a
-    steep target (-det b^2 > deg^2) is refused unless a line below its
-    split, past which every candidate is flatter, reaches its slope on its
-    side; the lines above are walked after, put in front.  Integer cone: a
-    target outside the slopes b/deg at the lines' range ends is refused.
-    Pool: the lines' classes, expanded only now.  DFS: the pool is boxed
-    once, one ``DivisorClass`` per candidate shared by every decomposition;
-    one flat loop walks the pool with a stack of the indices taken, prunes
-    each remainder by the same slopes, and returns as soon as it appends
-    decomposition number ``DECOMPOSITION_LIMIT``.
+    has no decomposition.  Split: H^2 x^2 = deg(x)^2 + det b(x)^2 by Hodge
+    index, so a candidate, of square >= -2, is flatter than a steep target
+    (-det b^2 > deg^2) once its degree passes the target's split, a multiple
+    of step = gcd(H^2, d).  The real cone is its case m = step: a target
+    whose split would be step is refused in constant time, since by the
+    triangle inequality no sum of candidates reaches its slope.  Lines: the
+    lines below the split are walked first, and a steep target beyond their
+    slope cone on its own side is refused; the lines above are walked after,
+    put in front, and a target outside the two-sided cone, the slopes b/deg
+    at the lines' range ends, is refused.  A target that is not steep walks
+    every line once.  Pool: the lines' classes, expanded only now.  DFS: the
+    pool is boxed once, one ``DivisorClass`` per candidate shared by every
+    decomposition; one flat loop walks the pool with a stack of the indices
+    taken, prunes each remainder by the same slopes, and returns as soon as
+    it appends decomposition number ``DECOMPOSITION_LIMIT``.
     """
     target = as_class(target)
     target_a, target_b = target.a, target.b
@@ -335,51 +317,52 @@ def effective_decompositions(lattice: IntersectionLattice,
     if total < 1:
         return ()
     # Only multiples of the degree form's gcd carry integer points; it is
-    # positive here, since total >= 1 is a value of the form.
+    # positive here, since total >= 1 is a value of the form, and so total is
+    # one of its multiples.
     step = gcd(h2, d)
-    # Real cone (Hodge index): H^2 x^2 = deg(x)^2 + det b(x)^2 for every
-    # class x.  A candidate has x^2 >= -2 and deg >= step, so -det b^2 step^2
-    # <= deg^2 (step^2 + 2 H^2), and by the triangle inequality a sum of
-    # candidates obeys the same bound with its total degree.  A target
-    # beyond it is refused before any sweep; a bad signature falls through
-    # to ``degree_lines``, which refuses it.
-    det = lattice.det
-    if det < 0 < h2 and -det * (target_b * step) ** 2 > total * total * (step * step + 2 * h2):
-        return ()
     # A candidate of degree m is flatter than a steep target (excess = -det
-    # b_T^2 - total^2 > 0) once m^2 excess > 2 H^2 total^2; ``split`` is the
-    # least such multiple of step, capped at top + step.
-    top = total - total % step
-    split = top + step
+    # b_T^2 - total^2 > 0) once m^2 excess > 2 H^2 total^2 (Hodge index);
+    # ``split`` is the least such multiple of step, capped at total + step.
+    # At split == step every candidate is flatter, and by the triangle
+    # inequality so is any sum of them: the target is refused before any
+    # sweep.  A bad signature falls through to ``degree_lines``, which
+    # refuses it.
+    split = total + step
+    det = lattice.det
     if det < 0 < h2:
         excess = -det * target_b * target_b - total * total
         if excess > 0:
+            if step * step * excess > 2 * h2 * total * total:
+                return ()
             split = min(split, (isqrt(2 * h2 * total * total // excess) // step + 1) * step)
-    lines = degree_lines(lattice, range(split - step, 0, -step), -2)
-    if split <= top:
-        # Refused unless a line below split reaches its slope on its side.
-        for deg, _, base_b, _, step_b, _, _, _, ks in lines:
-            if ks:
-                end = ks[-1] if step_b * target_b > 0 else ks[0]
-                if ((base_b + end * step_b) * total - target_b * deg) * target_b >= 0:
-                    break
-        else:
-            return ()
-        lines = degree_lines(lattice, range(top, split - step, -step), -2) + lines
     # Least and greatest candidate slopes b/deg, at the lines' range ends;
     # (0, 1) and (0, -1) stand for +-inf, so an empty pool refuses all.  A
     # sum of candidates of total degree r has its b between r times them; a
     # remainder outside is a dead end, the target (the first) included.
+    # The first walk takes the lines below split.  A steep target beyond
+    # their cone on its own side is refused, since no line above reaches
+    # its slope; otherwise the second walk takes the lines above, in front.
     low_deg, low_b, high_deg, high_b = 0, 1, 0, -1
-    for deg, _, base_b, _, step_b, _, _, _, ks in lines:
-        if ks:
-            least, most = base_b + ks[0] * step_b, base_b + ks[-1] * step_b
-            if step_b < 0:
-                least, most = most, least
-            if least * low_deg < low_b * deg:
-                low_deg, low_b = deg, least
-            if most * high_deg > high_b * deg:
-                high_deg, high_b = deg, most
+    lines = []
+    stop = 0
+    for start in (split - step, total):
+        walked = degree_lines(lattice, range(start, stop, -step), -2)
+        for deg, _, base_b, _, step_b, _, _, _, ks in walked:
+            if ks:
+                least, most = base_b + ks[0] * step_b, base_b + ks[-1] * step_b
+                if step_b < 0:
+                    least, most = most, least
+                if least * low_deg < low_b * deg:
+                    low_deg, low_b = deg, least
+                if most * high_deg > high_b * deg:
+                    high_deg, high_b = deg, most
+        lines = walked + lines
+        if stop or split > total:
+            break
+        if (target_b * high_deg > high_b * total if target_b > 0
+                else target_b * low_deg < low_b * total):
+            return ()
+        stop = start
     if target_b * low_deg < low_b * total or target_b * high_deg > high_b * total:
         return ()
     pool = [(deg, base_a + k * step_a, base_b + k * step_b)

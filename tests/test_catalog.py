@@ -9,6 +9,7 @@ from fanocert import pipelines
 from fanocert.catalog import CaseRecord, CaseTableError, Report, load_cases, run_all, verify_case
 from fanocert.cli import main
 from fanocert.lattice import FAMILIES, anticanonical_cube
+from fanocert.outcome import CITED
 from fanocert.report import report_to_json
 from fanocert.secant import trisecant_count
 
@@ -395,9 +396,37 @@ def test_verify_case_detects_regressions():
 CENSUS_OUTCOMES_SHA256 = "842a9f47c2f467a803a440e585b368ac1f9e3bab9bf8cc05f84a2c6d6b3d6f11"
 
 
+# The computed check names (all but cited-rule, every special-donor-(a,b)
+# counted as one name) that never fail on the 605 census certificates nor
+# on the 42 table rows: 22 of the 37 that occur.
+NEVER_FAILING_CHECKS = {
+    "adjoint-class-free", "ambient-genus", "anticanonical-degree-positive",
+    "bisecant-exclusion-genus-gate", "bundle-section-count",
+    "canonical-square-exceeds-noether-bound", "degree-two-span-three-branch-contradiction",
+    "donor-family-squares-negative", "forms-through-curve-but-not-surface",
+    "hirzebruch-sweep-empty", "pencil-degree-five-expected-dimension",
+    "pencil-degree-four-expected-dimension", "picard-lattice-signature",
+    "plane-has-no-class-of-square", "residual-of-degree-five-pencil",
+    "residual-of-degree-four-pencil", "residual-seed-not-rational", "residual-series-free",
+    "special-donor-(a,b)", "surface-class-splits-in-grassmannian",
+    "surface-lies-on-a-quadric", "surface-quadric-net-dimension",
+}
+
+
+def _tally_computed_checks(cert, occurs, fails):
+    for check in cert.checks:
+        if check.kind == CITED:
+            continue
+        name = "special-donor-(a,b)" if check.name.startswith("special-donor-") else check.name
+        occurs.add(name)
+        if not check.passed:
+            fails.add(name)
+
+
 def test_census_outcomes_are_pinned():
     digest = hashlib.sha256()
     tally = {}
+    occurs, fails = set(), set()
     for name, d, g, _ in census_lattices():
         routes = ("construction", "contradiction") if name in ("v5", "x14") else ("construction",)
         for route in routes:
@@ -413,6 +442,7 @@ def test_census_outcomes_are_pinned():
                                    list(cert.discrepancies)], sort_keys=True)
                 # the pin digests with json.dumps; the writer must take it too
                 report_to_json(Report(certificates=(cert,)))
+                _tally_computed_checks(cert, occurs, fails)
             tally[route, outcome] = tally.get((route, outcome), 0) + 1
             digest.update((line + "\n").encode())
     assert tally == {
@@ -422,6 +452,12 @@ def test_census_outcomes_are_pinned():
         ("contradiction", "certificate"): 444,
     }
     assert digest.hexdigest() == CENSUS_OUTCOMES_SHA256
+    # Which computed checks fail on some input here.  One that never does
+    # has not shown that it can fail (ROADMAP item 16).
+    for cert in run_all().certificates:
+        _tally_computed_checks(cert, occurs, fails)
+    assert len(occurs) == 37
+    assert occurs - fails == NEVER_FAILING_CHECKS
 
 
 def test_certificate_witnesses_reverify_through_pairing():
@@ -621,6 +657,15 @@ def test_cli_json_output_is_stable(tmp_path, capsys):
     assert main(["verify", "--all", "--json", str(second)]) == 0
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_cli_empty_json_path_is_refused(capsys):
+    # An empty --json path names no file: it is refused like an empty
+    # --table path, not skipped as if the option were absent.
+    assert main(["verify", "--all", "--json", ""]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("fanocert: cannot write report: ")
 
 
 def test_cli_explain_lists_checks(capsys):

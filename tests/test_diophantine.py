@@ -8,7 +8,7 @@ import pytest
 from fanocert.diophantine import (DependentFormsError, Interval, band_empty,
                                   curve_classes, degree_lines, effective_decompositions,
                                   line_maximum)
-from fanocert.diophantine import _line, _line_base, _nonnegative_range
+from fanocert.diophantine import _line, _nonnegative_range
 from fanocert import diophantine, gonality
 from fanocert.gonality import DONOR_DEGREES, DonorWindowEmptyError, tetragonal_certificate
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
@@ -122,6 +122,21 @@ def _int_sqrt_if_square(value: int) -> int | None:
         return None
     root = isqrt(value)
     return root if root * root == value else None
+
+
+def _line_base(line, target: int) -> tuple[int, int] | None:
+    """Canonical base (a, b) of ``_line`` output ``line`` at ``target``.
+
+    None when the target is off the gcd; the fast coordinate lies in [0, step).
+    """
+    g, u, v, step_a, step_b = line
+    if target % g:
+        return None
+    scale = target // g
+    base_a, base_b = u * scale, v * scale
+    # step_a == 0 only for a form (p, 0), where v == 0 and so base_b == 0.
+    shift = base_a // step_a if step_a else 0
+    return base_a - shift * step_a, base_b - shift * step_b
 
 
 def _line_solutions(coeff_a, coeff_b, target):
@@ -465,13 +480,14 @@ def test_band_matches_box_scan_on_random_forms():
     assert min(dependent, zero_coeff, empty) > 0 and found > 100
 
 
-def test_band_solves_at_most_one_line_base(monkeypatch):
-    # The band walks only the multiples of gcd(form1) in range1: one
-    # _line_base call for the first, and (u, v) added per further multiple.
+def test_band_solves_one_line_per_call(monkeypatch):
+    # The band solves form1's line once and walks only the multiples of
+    # gcd(form1) in range1: the first from the unreduced solution, then
+    # (u, v) added per further multiple.
     calls = []
-    line_base = diophantine._line_base
-    monkeypatch.setattr(diophantine, "_line_base",
-                        lambda *args: calls.append(args) or line_base(*args))
+    line = diophantine._line
+    monkeypatch.setattr(diophantine, "_line",
+                        lambda *args: calls.append(args) or line(*args))
     bands = [census_band(name, d, g) for name, d, g, _ in census_lattices()]
     rng = random.Random(RANDOM_BAND_SEED)
     bands += [random_band(rng) for _ in range(600)]
@@ -482,7 +498,7 @@ def test_band_solves_at_most_one_line_base(monkeypatch):
             band_empty(form1, range1, form2, range2)
         except DependentFormsError:
             continue
-        assert len(calls) <= 1, (form1, range1, form2, range2)
+        assert len(calls) == 1, (form1, range1, form2, range2)
         walked += 1
         spacing = gcd(*form1)
         stepped += sum(1 for u in range1.integers() if u % spacing == 0) > 1
@@ -522,7 +538,8 @@ def test_band_matches_box_scan_with_range1_ends_off_the_gcd():
 def test_forms_without_b_have_bases_with_b_zero():
     # A form (p, 0) is the only one whose step has step_a == 0.  There
     # _line(p, 0) gives u = sign(p) and v == 0, so every base has b == 0, which
-    # is why _line_base and the stepped bases of degree_lines shift by 0 then.
+    # is why the reference _line_base and the walk of degree_lines from the
+    # zero base shift by 0 then.
     # Each base is checked against the solutions of p*a = t in a box, b in
     # the canonical window [0, step_b).
     rng = random.Random(0xFA2625)
@@ -729,17 +746,32 @@ def test_degree_lines_match_per_degree_reference():
     assert seen == {"pool", "caps", "messy", "off-first", "d = 0", "d < 0", "d > 0",
                     "repeated", "unsorted", "zero or negative", "stepped at d = 0"}
     assert stepped > 500
+    # Every small lattice with C^2 = -2: each walk starts from the zero base,
+    # so its first degree, of either sign, takes the whole step there.  The
+    # d = 0 lattices have step_a = 0.  The tail repeats, descends and
+    # returns to 0; each list is also walked reversed.
+    degrees = [*range(-10, 11), 10, 4, 4, -3, 0, 17, -17, 0, 9]
+    compared = 0
+    for h2 in range(2, 41, 2):
+        for d in range(-40, 41):
+            lattice = IntersectionLattice(((h2, d), (d, -2)))
+            for listed in (degrees, degrees[::-1]):
+                assert degree_lines(lattice, listed, -2) == reference_degree_lines(
+                    lattice, listed, -2), (h2, d, listed)
+                compared += 1
+    assert compared == 3240
 
 
-def test_degree_lines_solve_at_most_one_line_base(monkeypatch):
-    # As in the band: one _line_base call for the first listed degree on the
-    # gcd, and each later degree steps the previous base.  Every degree list
-    # that nef, free, tetragonality and the decomposition pool pass on the
-    # census lattices is counted, then random lattices and lists.
+def test_degree_lines_solve_one_line_per_call(monkeypatch):
+    # As in the band: the degree line is solved once per call, and every
+    # listed degree on the gcd steps the previous base, the first from the
+    # zero base.  Every degree list that nef, free, tetragonality and the
+    # decomposition pool pass on the census lattices is counted, then
+    # random lattices and lists.
     calls = []
-    line_base = diophantine._line_base
-    monkeypatch.setattr(diophantine, "_line_base",
-                        lambda *args: calls.append(args) or line_base(*args))
+    line = diophantine._line
+    monkeypatch.setattr(diophantine, "_line",
+                        lambda *args: calls.append(args) or line(*args))
     walk = diophantine.degree_lines
     counted = []
 
@@ -772,7 +804,7 @@ def test_degree_lines_solve_at_most_one_line_base(monkeypatch):
         (h2, d), _ = lattice.gram
         _, degrees = random_degree_list(rng, gcd(h2, d))
         counting_degree_lines(lattice, degrees, rng.randint(-40, 6))
-    assert all(solved == min(lines, 1) for lines, solved in counted)
+    assert all(solved == 1 for _, solved in counted)
     stepped = [lines > 1 for lines, _ in counted]
     assert sum(stepped[:census]) > 1000 and sum(stepped[census:]) > 300
 

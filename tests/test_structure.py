@@ -85,13 +85,15 @@ def test_only_degree_lines_walks_a_degree_line():
 
 
 def test_one_line_primitive_solves_linear_forms():
-    # _line (gcd, modular inverse and step) and _line_base (floor-division
-    # base) are the one solver of a linear form's level lines.  The degree
-    # lines (via _degree_line) and the band are its only users, so no second
-    # copy of that arithmetic can drift from it.
-    assert _callers(("_line", "_line_base")) == {
-        "_line": {"diophantine._degree_line", "diophantine.band_empty"},
-        "_line_base": {"diophantine.degree_lines", "diophantine.band_empty"}}
+    # _line (gcd, modular inverse and step) is the one solver of a linear
+    # form's level lines.  The degree lines (via _degree_line) and the band
+    # are its only users, and each steps its bases from that one solution,
+    # so no second copy of that arithmetic can drift from it.
+    assert _callers(("_line",)) == {
+        "_line": {"diophantine._degree_line", "diophantine.band_empty"}}
+    defined = {node.name for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "_line" in defined and "_line_base" not in defined
 
 
 CHECK_BUILDERS = ("verified", "cited", "CheckOutcome")
