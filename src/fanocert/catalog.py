@@ -188,6 +188,8 @@ def load_cases(path: str | None = None) -> tuple[CaseRecord, ...]:
 
     Each (case id, family) pair may appear once.
     """
+    # ValueError covers undecodable bytes, bad JSON and an integer past the
+    # interpreter's int-string limit; RecursionError, nesting too deep.
     try:
         if path is None:
             path = os.path.join(os.path.dirname(__file__), "data", "cases.json")
@@ -195,7 +197,7 @@ def load_cases(path: str | None = None) -> tuple[CaseRecord, ...]:
             payload = handle.read()
         table = json.loads(payload)
         entries = table["cases"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, RecursionError, KeyError, TypeError) as exc:
         raise CaseTableError(f"unreadable case table: {exc}") from exc
     if not isinstance(entries, list):
         raise CaseTableError(f"unreadable case table: 'cases' must be a list, got {entries!r}")

@@ -7,7 +7,8 @@ Exit codes: 0 when every computed verdict matches the table, 1 when a
 mismatch occurs under --strict, 2 on usage, table or report-file errors (a
 row whose tags select no proof is a table error), 3 on an internal error,
 reported on one line: a case raises any other error, or the report holds a
-value it refuses (``ReportValueError``).
+value it refuses (``ReportValueError``) or an integer too long to print
+(``ValueError``); no report file is written then.
 """
 from __future__ import annotations
 
@@ -84,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"fanocert: cannot write report: {exc}", file=sys.stderr)
             return 2
-        except ReportValueError as exc:
+        except (ReportValueError, ValueError) as exc:
             return _internal_error(exc)
 
     if args.strict and not report.all_match:

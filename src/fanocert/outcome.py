@@ -82,8 +82,3 @@ def cited(name: str, rule: str, statement: str, inputs: dict | None = None) -> C
     """A step taken as an axiom.  Always passes, but is marked as imported."""
     return CheckOutcome(name, rule, CITED, True, inputs, {"statement": statement})
 
-
-def class_witness(cls) -> list:
-    """JSON-ready form of a divisor class."""
-    a, b = cls
-    return [int(a), int(b)]

@@ -20,11 +20,11 @@ from .lattice import (FAMILIES, SPORADIC_AMBIENT_DEGREE, DivisorClass, FamilySpe
                       IntersectionLattice, anticanonical_cube, make_family_lattice,
                       square_and_genus)
 from .nefness import free_certificate, nef_certificate
-from .outcome import CheckOutcome, DERIVED, VERIFIED, cited, class_witness, verified
+from .outcome import CheckOutcome, DERIVED, VERIFIED, cited, verified
 from .riemannroch import (LinearSeries, SectionCountError, UndeterminedH0Error, brill_noether,
                           ideal_curve_bound, k3_h0, monomial_count, plane_curve_genus,
                           residual_series, span_dimension_bound)
-from .ruled import hirzebruch_search, noether_contradiction, p2_square_ten
+from .ruled import hirzebruch_sweep, noether_contradiction, p2_square_ten
 from .schubert import surface_class_split
 from .secant import trisecant_count
 
@@ -227,15 +227,13 @@ def _hyperplane_irreducibility(family: FamilySpec, lattice: IntersectionLattice,
                       (d, 2 * g - 2), Interval.closed(0, d))
     witnesses = []
     all_eliminated = True
-    for point in band.witnesses:
-        part = DivisorClass(point[0], point[1])
-        complement = DivisorClass(1, 0) - part
-        eliminated = (not effective_decompositions(lattice, part)
-                      or not effective_decompositions(lattice, complement))
+    for a, b in band.witnesses:
+        eliminated = (not effective_decompositions(lattice, DivisorClass(a, b))
+                      or not effective_decompositions(lattice, DivisorClass(1 - a, -b)))
         all_eliminated = all_eliminated and eliminated
         witnesses.append({
-            "class": class_witness(part),
-            "complement": class_witness(complement),
+            "class": [a, b],
+            "complement": [1 - a, -b],
             "eliminated": eliminated,
             "reason": "one side admits no decomposition into curve classes",
         })
@@ -256,7 +254,7 @@ def _hyperplane_irreducibility(family: FamilySpec, lattice: IntersectionLattice,
         name="section-minus-curve-not-effective",
         rule="effective-decomposition-search",
         passed=not decomp,
-        inputs={"class": class_witness(residual)},
+        inputs={"class": list(residual)},
         result={"degree": res_deg, "square": res_square,
                 "decompositions_found": len(decomp)},
     ))
@@ -322,7 +320,7 @@ def _residual_member_check(lattice: IntersectionLattice, expected: tuple[int, in
         name="residual-member-invariants",
         rule="residual-class-arithmetic",
         passed=(degree, genus) == expected,
-        inputs={**inputs, "residual_class": class_witness(residual)},
+        inputs={**inputs, "residual_class": list(residual)},
         result={"degree": degree, "square": square, "genus": genus},
         kind=kind,
     )
@@ -527,7 +525,7 @@ def x14_contradiction(case) -> ProofResult:
         name="curve-section-count",
         rule="k3-section-count",
         passed=sections == 3,
-        inputs={"curve_class": class_witness(curve), "square": square},
+        inputs={"curve_class": list(curve), "square": square},
         result=counted,
     )]
     if sections is not None:
@@ -597,16 +595,7 @@ def sporadic_construction(case) -> ProofResult:
             inputs={"genus": ambient_genus, "floor": BISECANT_GENUS_FLOOR},
         ))
         checks.append(p2_square_ten())
-        sweeps = {n: hirzebruch_search(n) for n in range(0, 11)}
-        checks.append(verified(
-            name="hirzebruch-sweep-empty",
-            rule="ruled-surface-enumeration",
-            passed=all(not wits for wits in sweeps.values()),
-            inputs={"n_range": [0, 10],
-                    "bound_derivation": "x divides 10 and n <= 10 / x^2"},
-            result={"witnesses_found": sum(len(w) for w in sweeps.values())},
-            witnesses=tuple(w for wits in sweeps.values() for w in wits),
-        ))
+        checks.append(hirzebruch_sweep())
         checks.append(noether_contradiction(10))
         checks.append(cited(
             name="higher-picard-rank-branch",

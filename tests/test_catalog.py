@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import sys
 from importlib import resources
 
 import pytest
@@ -567,6 +568,52 @@ def test_construction_row_past_the_cutting_bound_is_a_table_error(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"fanocert: {full}\n"
+
+
+@pytest.fixture
+def int_digit_limit():
+    """The interpreter's int-string limit, CPython's default where it is off."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(before or 4300)
+    yield sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(before)
+
+
+def _assert_one_line_exit(argv, code, capsys, prefix):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith(prefix), line
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("shape", ["long-integer", "deep-nesting"])
+def test_table_past_the_parser_limits_is_a_table_error(tmp_path, capsys, int_digit_limit,
+                                                       shape):
+    # An integer longer than the int-string limit and nesting deeper than
+    # the recursion limit are unreadable tables (exit 2), not internal errors.
+    if shape == "long-integer":
+        d = "9" * (int_digit_limit + 701)
+        text = ('{"cases": [{"id": 1, "family": "x14", "d": %s, "g": 2, '
+                '"expected": "NotRealizable"}]}' % d)
+    else:
+        text = '{"cases": ' + "[" * 200_000 + "]" * 200_000 + "}"
+    path = tmp_path / "override.json"
+    path.write_text(text)
+    _assert_one_line_exit(["verify", "--table", str(path)], 2, capsys,
+                          "fanocert: unreadable case table: ")
+
+
+def test_report_integer_past_the_limit_is_an_internal_error(tmp_path, capsys,
+                                                            int_digit_limit):
+    # d prints, but the signature check's determinant, about d^2, has more
+    # digits than the writer may print: one line, exit 3, no report file.
+    d = 10 ** (int_digit_limit // 2 + 100) + 1
+    path = _one_row_table(tmp_path, "x14", d, 2, route="contradiction")
+    report_path = tmp_path / "report.json"
+    _assert_one_line_exit(["verify", "--table", str(path), "--json", str(report_path)],
+                          3, capsys, "fanocert: internal error: ValueError: ")
+    assert not report_path.exists()
 
 
 def test_contradiction_row_past_the_cutting_bound_is_accepted(tmp_path):

@@ -10,7 +10,7 @@ from fanocert.diophantine import curve_classes
 from fanocert.lattice import FAMILIES, DivisorClass, FamilySpec, make_family_lattice
 from fanocert.nefness import (FreenessInapplicableError, _table_kind, free_certificate,
                               nef_certificate)
-from fanocert.outcome import CheckOutcome, class_witness
+from fanocert.outcome import CheckOutcome
 from fanocert.secant import admissible_table
 from test_diophantine import census_lattices, reference_solve_degree_square
 
@@ -135,7 +135,7 @@ def reference_nef_certificate(family, d, g):
             eliminated = meets < secancy
             all_eliminated = all_eliminated and eliminated
             witnesses.append({
-                "class": class_witness(cls),
+                "class": list(cls),
                 "degree": m,
                 "arithmetic_genus": p_a,
                 "meets_curve": meets,
@@ -170,7 +170,7 @@ def reference_free_certificate(family, d, g):
         for degree in range(1, gamma_budget + 1):
             searched.append(degree)
             for cls in reference_solve_degree_square(lattice, degree, -2):
-                witnesses.append({"class": class_witness(cls),
+                witnesses.append({"class": list(cls),
                                   "polarization_degree": degree})
     return CheckOutcome(
         name="adjoint-class-free",

@@ -1,6 +1,7 @@
 from fanocert import ruled
-from fanocert.ruled import (RuledLattice, hirzebruch_search, nef_square_classes,
-                            noether_contradiction, p2_square_ten)
+from fanocert.catalog import run_all
+from fanocert.ruled import (RuledLattice, hirzebruch_search, hirzebruch_sweep,
+                            nef_square_classes, noether_contradiction, p2_square_ten)
 
 
 def brute_hirzebruch(n, require_moving=True, bound=20):
@@ -10,12 +11,12 @@ def brute_hirzebruch(n, require_moving=True, bound=20):
     for x in range(0, bound + 1):
         for y in range(0, bound + 1):
             h = (x, y)
-            if not surface.is_nef(h) or surface.dot(h, h) != 10:
+            if not surface.is_nef(h) or surface.dot(h, h) != ruled.H_SQUARE:
                 continue
             for u in range(0, bound + 1):
                 for v in range(0, bound + 1):
                     c = (u, v)
-                    if surface.dot(c, h) != 3:
+                    if surface.dot(c, h) != ruled.CURVE_DEGREE:
                         continue
                     if surface.dot((k_class[0] + u, k_class[1] + v), c) != -2:
                         continue
@@ -41,10 +42,52 @@ def test_sweep_empty_for_all_relevant_n():
         assert hirzebruch_search(n) == [], n
 
 
-def test_sweep_matches_brute_force_enumeration():
+def test_sweep_matches_brute_force_enumeration(monkeypatch):
     for n in range(0, 11):
         assert hirzebruch_search(n) == []
         assert brute_hirzebruch(n) == []
+    # Configurations that do have witnesses: the box of 20 holds every one,
+    # since x, y <= H_SQUARE and u < 2 * CURVE_DEGREE.
+    configurations = with_witnesses = 0
+    for h_square in range(2, 21, 2):
+        for degree in range(1, 8):
+            monkeypatch.setattr(ruled, "H_SQUARE", h_square)
+            monkeypatch.setattr(ruled, "CURVE_DEGREE", degree)
+            for n in range(0, h_square + 1):
+                found = hirzebruch_search(n)
+                pairs = [(tuple(w["h"]), tuple(w["c"])) for w in found]
+                assert pairs == brute_hirzebruch(n), (h_square, degree, n)
+                surface = RuledLattice(n)
+                for w in found:
+                    assert w["n"] == n
+                    assert w["c_square"] == surface.dot(w["c"], w["c"])
+                configurations += 1
+                with_witnesses += bool(found)
+    assert (configurations, with_witnesses) == (840, 98)
+
+
+def test_sweep_check_reads_the_configuration(monkeypatch):
+    check = hirzebruch_sweep()
+    assert check.passed and check.witnesses == ()
+    assert check.inputs == {"n_range": [0, 10],
+                            "bound_derivation": "x divides 10 and n <= 10 / x^2"}
+    # A configuration with witnesses fails the check and lists every one.
+    monkeypatch.setattr(ruled, "H_SQUARE", 4)
+    monkeypatch.setattr(ruled, "CURVE_DEGREE", 4)
+    check = hirzebruch_sweep()
+    expected = [w for n in range(0, 5) for w in hirzebruch_search(n)]
+    assert expected and not check.passed
+    assert list(check.witnesses) == expected
+    assert check.result == {"witnesses_found": len(expected)}
+
+
+def test_sporadic_proof_follows_the_square(monkeypatch):
+    monkeypatch.setattr(ruled, "H_SQUARE", 8)
+    (cert,) = [c for c in run_all(family="sporadic").certificates
+               if c.case.ambient == "X10"]
+    (sweep,) = [c for c in cert.checks if c.name == "hirzebruch-sweep-empty"]
+    assert sweep.inputs == {"n_range": [0, 8],
+                            "bound_derivation": "x divides 8 and n <= 8 / x^2"}
 
 
 def test_no_nef_square_ten_classes_beyond_bound():
