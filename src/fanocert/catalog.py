@@ -10,7 +10,7 @@ import os
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .lattice import FAMILIES, SPORADIC_AMBIENT_DEGREE, make_family_lattice
+from .lattice import FAMILIES, SPORADIC_AMBIENTS, make_family_lattice
 from .pipelines import NOT_REALIZABLE, OPEN, PIPELINES, REALIZABLE
 from .values import ValueTuple
 
@@ -56,7 +56,7 @@ class CaseRecord:
             raise CaseTableError(f"a {self.route} cannot conclude Open: smallness 'ambiguous'")
         if self.family == "sporadic" and not self.ambient:
             raise CaseTableError("sporadic cases need an ambient")
-        if self.family == "sporadic" and self.ambient not in SPORADIC_AMBIENT_DEGREE:
+        if self.family == "sporadic" and self.ambient not in SPORADIC_AMBIENTS:
             raise CaseTableError(f"unknown sporadic ambient {self.ambient!r}")
         # The sporadic construction argues about twisted cubics, (d, g) = (3, 0),
         # and never reads d or g, so any other pair would pass unexamined.

@@ -7,9 +7,9 @@ genus of the curve class.  All downstream machinery (degree/square solvers,
 nefness budgets, genus caps) reduces to the bilinear form stored here, so
 everything stays in exact integer arithmetic.
 
-The ambient data live here too: the family constants, the sporadic ambients'
-degrees and the blow-up's anticanonical degree, derived from H^2 = rn and
-s = r (index r, H^3 = n) as the adjoint square (sH - C)^2 = r^3 n - 2rd + 2g - 2.
+The ambient data live here too.  ``AMBIENTS`` is the one home of the index r and
+degree H^3 = n of each rank-1 ambient; the family constants are H^2 = rn and s = r,
+and the blow-up's anticanonical degree is (sH - C)^2 = r^3 n - 2rd + 2g - 2.
 
 The value types follow :mod:`fanocert.values`.  ``DivisorClass`` and
 ``IntersectionLattice`` are not tuples, since the report writer must refuse a
@@ -136,7 +136,7 @@ class FamilySpec(SlotValue):
     ``h_square`` is the square of the hyperplane class on the K3 slice,
     ``index_multiplier`` the coefficient s in the adjoint class sH - C, and
     ``cutting_bound`` the maximal degree of the residual intersection used
-    by the secant-degree bound.
+    by the secant-degree bound.  ``FAMILIES`` builds the first two as rn and r.
 
     The quadric and v4 cutting bounds are fixed by the published analysis;
     the v5 and x14 constants are extensions derived from the surfaces being
@@ -175,17 +175,20 @@ class FamilySpec(SlotValue):
 (_set_name, _set_h_square, _set_index_multiplier, _set_cutting_bound,
  _set_derived_constants) = slot_setters(FamilySpec)
 
-FAMILIES: dict[str, FamilySpec] = {
-    "quadric": FamilySpec("quadric", 6, 3, 18),
-    "v4": FamilySpec("v4", 8, 2, 16),
-    "v5": FamilySpec("v5", 10, 2, 20, derived_constants=True),
-    "x14": FamilySpec("x14", 14, 1, 28, derived_constants=True),
-}
+# Index r and degree n = H^3 of each ambient: Iskovskikh-Prokhorov, *Fano varieties*, Table 12.2.
+AMBIENTS: dict[str, tuple[int, int]] = {
+    "quadric": (3, 2), "v4": (2, 4), "v5": (2, 5), "x14": (1, 14),
+    "X10": (1, 10), "X16": (1, 16), "X18": (1, 18)}
 
-# Anticanonical degree of the ambient of the sporadic twisted-cubic
-# constructions; a prime Fano threefold of anticanonical degree 2g-2 has
-# genus g.
-SPORADIC_AMBIENT_DEGREE = {"X10": 10, "X16": 16, "X18": 18}
+# The sporadic (prime, r = 1) ambients by name, so new AMBIENTS rows leave the loader as it is.
+SPORADIC_AMBIENTS = ("X10", "X16", "X18")
+
+# H^2 = rn and s = r from the ambient row; only the last two columns are per family.
+FAMILIES: dict[str, FamilySpec] = {
+    name: FamilySpec(name, r * n, r, cutting_bound, derived_constants)
+    for name, cutting_bound, derived_constants in (
+        ("quadric", 18, False), ("v4", 16, False), ("v5", 20, True), ("x14", 28, True))
+    for r, n in (AMBIENTS[name],)}
 
 
 def anticanonical_cube(family: FamilySpec, d: int, g: int) -> int:

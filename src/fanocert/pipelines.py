@@ -16,7 +16,7 @@ from __future__ import annotations
 from .diophantine import (Interval, band_empty, curve_classes, effective_decompositions,
                           short_curve_checks)
 from .gonality import tetragonal_certificate
-from .lattice import (FAMILIES, SPORADIC_AMBIENT_DEGREE, DivisorClass, FamilySpec,
+from .lattice import (AMBIENTS, FAMILIES, DivisorClass, FamilySpec,
                       IntersectionLattice, anticanonical_cube, make_family_lattice,
                       square_and_genus)
 from .nefness import free_certificate, nef_certificate
@@ -128,9 +128,9 @@ def quadric_construction(case) -> ProofResult:
     family = FAMILIES["quadric"]
     d, g = case.d, case.g
     lattice = make_family_lattice(family, d, g)
-    quadric_sections = _surface_forms(lattice, 4, 2)
+    quadric_sections = _surface_forms(lattice, family.section_genus, 2)
     body = [
-        _ideal_sections_check(lattice, d, g, ambient_dim=4, forms_degree=3),
+        _ideal_sections_check(lattice, d, g, ambient_dim=family.section_genus, forms_degree=3),
         verified(
             name="surface-lies-on-a-quadric",
             rule="ideal-sheaf-section-count",
@@ -187,9 +187,9 @@ def v4_construction(case) -> ProofResult:
     family = FAMILIES["v4"]
     d, g = case.d, case.g
     lattice = make_family_lattice(family, d, g)
-    quadric_sections = _surface_forms(lattice, 5, 2)
+    quadric_sections = _surface_forms(lattice, family.section_genus, 2)
     return _construction(case, family, lattice, [
-        _ideal_sections_check(lattice, d, g, ambient_dim=5, forms_degree=2),
+        _ideal_sections_check(lattice, d, g, ambient_dim=family.section_genus, forms_degree=2),
         verified(
             name="surface-quadric-net-dimension",
             rule="ideal-sheaf-section-count",
@@ -326,11 +326,11 @@ def _residual_member_check(lattice: IntersectionLattice, expected: tuple[int, in
     )
 
 
-def _v5_bundle_checks() -> list[CheckOutcome]:
+def _v5_bundle_checks(family: FamilySpec) -> list[CheckOutcome]:
     """Class arithmetic of the rank-2 bundle mapping the surface to G(1,4)."""
-    splits = _grassmannian_splits_check(4, 10, [[1, 6, 4], [2, 3, 2]])
+    splits = _grassmannian_splits_check(4, family.h_square, [[1, 6, 4], [2, 3, 2]])
     degree2 = next(split for split in splits.result["splits"] if split[0] == 2)
-    pencil, residual = _pencil_checks(6, 4, LinearSeries(2, 6))
+    pencil, residual = _pencil_checks(family.section_genus, 4, LinearSeries(2, 6))
     # A degree-5 surface cut on a maximal linear subvariety would have class
     # coefficients (5, 0), incompatible with the split.
     return [splits, verified(
@@ -359,7 +359,7 @@ def v5_construction(case) -> ProofResult:
     lattice = make_family_lattice(family, d, g)
     return _construction(case, family, lattice, [
         *_hyperplane_irreducibility(family, lattice, d, g),
-        *_v5_bundle_checks(),
+        *_v5_bundle_checks(family),
         cited(
             name="surface-embeds-in-quintic-del-pezzo",
             rule="linear-section-smoothness",
@@ -413,6 +413,7 @@ def v5_contradiction(case) -> ProofResult:
     reads the span is not built.
     """
     lattice = make_family_lattice(FAMILIES["v5"], case.d, case.g)
+    _, n = AMBIENTS["v5"]
     member = _residual_member_check(lattice, (6, 2), VERIFIED, {})
     degree, genus = member.result["degree"], member.result["genus"]
     try:
@@ -429,23 +430,22 @@ def v5_contradiction(case) -> ProofResult:
         result=spanned,
     )]
     if span is not None:
-        independent_hyperplanes = 6 - span
+        independent_hyperplanes = n + 1 - span
         body.append(verified(
             name="two-hyperplanes-contain-residual",
             rule="codimension-count",
             passed=independent_hyperplanes >= 2,
-            inputs={"ambient_projective_dim": 6, "span_dimension": span},
+            inputs={"ambient_projective_dim": n + 1, "span_dimension": span},
             result={"independent_hyperplanes": independent_hyperplanes},
         ))
-    # Two hyperplane cuts of the degree-5 threefold give a curve of degree 5,
-    # which cannot contain a curve of degree 6.
-    section_degree = 5
+    # Two hyperplane cuts of the degree-n threefold in P^(n+1) give a curve of
+    # degree n, which cannot contain a curve of degree 6.
     body.append(verified(
         name="degree-exceeds-linear-section",
         rule="linear-normality-degree",
-        passed=degree > section_degree,
-        inputs={"threefold_degree": section_degree},
-        result={"residual_degree": degree, "section_curve_degree": section_degree},
+        passed=degree > n,
+        inputs={"threefold_degree": n},
+        result={"residual_degree": degree, "section_curve_degree": n},
     ))
     return _contradiction(lattice, (
         "for these invariants the anticanonical system of the hypothetical "
@@ -453,25 +453,26 @@ def v5_contradiction(case) -> ProofResult:
         "well"), body)
 
 
-def _x14_bundle_checks() -> list[CheckOutcome]:
-    pencil, residual = _pencil_checks(8, 5, LinearSeries(3, 9))
+def _x14_bundle_checks(family: FamilySpec) -> list[CheckOutcome]:
+    genus = family.section_genus
+    pencil, residual = _pencil_checks(genus, 5, LinearSeries(3, 9))
     # Freeness of the residual series: a base point would leave a g^3_8 whose
     # residual g^2_6 either has a base point (giving a degree-4 pencil) or
     # maps to a plane sextic, whose genus 10 is not 8.  A degree-4 pencil is
     # what the non-tetragonality certificate excludes.
-    fallback = residual_series(8, LinearSeries(3, 8))
+    fallback = residual_series(genus, LinearSeries(3, 8))
     return [
         *pencil,
         verified(
             name="residual-series-free",
             rule="series-residuation",
-            passed=fallback == LinearSeries(2, 6) and plane_curve_genus(6) != 8,
-            inputs={"genus": 8, "blocked_series": "g^3_8"},
+            passed=fallback == LinearSeries(2, 6) and plane_curve_genus(6) != genus,
+            inputs={"genus": genus, "blocked_series": "g^3_8"},
             result={"fallback_residual": fallback.label(),
                     "plane_sextic_genus": plane_curve_genus(6)},
         ),
         _bundle_sections_check(residual, 6),
-        _grassmannian_splits_check(5, 14, [[1, 9, 5]]),
+        _grassmannian_splits_check(5, family.h_square, [[1, 9, 5]]),
         cited(
             name="section-curve-embeds-by-bundle",
             rule="linear-section-embedding",
@@ -493,7 +494,7 @@ def x14_construction(case) -> ProofResult:
         statement="a degree-4 pencil on the section curve forces a donor class "
                   "on the surface meeting the recorded degree window; the "
                   "translation is imported, its case analysis verified below",
-    ), *report.outcomes(), *_x14_bundle_checks()]
+    ), *report.outcomes(), *_x14_bundle_checks(family)]
     return _construction(case, family, lattice, body, [
         _anticanonical_degree_check(family, d, g),
         cited(
@@ -552,7 +553,8 @@ def x14_contradiction(case) -> ProofResult:
 
 def sporadic_construction(case) -> ProofResult:
     """Twisted cubics on a prime Fano threefold; no K3 lattice is involved."""
-    ambient_degree = SPORADIC_AMBIENT_DEGREE[case.ambient]
+    r, n = AMBIENTS[case.ambient]
+    ambient_degree = r**3 * n
     ambient_genus = ambient_degree // 2 + 1
     checks = [
         verified(
@@ -596,7 +598,7 @@ def sporadic_construction(case) -> ProofResult:
         ))
         checks.append(p2_square_ten())
         checks.append(hirzebruch_sweep())
-        checks.append(noether_contradiction(10))
+        checks.append(noether_contradiction())
         checks.append(cited(
             name="higher-picard-rank-branch",
             rule="surface-classification",

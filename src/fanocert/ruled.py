@@ -6,8 +6,8 @@ two-parameter family of rational cubics, and its minimal resolution would be
 either the plane, a Hirzebruch surface, or a weak del Pezzo surface of
 canonical square 10.  All three branches die on integer arithmetic, which is
 what this module certifies, for the one configuration the module constants
-``H_SQUARE`` (10) and ``CURVE_DEGREE`` (3) fix.  The plane check and the
-Hirzebruch sweep, over a range derived from both, read only those constants.
+``H_SQUARE`` (10) and ``CURVE_DEGREE`` (3) fix.  The plane and Noether checks
+and the Hirzebruch sweep, over a range derived from both, read only those constants.
 """
 from __future__ import annotations
 
@@ -144,11 +144,11 @@ def hirzebruch_sweep() -> CheckOutcome:
     )
 
 
-def noether_contradiction(k_square: int) -> CheckOutcome:
-    """A weak del Pezzo surface has canonical square at most 9."""
+def noether_contradiction() -> CheckOutcome:
+    """K^2 <= 9 on a weak del Pezzo surface, but -K pulls back H on the branch's: K^2 = H^2."""
     return verified(
         name="canonical-square-exceeds-noether-bound",
         rule="noether-inequality",
-        passed=k_square > 9,
-        inputs={"k_square": k_square, "noether_bound": 9},
+        passed=H_SQUARE > 9,
+        inputs={"k_square": H_SQUARE, "noether_bound": 9},
     )

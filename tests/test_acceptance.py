@@ -154,7 +154,8 @@ def test_criterion_7_non_realizability(capsys):
 def test_criterion_8_ruled_checks(capsys):
     ok = all(hirzebruch_search(n) == [] for n in range(0, 11))
     ok = ok and p2_square_ten().passed
-    ok = ok and noether_contradiction(10).passed
+    ok = ok and noether_contradiction().passed
+    ok = ok and noether_contradiction().inputs["k_square"] == 10
     with capsys.disabled():
         _emit(8, "empty ruled-surface sweep for n in [0,10], plane and "
                  "canonical-square checks", ok)

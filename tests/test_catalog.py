@@ -6,10 +6,10 @@ from importlib import resources
 
 import pytest
 
-from fanocert import pipelines
+from fanocert import lattice, pipelines
 from fanocert.catalog import CaseRecord, CaseTableError, Report, load_cases, run_all, verify_case
 from fanocert.cli import main
-from fanocert.lattice import FAMILIES, anticanonical_cube
+from fanocert.lattice import FAMILIES, FamilySpec, anticanonical_cube
 from fanocert.outcome import CITED
 from fanocert.report import report_to_json
 from fanocert.secant import trisecant_count
@@ -121,6 +121,52 @@ def test_case43_certificate_contents():
     assert by_name["residual-span-dimension"].result["span_dimension"] == 4
     final = by_name["degree-exceeds-linear-section"]
     assert final.result == {"residual_degree": 6, "section_curve_degree": 5}
+
+
+def _row(family, route, d, g):
+    (case,) = [c for c in load_cases()
+               if (c.family, c.route, c.construction, c.d, c.g) == (family, route, "main", d, g)]
+    return case
+
+
+def _checks_of(case):
+    return {c.name: c for c in verify_case(case).checks}
+
+
+# Fictional ambient rows, patched in once the table is loaded (the loader
+# builds every row's lattice): the proofs' ambient numbers must follow them.
+def test_v4_forms_live_on_the_slice_span(monkeypatch):
+    # H^2 = 10 puts the slice in P^6, its section genus.
+    case = _row("v4", "construction", 7, 0)
+    monkeypatch.setitem(FAMILIES, "v4", FamilySpec("v4", 10, 2, 16))
+    check = _checks_of(case)["forms-through-curve-but-not-surface"]
+    assert check.inputs == {"ambient_dim": 6, "forms_degree": 2, "d": 7, "g": 0}
+
+
+@pytest.mark.parametrize("family, h_square, d, g, pencil", [
+    ("v5", 12, 9, 0, "pencil-degree-four-expected-dimension"),
+    ("x14", 16, 5, 0, "pencil-degree-five-expected-dimension")])
+def test_bundle_checks_read_the_section_genus_and_square(monkeypatch, family, h_square, d, g,
+                                                         pencil):
+    case, spec = _row(family, "construction", d, g), FAMILIES[family]
+    monkeypatch.setitem(FAMILIES, family, FamilySpec(
+        family, h_square, spec.index_multiplier, spec.cutting_bound, spec.derived_constants))
+    checks = _checks_of(case)
+    genus = h_square // 2 + 1
+    assert checks[pencil].inputs["g"] == genus
+    assert checks["surface-class-splits-in-grassmannian"].inputs["t_square"] == h_square
+    if family == "x14":
+        assert checks["residual-series-free"].inputs["genus"] == genus
+
+
+def test_v5_contradiction_reads_the_threefold_degree(monkeypatch):
+    # A degree-7 threefold spans P^8.
+    case = _row("v5", "contradiction", 14, 10)
+    monkeypatch.setitem(lattice.AMBIENTS, "v5", (2, 7))
+    checks = _checks_of(case)
+    assert checks["two-hyperplanes-contain-residual"].inputs["ambient_projective_dim"] == 8
+    assert checks["degree-exceeds-linear-section"].inputs == {"threefold_degree": 7}
+    assert checks["degree-exceeds-linear-section"].result["section_curve_degree"] == 7
 
 
 def test_case17_certificate_contents():
@@ -275,17 +321,19 @@ def test_schema_errors_keep_their_message(tmp_path):
         load_cases(str(path))
 
 
-def test_unknown_sporadic_ambient_is_a_table_error(tmp_path, capsys):
+# A rank-1 ambient with a row in the ambient table is still no sporadic one.
+@pytest.mark.parametrize("ambient", ["X12", "x14", "v5", "quadric"])
+def test_unknown_sporadic_ambient_is_a_table_error(tmp_path, capsys, ambient):
     table = _embedded_entries()
     case3 = next(c for c in table["cases"] if c["id"] == 3)
     assert case3["family"] == "sporadic"
-    case3["ambient"] = "X12"
+    case3["ambient"] = ambient
     path = tmp_path / "override.json"
     path.write_text(json.dumps(table))
-    with pytest.raises(CaseTableError, match="unknown sporadic ambient 'X12'"):
+    with pytest.raises(CaseTableError, match=f"unknown sporadic ambient '{ambient}'"):
         load_cases(str(path))
     assert main(["verify", "--table", str(path)]) == 2
-    assert "X12" in capsys.readouterr().err
+    assert ambient in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("d, g", [(5, 1), (3, 1), (4, 0)])

@@ -3,6 +3,7 @@ from enum import IntEnum
 import pytest
 from hypothesis import given, strategies as st
 
+from fanocert import lattice as lattice_module
 from fanocert.catalog import load_cases
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
                               LatticeSignatureError, anticanonical_cube, as_class,
@@ -137,17 +138,26 @@ def test_family_constants():
     assert FAMILIES["x14"].derived_constants
 
 
-# The paper's ambients: index r and degree H^3 = n.
-AMBIENTS = {"quadric": (3, 2), "v4": (2, 4), "v5": (2, 5), "x14": (1, 14)}
+# The paper's ambients: index r and degree H^3 = n, transcribed here apart
+# from the package's table (Iskovskikh-Prokhorov, Fano varieties, Table 12.2).
+AMBIENTS = {"quadric": (3, 2), "v4": (2, 4), "v5": (2, 5), "x14": (1, 14),
+            "X10": (1, 10), "X16": (1, 16), "X18": (1, 18)}
+# The genus of each sporadic prime Fano threefold, as the same source lists it.
+SPORADIC_GENERA = {"X10": 6, "X16": 9, "X18": 10}
 
 
 def test_family_table_matches_the_ambients():
+    assert lattice_module.AMBIENTS == AMBIENTS
+    # A prime Fano threefold (r = 1) of genus g has (-K)^3 = r^3 n = 2g - 2.
+    for name, genus in SPORADIC_GENERA.items():
+        r, n = AMBIENTS[name]
+        assert r == 1 and 2 * genus - 2 == r**3 * n
     # The K3 slice is a member of |-K| = |rH|, so H^2 = rn on it and s = r,
     # and the blow-up along C has (-K)^3 = r^3 n - 2rd + 2g - 2.
-    assert sorted(AMBIENTS) == sorted(FAMILIES)
+    assert sorted(FAMILIES) == ["quadric", "v4", "v5", "x14"]
     pairs = 0
-    for name, (r, n) in AMBIENTS.items():
-        family = FAMILIES[name]
+    for name, family in FAMILIES.items():
+        r, n = AMBIENTS[name]
         assert family.h_square == r * n
         assert family.index_multiplier == r
         for d in range(1, family.cutting_bound):

@@ -11,7 +11,7 @@ from fanocert.lattice import FAMILIES, DivisorClass, FamilySpec, make_family_lat
 from fanocert.nefness import (FreenessInapplicableError, _table_kind, free_certificate,
                               nef_certificate)
 from fanocert.outcome import CheckOutcome
-from fanocert.secant import admissible_table
+from fanocert.secant import SecantBoundError, admissible_table
 from test_diophantine import census_lattices, reference_solve_degree_square
 
 QUADRIC_PAIRS = [(c.d, c.g) for c in load_cases() if c.family == "quadric"]
@@ -56,6 +56,16 @@ def test_nef_passes_across_catalog():
             assert outcome.passed, (family_name, d, g)
             for witness in outcome.witnesses:
                 assert witness["eliminated"], (family_name, d, g, witness)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_nef_certificate_refuses_d_at_the_cutting_bound(name):
+    # At d = bound the secant table would be empty and the certificate would
+    # pass with nothing checked; the guard refuses it instead.
+    family = FAMILIES[name]
+    with pytest.raises(SecantBoundError, match=f"d={family.cutting_bound} is not below"):
+        nef_certificate(family, family.cutting_bound, 0)
+    assert nef_certificate(family, family.cutting_bound - 1, 0).name == "adjoint-class-nef"
 
 
 def test_nef_kind_tracks_derived_constants():

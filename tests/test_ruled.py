@@ -88,6 +88,9 @@ def test_sporadic_proof_follows_the_square(monkeypatch):
     (sweep,) = [c for c in cert.checks if c.name == "hirzebruch-sweep-empty"]
     assert sweep.inputs == {"n_range": [0, 8],
                             "bound_derivation": "x divides 8 and n <= 8 / x^2"}
+    # The weak del Pezzo branch has K^2 = H^2, so the Noether check reads it too.
+    (noether,) = [c for c in cert.checks if c.name == "canonical-square-exceeds-noether-bound"]
+    assert noether.inputs == {"k_square": 8, "noether_bound": 9}
 
 
 def test_no_nef_square_ten_classes_beyond_bound():
@@ -132,7 +135,9 @@ def test_plane_square_check(monkeypatch):
         assert check.inputs == {"square": square}
 
 
-def test_noether_bound():
-    assert noether_contradiction(10).passed
-    assert not noether_contradiction(9).passed
-    assert not noether_contradiction(1).passed
+def test_noether_bound(monkeypatch):
+    for square, passed in ((10, True), (9, False), (1, False)):
+        monkeypatch.setattr(ruled, "H_SQUARE", square)
+        check = noether_contradiction()
+        assert check.passed is passed
+        assert check.inputs == {"k_square": square, "noether_bound": 9}
