@@ -1,9 +1,9 @@
 """Non-tetragonality certificates for hyperplane sections of degree-14 K3s.
 
-A base-point-free pencil of degree 4 on the genus-8 section curve T would be
-cut out by a divisor class D = a*T + b*C on the surface satisfying
+A base-point-free pencil of degree 4 on the section curve T (genus h^2/2 + 1)
+would be cut out by a divisor class D = a*T + b*C on the surface satisfying
 
-    (T - D).T >= 0   and   4 <= D.T <= genus(T) - 1 = 7,
+    (T - D).T >= 0   and   4 <= D.T <= genus(T) - 1,
 
 with D moving (at least a pencil of sections).  The solutions of this system
 are the degree lines of the window's degrees (``diophantine.degree_lines``).
@@ -22,9 +22,10 @@ witnesses, each special is a ``special-donor-(a,b)`` check with its
 ``square``, ``t_degree`` and ``elimination``, and the fixed/moving part
 contradiction is ``fixed-moving-square-contradiction``.
 
-Since (T - D).T = T^2 - D.T with T^2 = h^2 = 14, the first inequality only
-says D.T <= 14, which every degree of the window meets, so each donor
-family is a whole degree line rather than a half-line.
+Since (T - D).T = T^2 - D.T with T^2 = h^2, the first inequality only says
+D.T <= h^2, which the window's top h^2/2 meets, so each donor family is a
+whole degree line rather than a half-line.  The genus and the window are
+read from ``FAMILIES["x14"]`` at call time, as h^2 is.
 """
 from __future__ import annotations
 
@@ -41,10 +42,9 @@ class DonorWindowEmptyError(ValueError):
     """No donor degree in the window lies on the lattice's degree form."""
 
 
-# Degree window a donor divisor must hit on the genus-8 section curve:
-# [4, section genus - 1], 4 being the degree of the excluded pencil.
-SECTION_GENUS = FAMILIES["x14"].section_genus
-DONOR_DEGREES = range(4, SECTION_GENUS)
+# Degree of the excluded pencil: the bottom of the donor degree window
+# [PENCIL_DEGREE, section genus - 1].
+PENCIL_DEGREE = 4
 
 
 class TetragonalReport(ValueTuple, namedtuple("TetragonalReport", "checks discrepancies")):
@@ -105,15 +105,16 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
     family_spec = FAMILIES["x14"]
     lattice = make_family_lattice(family_spec, d, g)
     h2 = family_spec.h_square
+    section_genus = family_spec.section_genus
+    window = [PENCIL_DEGREE, section_genus - 1]
 
     degree_form = (h2, d)
     step = gcd(h2, d)
-    values = [v for v in DONOR_DEGREES if v % step == 0]
+    values = [v for v in range(PENCIL_DEGREE, section_genus) if v % step == 0]
     if not values:
         raise DonorWindowEmptyError(
-            f"x14 (d={d}, g={g}): no donor degree in the window "
-            f"[{DONOR_DEGREES[0]}, {DONOR_DEGREES[-1]}] is a value of the "
-            f"degree form {degree_form}"
+            f"x14 (d={d}, g={g}): no donor degree in the window {window} is a "
+            f"value of the degree form {degree_form}"
         )
     max_value = max(values)
     if max_value <= 6:
@@ -145,8 +146,8 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
         name="donor-family-squares-negative",
         rule="donor-system-enumeration",
         passed=all(square < 0 for square in max_squares),
-        inputs={"d": d, "g": g, "degree_window": [DONOR_DEGREES[0], DONOR_DEGREES[-1]],
-                "section_genus": SECTION_GENUS, "route": route},
+        inputs={"d": d, "g": g, "degree_window": window,
+                "section_genus": section_genus, "route": route},
         result={"family_count": len(family_witnesses), "max_squares": max_squares},
         witnesses=tuple(family_witnesses),
     ), *short_curve_checks(lattice, (1, 2))]

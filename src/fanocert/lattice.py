@@ -166,11 +166,6 @@ class FamilySpec(SlotValue):
         """Genus of a hyperplane section of the K3 slice."""
         return self.h_square // 2 + 1
 
-    @property
-    def adjoint_class(self) -> DivisorClass:
-        """Restriction of the blow-up's anticanonical class: sH - C."""
-        return DivisorClass(self.index_multiplier, -1)
-
 
 (_set_name, _set_h_square, _set_index_multiplier, _set_cutting_bound,
  _set_derived_constants) = slot_setters(FamilySpec)

@@ -5,9 +5,10 @@ lattice; any class found must fail the secancy requirement against C.
 
 Freeness: a nef class of square >= 2 that is not free decomposes as k E + G
 with E elliptic (square 0, H.E >= 3), G a (-2)-curve and E.G = 1.  Matching
-squares pins k, and the polarization degree budget left for G is
-H.(sH - C) - 3k; if positive, a (-2)-class of that small degree must exist,
-which the lattice search decides.
+squares pins k, with (sH - C)^2 = ``lattice.anticanonical_cube``, and the
+polarization degree budget left for G is H.(sH - C) - 3k = s H^2 - d - 3k;
+if positive, a (-2)-class of that small degree must exist, which the
+lattice search decides.
 
 Each certificate builds its lattice once and makes one ``curve_classes``
 sweep for classes of square >= -2.  Nefness reads the secant table once:
@@ -20,7 +21,7 @@ keeps the (-2)-classes.
 from __future__ import annotations
 
 from .diophantine import curve_classes
-from .lattice import FamilySpec, make_family_lattice
+from .lattice import FamilySpec, anticanonical_cube, make_family_lattice
 from .outcome import CheckOutcome, DERIVED, VERIFIED, verified
 from .secant import admissible_table
 
@@ -80,15 +81,14 @@ def nef_certificate(family: FamilySpec, d: int, g: int) -> CheckOutcome:
 def free_certificate(family: FamilySpec, d: int, g: int) -> CheckOutcome:
     """Rule out the elliptic-plus-rational decomposition of a non-free class."""
     lattice = make_family_lattice(family, d, g)
-    adjoint = family.adjoint_class
-    square = lattice.pair(adjoint, adjoint)
+    square = anticanonical_cube(family, d, g)
     if square < 2:
         raise FreenessInapplicableError(
             f"adjoint square {square} < 2; the decomposition criterion "
             "does not apply as stated"
         )
     k = (square + 2) // 2
-    h_dot_d = lattice.degree(adjoint)
+    h_dot_d = family.index_multiplier * family.h_square - d
     budget = h_dot_d - 3 * k
     searched = list(range(1, budget + 1))
     witnesses = [{"class": [a, b], "polarization_degree": degree}

@@ -24,7 +24,7 @@ from .outcome import CheckOutcome, DERIVED, VERIFIED, cited, verified
 from .riemannroch import (LinearSeries, SectionCountError, UndeterminedH0Error, brill_noether,
                           ideal_curve_bound, k3_h0, monomial_count, plane_curve_genus,
                           residual_series, span_dimension_bound)
-from .ruled import hirzebruch_sweep, noether_contradiction, p2_square_ten
+from .ruled import hirzebruch_sweep, noether_contradiction, plane_square_check
 from .schubert import surface_class_split
 from .secant import trisecant_count
 
@@ -596,15 +596,16 @@ def sporadic_construction(case) -> ProofResult:
                       "carry a two-parameter family of rational cubics",
             inputs={"genus": ambient_genus, "floor": BISECANT_GENUS_FLOOR},
         ))
-        checks.append(p2_square_ten())
-        checks.append(hirzebruch_sweep())
-        checks.append(noether_contradiction())
+        # The branch's surface is anticanonical, so its H^2 is (-K)^3 = r^3 n.
+        checks.append(plane_square_check(ambient_degree))
+        checks.append(hirzebruch_sweep(ambient_degree))
+        checks.append(noether_contradiction(ambient_degree))
         checks.append(cited(
             name="higher-picard-rank-branch",
             rule="surface-classification",
             statement="any remaining resolution has Picard rank at least 3, is "
-                      "weak del Pezzo with canonical square 10, and dies on the "
-                      "bound above",
+                      f"weak del Pezzo with canonical square {ambient_degree}, and "
+                      "dies on the bound above",
         ))
     return _closed_construction(case, checks)
 

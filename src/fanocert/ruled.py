@@ -3,11 +3,11 @@
 Used by the sporadic twisted-cubic constructions: if a bisecant line to a
 general twisted cubic existed, a certain anticanonical surface would carry a
 two-parameter family of rational cubics, and its minimal resolution would be
-either the plane, a Hirzebruch surface, or a weak del Pezzo surface of
-canonical square 10.  All three branches die on integer arithmetic, which is
-what this module certifies, for the one configuration the module constants
-``H_SQUARE`` (10) and ``CURVE_DEGREE`` (3) fix.  The plane and Noether checks
-and the Hirzebruch sweep, over a range derived from both, read only those constants.
+either the plane, a Hirzebruch surface, or a weak del Pezzo surface whose
+canonical square is the ambient's (-K)^3 = r^3 n.  All three branches die on
+integer arithmetic, which is what this module certifies for a nef class H of
+that square, each check's ``square`` argument, and rational curves of degree
+``CURVE_DEGREE`` (3); the Hirzebruch sweep's range is derived from both.
 """
 from __future__ import annotations
 
@@ -47,9 +47,7 @@ class RuledLattice(ValueTuple, namedtuple("RuledLattice", "n")):
         return cls[0] >= 0 and cls[1] >= self.n * cls[0]
 
 
-# The configuration searched for: a nef class H of square 10 and rational
-# cubics C, of degree H.C = 3.
-H_SQUARE = 10
+# The rational curves C searched for are cubics: H.C = 3.
 CURVE_DEGREE = 3
 
 
@@ -57,29 +55,29 @@ def _positive_divisors(value: int) -> list[int]:
     return [k for k in range(1, value + 1) if value % k == 0]
 
 
-def nef_square_classes(n: int) -> tuple[tuple[int, int], ...]:
-    """Nef classes of square ``H_SQUARE`` on the n-th Hirzebruch surface.
+def nef_square_classes(n: int, square: int) -> tuple[tuple[int, int], ...]:
+    """Nef classes of square ``square`` on the n-th Hirzebruch surface.
 
-    From x(2y - nx) = H_SQUARE and y >= nx follows x | H_SQUARE and
-    n <= H_SQUARE / x^2, so the list is empty for every n > H_SQUARE.
+    From x(2y - nx) = square and y >= nx follows x | square and
+    n <= square / x^2, so the list is empty for every n > square.
     """
     surface = RuledLattice(n)
     classes = []
-    for x in _positive_divisors(H_SQUARE):
-        rest = H_SQUARE // x + n * x
+    for x in _positive_divisors(square):
+        rest = square // x + n * x
         if rest % 2:
             continue
         y = rest // 2
         cls = (x, y)
-        if surface.is_nef(cls) and surface.dot(cls, cls) == H_SQUARE:
+        if surface.is_nef(cls) and surface.dot(cls, cls) == square:
             classes.append(cls)
     return tuple(classes)
 
 
-def hirzebruch_search(n: int) -> list[dict]:
+def hirzebruch_search(n: int, square: int) -> list[dict]:
     """Witness pairs (H, C) for the rational-cubic configuration, expected none.
 
-    H must be nef of square ``H_SQUARE``, C effective with H.C =
+    H must be nef of square ``square``, C effective with H.C =
     ``CURVE_DEGREE``, (K+C).C = -2 (a rational curve) and C^2 >= 2, the
     numerical trace of C moving in a two-parameter family (two general
     points lie on distinct members, which then meet twice); without that
@@ -95,7 +93,7 @@ def hirzebruch_search(n: int) -> list[dict]:
     surface = RuledLattice(n)
     k_class = surface.canonical_class
     witnesses = []
-    for x, y in nef_square_classes(n):
+    for x, y in nef_square_classes(n, square):
         for u in range(1, 2 * CURVE_DEGREE):
             v, rest = divmod(CURVE_DEGREE - (y - n * x) * u, x)
             if rest or v < 0:
@@ -108,47 +106,47 @@ def hirzebruch_search(n: int) -> list[dict]:
     return witnesses
 
 
-def p2_square_ten() -> CheckOutcome:
-    """No divisor class on the plane has square ``H_SQUARE``.
+def plane_square_check(square: int) -> CheckOutcome:
+    """No divisor class on the plane has square ``square``.
 
-    Plane classes have square degree^2, so the check is exactly `H_SQUARE is
+    Plane classes have square degree^2, so the check is exactly `square is
     not a perfect square` (0 included).
     """
-    root = isqrt(H_SQUARE)
-    is_square = root * root == H_SQUARE
+    root = isqrt(square)
+    is_square = root * root == square
     return verified(
         name="plane-has-no-class-of-square",
         rule="plane-class-squares",
         passed=not is_square,
-        inputs={"square": H_SQUARE},
+        inputs={"square": square},
         result={"perfect_square": is_square},
         witnesses=(root,) if is_square else (),
     )
 
 
-def hirzebruch_sweep() -> CheckOutcome:
+def hirzebruch_sweep(square: int) -> CheckOutcome:
     """No Hirzebruch surface carries the configuration.
 
-    ``nef_square_classes`` is empty for n > ``H_SQUARE``, so the sweep over
-    n in 0..``H_SQUARE`` covers every surface.
+    ``nef_square_classes`` is empty for n > ``square``, so the sweep over
+    n in 0..``square`` covers every surface.
     """
-    witnesses = tuple(w for n in range(H_SQUARE + 1) for w in hirzebruch_search(n))
+    witnesses = tuple(w for n in range(square + 1) for w in hirzebruch_search(n, square))
     return verified(
         name="hirzebruch-sweep-empty",
         rule="ruled-surface-enumeration",
         passed=not witnesses,
-        inputs={"n_range": [0, H_SQUARE],
-                "bound_derivation": f"x divides {H_SQUARE} and n <= {H_SQUARE} / x^2"},
+        inputs={"n_range": [0, square],
+                "bound_derivation": f"x divides {square} and n <= {square} / x^2"},
         result={"witnesses_found": len(witnesses)},
         witnesses=witnesses,
     )
 
 
-def noether_contradiction() -> CheckOutcome:
+def noether_contradiction(square: int) -> CheckOutcome:
     """K^2 <= 9 on a weak del Pezzo surface, but -K pulls back H on the branch's: K^2 = H^2."""
     return verified(
         name="canonical-square-exceeds-noether-bound",
         rule="noether-inequality",
-        passed=H_SQUARE > 9,
-        inputs={"k_square": H_SQUARE, "noether_bound": 9},
+        passed=square > 9,
+        inputs={"k_square": square, "noether_bound": 9},
     )

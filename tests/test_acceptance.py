@@ -15,7 +15,7 @@ from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
                               make_family_lattice, square_and_genus)
 from fanocert.nefness import free_certificate
 from fanocert.report import report_to_json
-from fanocert.ruled import hirzebruch_search, noether_contradiction, p2_square_ten
+from fanocert.ruled import hirzebruch_search, noether_contradiction, plane_square_check
 from fanocert.schubert import surface_class_split
 from fanocert.secant import admissible_table
 
@@ -152,10 +152,13 @@ def test_criterion_7_non_realizability(capsys):
 
 
 def test_criterion_8_ruled_checks(capsys):
-    ok = all(hirzebruch_search(n) == [] for n in range(0, 11))
-    ok = ok and p2_square_ten().passed
-    ok = ok and noether_contradiction().passed
-    ok = ok and noether_contradiction().inputs["k_square"] == 10
+    ok = all(hirzebruch_search(n, 10) == [] for n in range(0, 11))
+    ok = ok and plane_square_check(10).passed
+    ok = ok and noether_contradiction(10).passed
+    # The X10 row passes its own square, r^3 n = 10, to the checks.
+    (x10,) = [c for c in run_all(family="sporadic").certificates if c.case.ambient == "X10"]
+    by_name = {c.name: c for c in x10.checks}
+    ok = ok and by_name["canonical-square-exceeds-noether-bound"].inputs["k_square"] == 10
     with capsys.disabled():
         _emit(8, "empty ruled-surface sweep for n in [0,10], plane and "
                  "canonical-square checks", ok)
@@ -244,7 +247,7 @@ def test_criterion_10_structural_invariants(capsys):
         for cls in sample:
             square, _ = square_and_genus(lattice, cls)
             ok = ok and square % 2 == 0
-        adjoint = family.adjoint_class
+        adjoint = DivisorClass(family.index_multiplier, -1)
         ok = ok and lattice.pair(adjoint, adjoint) == anticanonical_cube(family, case.d, case.g)
 
     first = report_to_json(run_all())

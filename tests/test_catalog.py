@@ -157,6 +157,10 @@ def test_bundle_checks_read_the_section_genus_and_square(monkeypatch, family, h_
     assert checks["surface-class-splits-in-grassmannian"].inputs["t_square"] == h_square
     if family == "x14":
         assert checks["residual-series-free"].inputs["genus"] == genus
+        # The donor window [4, g - 1] is read on the same g.
+        donors = checks["donor-family-squares-negative"].inputs
+        assert donors["section_genus"] == genus
+        assert donors["degree_window"] == [4, genus - 1]
 
 
 def test_v5_contradiction_reads_the_threefold_degree(monkeypatch):

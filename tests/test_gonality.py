@@ -3,8 +3,7 @@ import json
 
 import pytest
 
-from fanocert.gonality import (DONOR_DEGREES, SECTION_GENUS, DonorWindowEmptyError,
-                               fixed_moving_bound, tetragonal_certificate)
+from fanocert.gonality import DonorWindowEmptyError, fixed_moving_bound, tetragonal_certificate
 from fanocert.lattice import FAMILIES, DivisorClass
 
 from test_diophantine import census_lattices
@@ -46,9 +45,9 @@ def passed(report):
 
 
 def test_window_constants_come_from_family_spec():
-    assert SECTION_GENUS == FAMILIES["x14"].section_genus == 8
-    assert DONOR_DEGREES[0] == 4
-    assert DONOR_DEGREES[-1] == 7
+    inputs = check_named(tetragonal_certificate(5, 0), "donor-family-squares-negative").inputs
+    assert inputs["section_genus"] == FAMILIES["x14"].section_genus == 8
+    assert inputs["degree_window"] == [4, 7]
 
 
 def test_4_0_families_match_reference_parametrization():

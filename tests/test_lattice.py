@@ -122,7 +122,7 @@ def test_catalog_determinants_negative():
 
 def test_adjoint_square_matches_anticanonical_cube():
     for family, d, g, lattice in catalog_lattices():
-        adjoint = family.adjoint_class
+        adjoint = DivisorClass(family.index_multiplier, -1)
         assert lattice.pair(adjoint, adjoint) == anticanonical_cube(family, d, g)
 
 

@@ -167,7 +167,7 @@ def reference_nef_certificate(family, d, g):
 def reference_free_certificate(family, d, g):
     """The original per-degree freeness search over the reference solver."""
     lattice = make_family_lattice(family, d, g)
-    adjoint = family.adjoint_class
+    adjoint = DivisorClass(family.index_multiplier, -1)
     square = lattice.pair(adjoint, adjoint)
     if square < 2:
         raise FreenessInapplicableError(f"adjoint square {square} < 2")

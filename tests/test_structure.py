@@ -5,7 +5,8 @@ diophantine, each check name built at one call site, checks built only by
 the ``outcome`` builders and by position, a standard-library
 runtime, one dataclass, no ``object.__setattr__`` in the value types, value
 equality and ``read_only`` defined in ``values`` alone, a report writer
-that dispatches on exact types only, a cold import
+that dispatches on exact types only, no module-level name outside
+``lattice`` computed from the ambient tables, a cold import
 without ``importlib.resources``, a package root that binds only
 ``load_cases`` and ``__version__``, and no defaulted parameter of a public
 function or constructor that no call in the package sets (``cli.main``'s
@@ -158,6 +159,25 @@ def test_only_the_construction_skeleton_certifies_the_adjoint_class():
     assert _callers(("nef_certificate", "free_certificate")) == {
         "nef_certificate": {"pipelines._construction"},
         "free_certificate": {"pipelines._construction"}}
+
+
+def test_only_lattice_binds_names_from_the_ambient_tables():
+    # A module-level name computed from FAMILIES or AMBIENTS is frozen at
+    # import, a second copy that a patched or extended row leaves behind;
+    # every other module reads the row at call time.
+    tables = {"FAMILIES", "AMBIENTS"}
+    frozen = []
+    for path in SOURCES:
+        if path.stem == "lattice":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) or not node.value:
+                continue
+            if any(isinstance(sub, ast.Name) and sub.id in tables
+                   or isinstance(sub, ast.Attribute) and sub.attr in tables
+                   for sub in ast.walk(node.value)):
+                frozen.append(f"{path.name}:{node.lineno}")
+    assert frozen == []
 
 
 def test_runtime_imports_only_the_standard_library():
