@@ -21,9 +21,9 @@ from .lattice import (AMBIENTS, FAMILIES, DivisorClass, FamilySpec,
                       square_and_genus)
 from .nefness import free_certificate, nef_certificate
 from .outcome import CheckOutcome, DERIVED, VERIFIED, cited, verified
-from .riemannroch import (LinearSeries, SectionCountError, UndeterminedH0Error, brill_noether,
-                          ideal_curve_bound, k3_h0, monomial_count, plane_curve_genus,
-                          residual_series, span_dimension_bound)
+from .riemannroch import (LinearSeries, SectionCountError, brill_noether, ideal_curve_bound,
+                          k3_h0, monomial_count, plane_curve_genus, residual_series,
+                          span_dimension_bound)
 from .ruled import hirzebruch_sweep, noether_contradiction, plane_square_check
 from .schubert import surface_class_split
 from .secant import trisecant_count
@@ -213,8 +213,7 @@ def v4_construction(case) -> ProofResult:
     ])
 
 
-def _hyperplane_irreducibility(family: FamilySpec, lattice: IntersectionLattice,
-                               d: int, g: int) -> list[CheckOutcome]:
+def _hyperplane_irreducibility(lattice: IntersectionLattice) -> list[CheckOutcome]:
     """Every hyperplane section of the surface is irreducible and reduced.
 
     A splitting T = D1 + D2 either has no curve component equal to C, in
@@ -222,9 +221,8 @@ def _hyperplane_irreducibility(family: FamilySpec, lattice: IntersectionLattice,
     be effective.  Band witnesses and T - C are killed by showing one side
     of each split admits no decomposition into irreducible-curve classes.
     """
-    h2 = family.h_square
-    band = band_empty((h2, d), Interval.open(0, h2),
-                      (d, 2 * g - 2), Interval.closed(0, d))
+    (h2, d), curve_row = lattice.gram
+    band = band_empty((h2, d), Interval.open(0, h2), curve_row, Interval.closed(0, d))
     witnesses = []
     all_eliminated = True
     for a, b in band.witnesses:
@@ -358,7 +356,7 @@ def v5_construction(case) -> ProofResult:
     d, g = case.d, case.g
     lattice = make_family_lattice(family, d, g)
     return _construction(case, family, lattice, [
-        *_hyperplane_irreducibility(family, lattice, d, g),
+        *_hyperplane_irreducibility(lattice),
         *_v5_bundle_checks(family),
         cited(
             name="surface-embeds-in-quintic-del-pezzo",
@@ -518,7 +516,7 @@ def x14_contradiction(case) -> ProofResult:
     square = lattice.pair(curve, curve)
     try:
         sections = k3_h0(lattice, curve, nef_hint=True)
-    except UndeterminedH0Error as exc:
+    except SectionCountError as exc:
         sections, counted = None, {"reason": str(exc)}
     else:
         counted = {"h0": sections}

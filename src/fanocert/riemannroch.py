@@ -12,10 +12,6 @@ class SectionCountError(ValueError):
     """The requested count lies outside the regime this engine decides."""
 
 
-class UndeterminedH0Error(SectionCountError):
-    """h0-undetermined: the class is neither rigid nor certified nef-positive."""
-
-
 class LinearSeries(ValueTuple, namedtuple("LinearSeries", "r d")):
     """A g^r_d on a curve: projective dimension r, degree d."""
 
@@ -67,7 +63,7 @@ def k3_h0(lattice: IntersectionLattice, divisor, nef_hint: bool = False) -> int:
         return 1
     if nef_hint and square > 0:
         return square // 2 + 2
-    raise UndeterminedH0Error(
+    raise SectionCountError(
         f"h0-undetermined for square {square} (nef_hint={nef_hint})"
     )
 

@@ -8,70 +8,35 @@ canonical square is the ambient's (-K)^3 = r^3 n.  All three branches die on
 integer arithmetic, which is what this module certifies for a nef class H of
 that square, each check's ``square`` argument, and rational curves of degree
 ``CURVE_DEGREE`` (3); the Hirzebruch sweep's range is derived from both.
+
+A class on the n-th Hirzebruch surface (n >= 0) is a pair (a, b) = a*s + b*f
+in the basis of the section s and the fibre f: s^2 = -n, f^2 = 0, s.f = 1.
+The checks below take as standing axioms that the effective cone is
+generated by s and f, the nef cone by f and s + n*f (a >= 0 and b >= n*a),
+and that the canonical class is K = -2s - (n+2)f.  Every pairing they need
+is written out in closed form where it is used.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from math import isqrt
 
 from .outcome import CheckOutcome, verified
-from .values import ValueTuple
-
-
-class RuledLattice(ValueTuple, namedtuple("RuledLattice", "n")):
-    """Divisor lattice of the Hirzebruch surface with section square -n.
-
-    Basis (s, f): s^2 = -n, f^2 = 0, s.f = 1.  The effective cone is
-    generated by s and f and the nef cone by f and s + n*f; both facts are
-    standing axioms of the checks below.  The canonical class is
-    -2s - (n+2)f.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n: int):
-        if n < 0:
-            raise ValueError("need n >= 0")
-        return super().__new__(cls, n)
-
-    __hash__ = tuple.__hash__
-
-    def dot(self, x: tuple[int, int], y: tuple[int, int]) -> int:
-        return -self.n * x[0] * y[0] + x[0] * y[1] + x[1] * y[0]
-
-    @property
-    def canonical_class(self) -> tuple[int, int]:
-        return (-2, -(self.n + 2))
-
-    def is_nef(self, cls: tuple[int, int]) -> bool:
-        return cls[0] >= 0 and cls[1] >= self.n * cls[0]
-
 
 # The rational curves C searched for are cubics: H.C = 3.
 CURVE_DEGREE = 3
 
 
-def _positive_divisors(value: int) -> list[int]:
-    return [k for k in range(1, value + 1) if value % k == 0]
-
-
 def nef_square_classes(n: int, square: int) -> tuple[tuple[int, int], ...]:
     """Nef classes of square ``square`` on the n-th Hirzebruch surface.
 
-    From x(2y - nx) = square and y >= nx follows x | square and
-    n <= square / x^2, so the list is empty for every n > square.
+    A nef class (x, y) has square x(2y - nx) with x >= 1 and y >= nx, so x
+    divides ``square``, y = (square/x + nx)/2 needs square/x + nx even, and
+    y >= nx is square >= nx^2.  Those classes are exactly the list, which is
+    empty for every n > square.
     """
-    surface = RuledLattice(n)
-    classes = []
-    for x in _positive_divisors(square):
-        rest = square // x + n * x
-        if rest % 2:
-            continue
-        y = rest // 2
-        cls = (x, y)
-        if surface.is_nef(cls) and surface.dot(cls, cls) == square:
-            classes.append(cls)
-    return tuple(classes)
+    return tuple((x, (square // x + n * x) // 2) for x in range(1, square + 1)
+                 if not square % x and not (square // x + n * x) % 2
+                 and square >= n * x * x)
 
 
 def hirzebruch_search(n: int, square: int) -> list[dict]:
@@ -88,19 +53,17 @@ def hirzebruch_search(n: int, square: int) -> list[dict]:
     effective) and n*u < 2v.  A nef H = (x, y) has x >= 1 and y >= n*x, so
     H.C = x*v + (y - n*x)*u bounds v <= ``CURVE_DEGREE`` and, for n >= 1,
     u < 2 * ``CURVE_DEGREE``; at n = 0, H^2 = 2xy gives y >= 1 and so u <=
-    ``CURVE_DEGREE``.  Each u pins v by the degree equation.
+    ``CURVE_DEGREE``.  Each u pins v by the degree equation, and K.C =
+    (n - 2)u - 2v turns the rational-curve test into C^2 + (n - 2)u - 2v = -2.
     """
-    surface = RuledLattice(n)
-    k_class = surface.canonical_class
     witnesses = []
     for x, y in nef_square_classes(n, square):
         for u in range(1, 2 * CURVE_DEGREE):
             v, rest = divmod(CURVE_DEGREE - (y - n * x) * u, x)
             if rest or v < 0:
                 continue
-            c = (u, v)
-            c_square = surface.dot(c, c)
-            if c_square < 2 or surface.dot((k_class[0] + u, k_class[1] + v), c) != -2:
+            c_square = u * (2 * v - n * u)
+            if c_square < 2 or c_square + (n - 2) * u - 2 * v != -2:
                 continue
             witnesses.append({"n": n, "h": [x, y], "c": [u, v], "c_square": c_square})
     return witnesses

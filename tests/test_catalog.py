@@ -163,6 +163,17 @@ def test_bundle_checks_read_the_section_genus_and_square(monkeypatch, family, h_
         assert donors["degree_window"] == [4, genus - 1]
 
 
+def test_x14_citations_name_the_section_genus():
+    # Mukai's linear-section theorem is cited at the section curve's genus,
+    # which the proofs compute from FAMILIES["x14"]; a cited statement that
+    # names another genus has parted from the row.
+    named = [(cert.case.route, int(genus))
+             for cert in run_all(family="x14").certificates for check in cert.checks
+             for genus in re.findall(r"\bgenus[ -](\d+)", check.result.get("statement", ""))]
+    assert sorted(named) == [("construction", 8)] * 3 + [("contradiction", 8)]
+    assert {genus for _, genus in named} == {FAMILIES["x14"].section_genus}
+
+
 def test_v5_contradiction_reads_the_threefold_degree(monkeypatch):
     # A degree-7 threefold spans P^8.
     case = _row("v5", "contradiction", 14, 10)

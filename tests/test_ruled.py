@@ -1,40 +1,60 @@
 from fanocert import lattice, ruled
 from fanocert.catalog import run_all
-from fanocert.ruled import (RuledLattice, hirzebruch_search, hirzebruch_sweep,
-                            nef_square_classes, noether_contradiction, plane_square_check)
+from fanocert.ruled import (hirzebruch_search, hirzebruch_sweep, nef_square_classes,
+                            noether_contradiction, plane_square_check)
+
+# The oracle's own Hirzebruch arithmetic, read from the Gram matrix of the
+# basis (s, f) with s^2 = -n, f^2 = 0, s.f = 1; nothing here comes from src.
+S, F = (1, 0), (0, 1)
+
+
+def pair(n, x, y):
+    # x^T G y with G = ((-n, 1), (1, 0))
+    (a, b), (c, d) = x, y
+    return -n * a * c + a * d + b * c
+
+
+def canonical(n):
+    return (-2, -(n + 2))
+
+
+def is_nef(n, cls):
+    # The nef cone is dual to the effective cone, which s and f generate.
+    return pair(n, cls, S) >= 0 and pair(n, cls, F) >= 0
 
 
 def brute_hirzebruch(n, square, require_moving=True, bound=20):
-    surface = RuledLattice(n)
-    k_class = surface.canonical_class
+    k_class = canonical(n)
     found = []
     for x in range(0, bound + 1):
         for y in range(0, bound + 1):
             h = (x, y)
-            if not surface.is_nef(h) or surface.dot(h, h) != square:
+            if not is_nef(n, h) or pair(n, h, h) != square:
                 continue
             for u in range(0, bound + 1):
                 for v in range(0, bound + 1):
                     c = (u, v)
-                    if surface.dot(c, h) != ruled.CURVE_DEGREE:
+                    if pair(n, c, h) != ruled.CURVE_DEGREE:
                         continue
-                    if surface.dot((k_class[0] + u, k_class[1] + v), c) != -2:
+                    if pair(n, (k_class[0] + u, k_class[1] + v), c) != -2:
                         continue
-                    if require_moving and surface.dot(c, c) < 2:
+                    if require_moving and pair(n, c, c) < 2:
                         continue
                     found.append((h, c))
     return found
 
 
 def test_ruled_lattice_pairing():
-    surface = RuledLattice(3)
-    s, f = (1, 0), (0, 1)
-    assert surface.dot(s, s) == -3
-    assert surface.dot(f, f) == 0
-    assert surface.dot(s, f) == 1
-    k = surface.canonical_class
+    assert pair(3, S, S) == -3
+    assert pair(3, F, F) == 0
+    assert pair(3, S, F) == pair(3, F, S) == 1
     # adjunction: K.(K) = 8 on every Hirzebruch surface
-    assert surface.dot(k, k) == 8
+    for n in range(0, 11):
+        k = canonical(n)
+        assert pair(n, k, k) == 8
+    # the nef cone is generated by f and s + n*f
+    assert is_nef(3, F) and is_nef(3, (1, 3))
+    assert not is_nef(3, S) and not is_nef(3, (1, 2))
 
 
 def test_sweep_empty_for_all_relevant_n():
@@ -56,10 +76,9 @@ def test_sweep_matches_brute_force_enumeration(monkeypatch):
                 found = hirzebruch_search(n, h_square)
                 pairs = [(tuple(w["h"]), tuple(w["c"])) for w in found]
                 assert pairs == brute_hirzebruch(n, h_square), (h_square, degree, n)
-                surface = RuledLattice(n)
                 for w in found:
                     assert w["n"] == n
-                    assert w["c_square"] == surface.dot(w["c"], w["c"])
+                    assert w["c_square"] == pair(n, w["c"], w["c"])
                 configurations += 1
                 with_witnesses += bool(found)
     assert (configurations, with_witnesses) == (840, 98)
@@ -106,15 +125,32 @@ def test_no_nef_square_ten_classes_beyond_bound():
     assert set(nef_square_classes(0, 10)) == {(1, 5), (5, 1)}
 
 
+def test_nef_square_classes_match_a_box_scan():
+    # A nef class (x, y) of a positive square has x in 1..square and
+    # nx <= y <= nx + square, since x(2y - nx) = square; n runs one past
+    # the last surface that has any.
+    pairs = nonempty = classes = 0
+    for square in range(1, 31):
+        for n in range(0, square + 2):
+            box = tuple((x, y) for x in range(1, square + 1)
+                        for y in range(n * x, n * x + square + 1)
+                        if x * (2 * y - n * x) == square)
+            assert nef_square_classes(n, square) == box, (square, n)
+            assert all(is_nef(n, h) and pair(n, h, h) == square for h in box)
+            pairs += 1
+            nonempty += bool(box)
+            classes += len(box)
+    assert (pairs, nonempty, classes) == (525, 271, 324)
+
+
 def test_rigid_sections_survive_without_family_constraint():
     # dropping the moving-family square constraint lets rigid sections
     # through; the full constraint set must reject exactly those
     survivor_ns = [n for n in range(0, 11) if brute_hirzebruch(n, 10, require_moving=False)]
     assert survivor_ns == [4, 6, 8, 10]
     for n in survivor_ns:
-        surface = RuledLattice(n)
         for _, c in brute_hirzebruch(n, 10, require_moving=False):
-            assert surface.dot(c, c) < 2
+            assert pair(n, c, c) < 2
         assert hirzebruch_search(n, 10) == []
 
 
@@ -122,11 +158,10 @@ def test_adjunction_chain_on_partial_survivors():
     # (K+H).C = (K+C).C - C^2 + H.C = 1 - C^2 for every rational cubic
     checked = 0
     for n in range(0, 11):
-        surface = RuledLattice(n)
-        k = surface.canonical_class
+        k = canonical(n)
         for h, c in brute_hirzebruch(n, 10, require_moving=False):
-            kh_dot_c = surface.dot((k[0] + h[0], k[1] + h[1]), c)
-            assert kh_dot_c == 1 - surface.dot(c, c)
+            kh_dot_c = pair(n, (k[0] + h[0], k[1] + h[1]), c)
+            assert kh_dot_c == 1 - pair(n, c, c)
             checked += 1
     assert checked > 0
 

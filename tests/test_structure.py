@@ -252,7 +252,7 @@ def test_value_semantics_live_in_values():
         "lattice.IntersectionLattice.__eq__",
         "values.SlotValue.__eq__", "values.ValueTuple.__eq__", "values.ValueTuple.__ne__"]
     assert read_only == ["values.read_only"]
-    assert len(tuples) == 6 and all(based for _, based in tuples), tuples
+    assert len(tuples) == 5 and all(based for _, based in tuples), tuples
 
 
 def test_report_writer_dispatches_on_exact_type_only():

@@ -13,7 +13,6 @@ from fanocert.gonality import TetragonalReport
 from fanocert.lattice import DivisorClass, FamilySpec, IntersectionLattice
 from fanocert.outcome import CheckOutcome
 from fanocert.riemannroch import LinearSeries
-from fanocert.ruled import RuledLattice
 
 CASE = load_cases()[0]
 CHECK = CheckOutcome(name="n", rule="r", kind="verified", passed=True, inputs={"d": 1})
@@ -31,7 +30,6 @@ VALUES = {
     TetragonalReport: ({"checks": (CHECK,), "discrepancies": ()},
                        {"checks": (CHECK,), "discrepancies": ("gap",)}),
     LinearSeries: ({"r": 2, "d": 6}, {"r": 2, "d": 7}),
-    RuledLattice: ({"n": 1}, {"n": 2}),
     Certificate: ({"case": CASE, "computed": "Realizable", "checks": (CHECK,)},
                   {"case": CASE, "computed": "Unverified", "checks": (CHECK,)}),
     Report: ({"certificates": ()}, {"certificates": (), "summary": {"cases": 0}}),
@@ -51,7 +49,7 @@ def test_equality_is_by_value_and_by_type(cls):
 
 
 @pytest.mark.parametrize("cls", [DivisorClass, IntersectionLattice, FamilySpec, Interval,
-                                 LinearSeries, RuledLattice], ids=lambda cls: cls.__name__)
+                                 LinearSeries], ids=lambda cls: cls.__name__)
 def test_equal_values_hash_equal(cls):
     same, _ = VALUES[cls]
     assert hash(cls(**same)) == hash(cls(**same))
@@ -91,7 +89,6 @@ def test_checks_and_classes_are_not_tuples():
     (lambda: CheckOutcome("n", "r", "proved", True), "^unknown outcome kind 'proved'$"),
     (lambda: LinearSeries(-1, 6), r"^a linear series needs r >= 0 and d >= 0$"),
     (lambda: LinearSeries(r=1, d=-1), r"^a linear series needs r >= 0 and d >= 0$"),
-    (lambda: RuledLattice(-1), r"^need n >= 0$"),
 ])
 def test_validation_errors_keep_their_message(build, message):
     with pytest.raises(ValueError, match=message):
