@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import json
 import os
-from collections import namedtuple
 from dataclasses import dataclass
 
 from .lattice import FAMILIES, SPORADIC_AMBIENTS, make_family_lattice
 from .pipelines import NOT_REALIZABLE, OPEN, PIPELINES, REALIZABLE
-from .values import ValueTuple
+from .values import SlotValue, slot_setters
 
 UNVERIFIED = "Unverified"
 
@@ -24,23 +23,46 @@ class CaseTableError(ValueError):
     """The case table file does not match the expected schema."""
 
 
-# The one dataclass of the package: the benchmark digests loaded rows with
-# ``dataclasses.asdict``.
-@dataclass(frozen=True)
-class CaseRecord:
+# The one dataclass of the package, and its decorator writes no method: it
+# only registers the annotated fields, which the benchmark digests with
+# ``dataclasses.asdict``.  The annotations repeat ``__slots__`` in order.
+@dataclass(init=False, repr=False, eq=False)
+class CaseRecord(SlotValue):
+    """One row of the case table: the curve, its verdict and its proof's tags.
+
+    ``__init__`` refuses, as a ``CaseTableError``, a row whose tags select no
+    proof or one that could not run on it.
+    """
+
+    __slots__ = ("case_id", "family", "d", "g", "expected", "route", "smallness", "ambient",
+                 "construction", "seed_d", "seed_g")
     case_id: int
     family: str
     d: int
     g: int
     expected: str
-    route: str = "construction"
-    smallness: str = "table-absent"
-    ambient: str | None = None
-    construction: str = "main"
-    seed_d: int | None = None
-    seed_g: int | None = None
+    route: str
+    smallness: str
+    ambient: str | None
+    construction: str
+    seed_d: int | None
+    seed_g: int | None
 
-    def __post_init__(self):
+    def __init__(self, case_id: int, family: str, d: int, g: int, expected: str,
+                 route: str = "construction", smallness: str = "table-absent",
+                 ambient: str | None = None, construction: str = "main",
+                 seed_d: int | None = None, seed_g: int | None = None):
+        _set_case_id(self, case_id)
+        _set_family(self, family)
+        _set_d(self, d)
+        _set_g(self, g)
+        _set_expected(self, expected)
+        _set_route(self, route)
+        _set_smallness(self, smallness)
+        _set_ambient(self, ambient)
+        _set_construction(self, construction)
+        _set_seed_d(self, seed_d)
+        _set_seed_g(self, seed_g)
         if self.family not in FAMILY_NAMES:
             raise CaseTableError(f"unknown family {self.family!r}")
         if self.expected not in VERDICTS:
@@ -91,6 +113,9 @@ class CaseRecord:
                 except ValueError as exc:
                     raise CaseTableError(f"{self.label()}: seed {exc}") from None
 
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
     @property
     def proof(self) -> tuple[str, str, str]:
         """The tags that select this row's proof: a key of ``PIPELINES``."""
@@ -101,11 +126,21 @@ class CaseRecord:
         return f"case {self.case_id} {tag} (d,g)=({self.d},{self.g})"
 
 
-class Certificate(ValueTuple, namedtuple("Certificate", "case computed checks discrepancies",
-                                         defaults=((),))):
+(_set_case_id, _set_family, _set_d, _set_g, _set_expected, _set_route, _set_smallness,
+ _set_ambient, _set_construction, _set_seed_d, _set_seed_g) = slot_setters(CaseRecord)
+
+
+class Certificate(SlotValue):
     """A row's verdict and the checks it rests on."""
 
-    __slots__ = ()
+    __slots__ = ("case", "computed", "checks", "discrepancies")
+
+    def __init__(self, case: CaseRecord, computed: str, checks: tuple,
+                 discrepancies: tuple = ()):
+        _set_case(self, case)
+        _set_computed(self, computed)
+        _set_checks(self, checks)
+        _set_discrepancies(self, discrepancies)
 
     @property
     def matches(self) -> bool:
@@ -127,17 +162,24 @@ class Certificate(ValueTuple, namedtuple("Certificate", "case computed checks di
         return data
 
 
-class Report(ValueTuple, namedtuple("Report", "certificates summary")):
+_set_case, _set_computed, _set_checks, _set_discrepancies = slot_setters(Certificate)
+
+
+class Report(SlotValue):
     """The certificates of a run and their tally; ``summary`` defaults to a fresh dict."""
 
-    __slots__ = ()
+    __slots__ = ("certificates", "summary")
 
-    def __new__(cls, certificates: tuple[Certificate, ...], summary: dict | None = None):
-        return super().__new__(cls, certificates, {} if summary is None else summary)
+    def __init__(self, certificates: tuple[Certificate, ...], summary: dict | None = None):
+        _set_certificates(self, certificates)
+        _set_summary(self, {} if summary is None else summary)
 
     @property
     def all_match(self) -> bool:
         return all(c.matches for c in self.certificates)
+
+
+_set_certificates, _set_summary = slot_setters(Report)
 
 
 def _integer_field(entry: dict, key: str) -> int:

@@ -39,25 +39,30 @@ depth first in one flat loop over a stack of pool indices.  It stops at
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from math import gcd, isqrt
 
 from .lattice import DivisorClass, IntersectionLattice, LatticeSignatureError, as_class
 from .outcome import CheckOutcome, verified
-from .values import ValueTuple
+from .values import SlotValue, slot_setters
 
 
 class DependentFormsError(ValueError):
     """The two band forms are proportional, so the region is unbounded."""
 
 
-class Interval(ValueTuple,
-               namedtuple("Interval", "lo hi lo_open hi_open", defaults=(False, False))):
+class Interval(SlotValue):
     """Integer interval with independently open or closed endpoints."""
 
-    __slots__ = ()
+    __slots__ = ("lo", "hi", "lo_open", "hi_open")
 
-    __hash__ = tuple.__hash__
+    def __init__(self, lo: int, hi: int, lo_open: bool = False, hi_open: bool = False):
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_lo_open(self, lo_open)
+        _set_hi_open(self, hi_open)
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @classmethod
     def open(cls, lo: int, hi: int) -> "Interval":
@@ -75,6 +80,9 @@ class Interval(ValueTuple,
         left = "(" if self.lo_open else "["
         right = ")" if self.hi_open else "]"
         return f"{left}{self.lo},{self.hi}{right}"
+
+
+_set_lo, _set_hi, _set_lo_open, _set_hi_open = slot_setters(Interval)
 
 
 def _line(coeff_a: int, coeff_b: int) -> tuple[int, int, int, int, int]:

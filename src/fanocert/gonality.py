@@ -29,13 +29,12 @@ read from ``FAMILIES["x14"]`` at call time, as h^2 is.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from math import gcd
 
 from .diophantine import degree_lines, line_maximum, short_curve_checks
 from .lattice import FAMILIES, make_family_lattice
 from .outcome import CheckOutcome, CITED, VERIFIED, cited, verified
-from .values import ValueTuple
+from .values import SlotValue, slot_setters
 
 
 class DonorWindowEmptyError(ValueError):
@@ -47,13 +46,20 @@ class DonorWindowEmptyError(ValueError):
 PENCIL_DEGREE = 4
 
 
-class TetragonalReport(ValueTuple, namedtuple("TetragonalReport", "checks discrepancies")):
+class TetragonalReport(SlotValue):
     """The checks of one certificate and the gaps they flag."""
 
-    __slots__ = ()
+    __slots__ = ("checks", "discrepancies")
+
+    def __init__(self, checks: tuple[CheckOutcome, ...], discrepancies: tuple[str, ...]):
+        _set_checks(self, checks)
+        _set_discrepancies(self, discrepancies)
 
     def outcomes(self) -> tuple[CheckOutcome, ...]:
         return self.checks
+
+
+_set_checks, _set_discrepancies = slot_setters(TetragonalReport)
 
 
 def _eliminate_special(square: int, t_degree: int) -> tuple[str, str, str]:

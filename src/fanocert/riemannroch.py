@@ -1,31 +1,35 @@
 """Section counting on projective space, K3 surfaces and curves."""
 from __future__ import annotations
 
-from collections import namedtuple
 from math import comb
 
 from .lattice import IntersectionLattice
-from .values import ValueTuple
+from .values import SlotValue, slot_setters
 
 
 class SectionCountError(ValueError):
     """The requested count lies outside the regime this engine decides."""
 
 
-class LinearSeries(ValueTuple, namedtuple("LinearSeries", "r d")):
+class LinearSeries(SlotValue):
     """A g^r_d on a curve: projective dimension r, degree d."""
 
-    __slots__ = ()
+    __slots__ = ("r", "d")
 
-    def __new__(cls, r: int, d: int):
+    def __init__(self, r: int, d: int):
         if r < 0 or d < 0:
             raise ValueError("a linear series needs r >= 0 and d >= 0")
-        return super().__new__(cls, r, d)
+        _set_r(self, r)
+        _set_d(self, d)
 
-    __hash__ = tuple.__hash__
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def label(self) -> str:
         return f"g^{self.r}_{self.d}"
+
+
+_set_r, _set_d = slot_setters(LinearSeries)
 
 
 def monomial_count(n: int, s: int) -> int:

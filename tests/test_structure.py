@@ -3,11 +3,12 @@ between modules, no catalog import in pipelines, verdicts decided by the
 proofs alone, one degree-line and one line-solving primitive in
 diophantine, each check name built at one call site, checks built only by
 the ``outcome`` builders and by position, a standard-library
-runtime, one dataclass, no ``object.__setattr__`` in the value types, value
-equality and ``read_only`` defined in ``values`` alone, a report writer
-that dispatches on exact types only, no module-level name outside
-``lattice`` computed from the ambient tables, a cold import
-without ``importlib.resources``, a package root that binds only
+runtime, one dataclass whose decorator writes no method, no named tuple,
+no ``object.__setattr__`` in the value types, value equality and
+``read_only`` defined in ``values`` alone, a report writer that dispatches
+on exact types only, no module-level name outside ``lattice`` computed from
+the ambient tables, a cold import without ``importlib.resources`` that
+compiles no generated source, a package root that binds only
 ``load_cases`` and ``__version__``, and no defaulted parameter of a public
 function or constructor that no call in the package sets (``cli.main``'s
 ``argv`` aside).
@@ -17,6 +18,7 @@ non-tetragonality certificates take (family, d, g) and build it again, so a
 construction row builds 3 lattices (quadric, v4, v5) or 4 (x14, v5
 residual) in all."""
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -24,7 +26,7 @@ from collections import Counter
 from pathlib import Path
 
 import fanocert
-from fanocert import pipelines
+from fanocert import pipelines, values
 from fanocert.catalog import load_cases
 from fanocert.lattice import make_family_lattice
 
@@ -194,10 +196,10 @@ def test_runtime_imports_only_the_standard_library():
 
 
 def test_only_catalog_imports_dataclasses():
-    # A frozen dataclass execs its generated methods at import, about half a
-    # millisecond a class on every cold start.  CaseRecord stays one because
-    # the benchmark digests loaded rows with dataclasses.asdict; every other
-    # value type is a plain class.
+    # A frozen dataclass execs its generated methods at import, about a
+    # millisecond on every cold start.  CaseRecord stays a dataclass only
+    # because the benchmark digests loaded rows with dataclasses.asdict, and
+    # its decorator generates no method: it only registers the fields.
     importers, decorated = [], []
     for path in SOURCES:
         tree = ast.parse(path.read_text())
@@ -208,10 +210,11 @@ def test_only_catalog_imports_dataclasses():
                 modules = [alias.name for alias in node.names]
             if "dataclasses" in modules:
                 importers.append(path.stem)
-        decorated += [f"{path.stem}.{node.name}" for node in ast.walk(tree)
+        decorated += [(f"{path.stem}.{node.name}", [ast.unparse(d) for d in node.decorator_list])
+                      for node in ast.walk(tree)
                       if isinstance(node, ast.ClassDef) and node.decorator_list]
     assert importers == ["catalog"]
-    assert decorated == ["catalog.CaseRecord"]
+    assert decorated == [("catalog.CaseRecord", ["dataclass(init=False, repr=False, eq=False)"])]
 
 
 def test_no_value_type_fills_its_slots_through_object_setattr():
@@ -232,6 +235,8 @@ def test_value_semantics_live_in_values():
     # A value equals only its own type and its fields are read-only; that
     # policy is written once, in values.  Only IntersectionLattice keeps an
     # equality of its own, over gram alone and not its cached determinant.
+    # Every value type is a SlotValue: none derives from a namedtuple(...)
+    # call, and values keeps no tuple base.
     equalities, read_only, tuples = [], [], []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -244,15 +249,26 @@ def test_value_semantics_live_in_values():
                          [t.id for t in getattr(item, "targets", ()) if isinstance(t, ast.Name)])
                 equalities += [f"{path.stem}.{node.name}.{name}" for name in names
                                if name in ("__eq__", "__ne__")]
-            if any(isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple"
-                   for base in node.bases):
-                bases = [base.id for base in node.bases if isinstance(base, ast.Name)]
-                tuples.append((f"{path.stem}.{node.name}", "ValueTuple" in bases))
-    assert sorted(equalities) == [
-        "lattice.IntersectionLattice.__eq__",
-        "values.SlotValue.__eq__", "values.ValueTuple.__eq__", "values.ValueTuple.__ne__"]
+            tuples += [f"{path.stem}.{node.name}" for base in node.bases
+                       if isinstance(base, ast.Call)
+                       and getattr(base.func, "id", None) == "namedtuple"]
+    assert sorted(equalities) == ["lattice.IntersectionLattice.__eq__", "values.SlotValue.__eq__"]
     assert read_only == ["values.read_only"]
-    assert len(tuples) == 5 and all(based for _, based in tuples), tuples
+    assert tuples == []
+    assert not hasattr(values, "ValueTuple")
+
+
+def test_no_module_imports_namedtuple():
+    # A named tuple's __new__ is generated source, compiled at import on
+    # every cold start; a value type is a SlotValue instead.
+    uses = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            uses += [f"{path.name}:{node.lineno} {name}" for name in names
+                     if name in ("namedtuple", "NamedTuple")]
+    assert uses == []
 
 
 def test_report_writer_dispatches_on_exact_type_only():
@@ -276,6 +292,41 @@ def test_cold_import_leaves_out_importlib_resources():
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+# The one source CPython 3.13's dataclass compiles even for a class it writes
+# no method for: the empty builder of its generated functions.
+EMPTY_DATACLASS_BUILDER = "def __create_fn__():\n\n return ()"
+
+COLD_START_CODE = """
+import json, argparse, dataclasses, collections, math, operator, os, sys
+generated = []
+
+def hook(event, args):
+    if event == "compile" and args[1] == "<string>":
+        source = args[0]
+        generated.append(source.decode() if isinstance(source, bytes) else str(source))
+
+sys.addaudithook(hook)
+import fanocert, fanocert.cli
+fanocert.load_cases()
+print(json.dumps(generated))
+"""
+
+
+def test_cold_start_compiles_no_generated_source():
+    # A named tuple's __new__ and a dataclass's methods are source text the
+    # standard library compiles at import, on every cold start.  The
+    # package's modules compile under their own file names, so this count
+    # does not depend on a bytecode cache.  The standard-library modules the
+    # package uses are imported before the hook, so only what the package's
+    # own import and table load compile is counted.
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", COLD_START_CODE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    generated = json.loads(done.stdout)
+    assert [source for source in generated if source != EMPTY_DATACLASS_BUILDER] == []
 
 
 def test_package_root_binds_only_load_cases():
@@ -348,21 +399,13 @@ def _defaulted(args, skip: int):
 
 
 def _constructor_defaults(node: ast.ClassDef):
-    """A class's defaulted constructor parameters: its own ``__init__`` or
-    ``__new__``, else its dataclass fields or its named tuple's defaults."""
+    """A class's defaulted constructor parameters, read from its own ``__init__``.
+
+    No class generates one: CaseRecord's dataclass decorator writes no
+    method, and no class derives from a named tuple."""
     for item in node.body:
-        if isinstance(item, ast.FunctionDef) and item.name in ("__init__", "__new__"):
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
             return _defaulted(item.args, 1)
-    if node.decorator_list:
-        fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
-        return [(f.target.id, index) for index, f in enumerate(fields) if f.value is not None]
-    for base in node.bases:
-        if isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple":
-            fields = base.args[1].value.replace(",", " ").split()
-            for kw in base.keywords:
-                if kw.arg == "defaults":
-                    first = len(fields) - len(kw.value.elts)
-                    return [(name, index) for index, name in enumerate(fields) if index >= first]
     return []
 
 

@@ -1,13 +1,17 @@
 """Value semantics of the package's plain value types.
 
-They are ``__slots__`` classes or named tuples, not frozen dataclasses, so
-what the dataclass machinery gave for free is pinned here: keyword
-construction, equality with their own type only, hashing, read-only fields,
-validation with the same messages, and fresh default dicts.
+They are ``__slots__`` classes, not named tuples or frozen dataclasses, so
+what that machinery gave for free is pinned here: keyword construction,
+equality with their own type only, hashing, read-only fields, validation
+with the same messages, and fresh default dicts.  ``CaseRecord`` keeps a
+dataclass decorator that only registers its fields, and ``dataclasses.asdict``
+of a row, which the benchmark digests, reads them in ``__slots__`` order.
 """
+import dataclasses
+
 import pytest
 
-from fanocert.catalog import Certificate, Report, load_cases
+from fanocert.catalog import CaseRecord, Certificate, Report, load_cases
 from fanocert.diophantine import Interval
 from fanocert.gonality import TetragonalReport
 from fanocert.lattice import DivisorClass, FamilySpec, IntersectionLattice
@@ -33,6 +37,9 @@ VALUES = {
     Certificate: ({"case": CASE, "computed": "Realizable", "checks": (CHECK,)},
                   {"case": CASE, "computed": "Unverified", "checks": (CHECK,)}),
     Report: ({"certificates": ()}, {"certificates": (), "summary": {"cases": 0}}),
+    CaseRecord: ({"case_id": 1, "family": "quadric", "d": 5, "g": 1, "expected": "Realizable"},
+                 {"case_id": 1, "family": "quadric", "d": 5, "g": 1, "expected": "Realizable",
+                  "smallness": "ambiguous"}),
 }
 TYPES = list(VALUES)
 
@@ -49,7 +56,7 @@ def test_equality_is_by_value_and_by_type(cls):
 
 
 @pytest.mark.parametrize("cls", [DivisorClass, IntersectionLattice, FamilySpec, Interval,
-                                 LinearSeries], ids=lambda cls: cls.__name__)
+                                 LinearSeries, CaseRecord], ids=lambda cls: cls.__name__)
 def test_equal_values_hash_equal(cls):
     same, _ = VALUES[cls]
     assert hash(cls(**same)) == hash(cls(**same))
@@ -68,6 +75,18 @@ def test_fields_are_read_only(cls):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert getattr(value, field) == same[field]
+
+
+def test_asdict_of_a_row_reads_its_slots_in_order():
+    # The benchmark digests loaded rows with dataclasses.asdict, which reads
+    # the fields the decorator registered from the annotations.
+    rows = load_cases()
+    assert len(rows) == 42
+    for row in rows:
+        fields = dataclasses.asdict(row)
+        assert list(fields.items()) == [(name, getattr(row, name))
+                                        for name in CaseRecord.__slots__]
+    assert len(CaseRecord.__slots__) == 11
 
 
 def test_checks_and_classes_are_not_tuples():
