@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .lattice import FAMILIES, SPORADIC_AMBIENTS, make_family_lattice
 from .pipelines import NOT_REALIZABLE, OPEN, PIPELINES, REALIZABLE
-from .values import SlotValue, slot_setters
+from .values import HashableValue, SlotValue, slot_setters
 
 UNVERIFIED = "Unverified"
 
@@ -27,7 +27,7 @@ class CaseTableError(ValueError):
 # only registers the annotated fields, which the benchmark digests with
 # ``dataclasses.asdict``.  The annotations repeat ``__slots__`` in order.
 @dataclass(init=False, repr=False, eq=False)
-class CaseRecord(SlotValue):
+class CaseRecord(HashableValue):
     """One row of the case table: the curve, its verdict and its proof's tags.
 
     ``__init__`` refuses, as a ``CaseTableError``, a row whose tags select no
@@ -112,9 +112,6 @@ class CaseRecord(SlotValue):
                     make_family_lattice(family, self.seed_d, self.seed_g)
                 except ValueError as exc:
                     raise CaseTableError(f"{self.label()}: seed {exc}") from None
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     @property
     def proof(self) -> tuple[str, str, str]:

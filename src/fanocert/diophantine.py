@@ -43,14 +43,14 @@ from math import gcd, isqrt
 
 from .lattice import DivisorClass, IntersectionLattice, LatticeSignatureError, as_class
 from .outcome import CheckOutcome, verified
-from .values import SlotValue, slot_setters
+from .values import HashableValue, slot_setters
 
 
 class DependentFormsError(ValueError):
     """The two band forms are proportional, so the region is unbounded."""
 
 
-class Interval(SlotValue):
+class Interval(HashableValue):
     """Integer interval with independently open or closed endpoints."""
 
     __slots__ = ("lo", "hi", "lo_open", "hi_open")
@@ -60,9 +60,6 @@ class Interval(SlotValue):
         _set_hi(self, hi)
         _set_lo_open(self, lo_open)
         _set_hi_open(self, hi_open)
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     @classmethod
     def open(cls, lo: int, hi: int) -> "Interval":

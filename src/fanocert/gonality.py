@@ -25,7 +25,9 @@ contradiction is ``fixed-moving-square-contradiction``.
 Since (T - D).T = T^2 - D.T with T^2 = h^2, the first inequality only says
 D.T <= h^2, which the window's top h^2/2 meets, so each donor family is a
 whole degree line rather than a half-line.  The genus and the window are
-read from ``FAMILIES["x14"]`` at call time, as h^2 is.
+read from ``FAMILIES["x14"]`` at call time, as h^2 is.  A window holding no
+multiple of gcd(h^2, d) fails ``donor-family-squares-negative`` with that as
+its ``reason``, and no route or special-donor check follows.
 """
 from __future__ import annotations
 
@@ -35,10 +37,6 @@ from .diophantine import degree_lines, line_maximum, short_curve_checks
 from .lattice import FAMILIES, make_family_lattice
 from .outcome import CheckOutcome, CITED, VERIFIED, cited, verified
 from .values import SlotValue, slot_setters
-
-
-class DonorWindowEmptyError(ValueError):
-    """No donor degree in the window lies on the lattice's degree form."""
 
 
 # Degree of the excluded pencil: the bottom of the donor degree window
@@ -117,13 +115,10 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
     degree_form = (h2, d)
     step = gcd(h2, d)
     values = [v for v in range(PENCIL_DEGREE, section_genus) if v % step == 0]
+    max_value = max(values, default=0)
     if not values:
-        raise DonorWindowEmptyError(
-            f"x14 (d={d}, g={g}): no donor degree in the window {window} is a "
-            f"value of the degree form {degree_form}"
-        )
-    max_value = max(values)
-    if max_value <= 6:
+        route, threshold = None, 0
+    elif max_value <= 6:
         route, threshold = "conic", 0
     else:
         route = "fixed-moving"
@@ -146,15 +141,20 @@ def tetragonal_certificate(d: int, g: int) -> TetragonalReport:
             witness["excluded_k"] = list(ks)
         family_witnesses.append(witness)
     max_squares = [w["max_square"] for w in family_witnesses]
+    if values:
+        donors = {"family_count": len(family_witnesses), "max_squares": max_squares}
+    else:
+        donors = {"reason": f"x14 (d={d}, g={g}): no donor degree in the window {window} "
+                            f"is a value of the degree form {degree_form}"}
 
     discrepancies: list[str] = []
     checks = [verified(
         name="donor-family-squares-negative",
         rule="donor-system-enumeration",
-        passed=all(square < 0 for square in max_squares),
+        passed=bool(values) and all(square < 0 for square in max_squares),
         inputs={"d": d, "g": g, "degree_window": window,
                 "section_genus": section_genus, "route": route},
-        result={"family_count": len(family_witnesses), "max_squares": max_squares},
+        result=donors,
         witnesses=tuple(family_witnesses),
     ), *short_curve_checks(lattice, (1, 2))]
 

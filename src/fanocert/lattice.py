@@ -15,7 +15,7 @@ The value types follow :mod:`fanocert.values`.  ``DivisorClass`` and
 ``IntersectionLattice`` are not tuples, since the report writer must refuse a
 ``DivisorClass`` that reaches it and a slot read is faster than a named-tuple
 field read on the hot ``gram`` path.  ``DivisorClass`` takes its equality,
-repr and read-only fields from ``SlotValue`` and adds hashing and the class
+repr, hash and read-only fields from ``HashableValue`` and adds the class
 arithmetic.  Only ``IntersectionLattice`` keeps its own equality, hash and
 repr, over ``gram`` alone: a lattice stores its determinant in a second
 read-only slot, computed once, since the signature check, the degree-line
@@ -26,14 +26,14 @@ from __future__ import annotations
 
 from operator import index
 
-from .values import SlotValue, read_only, slot_setters
+from .values import HashableValue, read_only, slot_setters
 
 
 class LatticeSignatureError(ValueError):
     """The Gram determinant is >= 0; index-style bounds do not apply."""
 
 
-class DivisorClass(SlotValue):
+class DivisorClass(HashableValue):
     """Integer coefficient pair against a lattice's ordered basis."""
 
     __slots__ = ("a", "b")
@@ -41,9 +41,6 @@ class DivisorClass(SlotValue):
     def __init__(self, a: int, b: int):
         _set_a(self, a)
         _set_b(self, b)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
 
     def __iter__(self):
         # A tuple iterator, not a generator: ``a, b = cls`` starts no frame.
@@ -130,7 +127,7 @@ class IntersectionLattice:
 _set_gram, _set_det = slot_setters(IntersectionLattice)
 
 
-class FamilySpec(SlotValue):
+class FamilySpec(HashableValue):
     """One ambient family of blow-up constructions.
 
     ``h_square`` is the square of the hyperplane class on the K3 slice,
@@ -157,9 +154,6 @@ class FamilySpec(SlotValue):
         _set_index_multiplier(self, index_multiplier)
         _set_cutting_bound(self, cutting_bound)
         _set_derived_constants(self, derived_constants)
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     @property
     def section_genus(self) -> int:

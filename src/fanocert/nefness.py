@@ -8,7 +8,8 @@ with E elliptic (square 0, H.E >= 3), G a (-2)-curve and E.G = 1.  Matching
 squares pins k, with (sH - C)^2 = ``lattice.anticanonical_cube``, and the
 polarization degree budget left for G is H.(sH - C) - 3k = s H^2 - d - 3k;
 if positive, a (-2)-class of that small degree must exist, which the
-lattice search decides.
+lattice search decides.  Below square 2 the criterion does not apply: the
+check fails with that as its ``reason`` and searches nothing.
 
 Each certificate builds its lattice once and makes one ``curve_classes``
 sweep for classes of square >= -2.  Nefness reads the secant table once:
@@ -24,10 +25,6 @@ from .diophantine import curve_classes
 from .lattice import FamilySpec, anticanonical_cube, make_family_lattice
 from .outcome import CheckOutcome, DERIVED, VERIFIED, verified
 from .secant import admissible_table
-
-
-class FreenessInapplicableError(ValueError):
-    """The decomposition criterion needs square >= 2 (elliptic multiplicity k >= 2)."""
 
 
 def _table_kind(family: FamilySpec) -> str:
@@ -82,27 +79,28 @@ def free_certificate(family: FamilySpec, d: int, g: int) -> CheckOutcome:
     """Rule out the elliptic-plus-rational decomposition of a non-free class."""
     lattice = make_family_lattice(family, d, g)
     square = anticanonical_cube(family, d, g)
+    witnesses = []
     if square < 2:
-        raise FreenessInapplicableError(
-            f"adjoint square {square} < 2; the decomposition criterion "
-            "does not apply as stated"
-        )
-    k = (square + 2) // 2
-    h_dot_d = family.index_multiplier * family.h_square - d
-    budget = h_dot_d - 3 * k
-    searched = list(range(1, budget + 1))
-    witnesses = [{"class": [a, b], "polarization_degree": degree}
-                 for degree, a, b, class_square in curve_classes(lattice, searched, -2)
-                 if class_square == -2]
+        result = {"reason": f"adjoint square {square} < 2; the decomposition criterion "
+                            "does not apply as stated"}
+    else:
+        k = (square + 2) // 2
+        h_dot_d = family.index_multiplier * family.h_square - d
+        budget = h_dot_d - 3 * k
+        searched = list(range(1, budget + 1))
+        witnesses = [{"class": [a, b], "polarization_degree": degree}
+                     for degree, a, b, class_square in curve_classes(lattice, searched, -2)
+                     if class_square == -2]
+        result = {"elliptic_multiplicity": k,
+                  "adjoint_polarization_degree": h_dot_d,
+                  "rational_part_budget": budget,
+                  "searched_degrees": searched}
     return verified(
         name="adjoint-class-free",
         rule="elliptic-decomposition-budget",
-        passed=not witnesses,
+        passed=square >= 2 and not witnesses,
         inputs={"family": family.name, "d": d, "g": g},
-        result={"elliptic_multiplicity": k,
-                "adjoint_polarization_degree": h_dot_d,
-                "rational_part_budget": budget,
-                "searched_degrees": searched},
+        result=result,
         witnesses=tuple(witnesses),
         kind=_table_kind(family),
     )

@@ -474,8 +474,8 @@ def _x14_bundle_checks(family: FamilySpec) -> list[CheckOutcome]:
         cited(
             name="section-curve-embeds-by-bundle",
             rule="linear-section-embedding",
-            statement="a non-tetragonal canonical curve of genus 8 with the given "
-                      "bundle embeds as a codimension-7 linear section of the "
+            statement=f"a non-tetragonal canonical curve of genus {genus} with the "
+                      "given bundle embeds as a codimension-7 linear section of the "
                       "Grassmannian of lines in 5-space",
         ),
     ]
@@ -511,7 +511,8 @@ def x14_contradiction(case) -> ProofResult:
     with the refusal as its reason, and the series read from that count is
     not built.
     """
-    lattice = make_family_lattice(FAMILIES["x14"], case.d, case.g)
+    family = FAMILIES["x14"]
+    lattice = make_family_lattice(family, case.d, case.g)
     curve = DivisorClass(0, 1)
     square = lattice.pair(curve, curve)
     try:
@@ -540,8 +541,8 @@ def x14_contradiction(case) -> ProofResult:
     body.append(cited(
         name="plane-series-obstructs-linear-section",
         rule="mukai-linear-section",
-        statement="a genus-8 curve carrying a g^2_7 is never a linear "
-                  "section of the Grassmannian of lines in 5-space, "
+        statement=f"a genus-{family.section_genus} curve carrying a g^2_7 is never "
+                  "a linear section of the Grassmannian of lines in 5-space, "
                   "contradicting the construction",
     ))
     return _contradiction(lattice, (

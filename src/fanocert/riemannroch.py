@@ -4,14 +4,14 @@ from __future__ import annotations
 from math import comb
 
 from .lattice import IntersectionLattice
-from .values import SlotValue, slot_setters
+from .values import HashableValue, slot_setters
 
 
 class SectionCountError(ValueError):
     """The requested count lies outside the regime this engine decides."""
 
 
-class LinearSeries(SlotValue):
+class LinearSeries(HashableValue):
     """A g^r_d on a curve: projective dimension r, degree d."""
 
     __slots__ = ("r", "d")
@@ -21,9 +21,6 @@ class LinearSeries(SlotValue):
             raise ValueError("a linear series needs r >= 0 and d >= 0")
         _set_r(self, r)
         _set_d(self, d)
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     def label(self) -> str:
         return f"g^{self.r}_{self.d}"

@@ -15,10 +15,12 @@ with ``dataclasses.asdict``.
 :class:`SlotValue` supplies the read-only ``__setattr__``/``__delattr__``
 and ``repr`` and ``==`` over the class's own ``__slots__``.  Since it
 defines ``__eq__``, Python sets its ``__hash__`` to ``None``: a value hashes
-only if its class defines ``__hash__``.  Each class's ``__init__`` fills
-each slot through the slot descriptor's setter, bound once at module level
-from :func:`slot_setters`, because ``read_only`` is in the way and
-``object.__setattr__`` would look each field up by name.
+only if its class derives from :class:`HashableValue`, or, as
+``lattice.IntersectionLattice`` does over ``gram`` alone, defines its own.
+Each class's ``__init__`` fills each slot through the slot descriptor's
+setter, bound once at module level from :func:`slot_setters`, because
+``read_only`` is in the way and ``object.__setattr__`` would look each field
+up by name.
 
 Standard library only; nothing here imports from the package.
 """
@@ -51,3 +53,12 @@ class SlotValue:
         if type(other) is not type(self):
             return NotImplemented
         return self._fields() == other._fields()
+
+
+class HashableValue(SlotValue):
+    """A :class:`SlotValue` that hashes over its fields, as it compares."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())

@@ -163,15 +163,23 @@ def test_bundle_checks_read_the_section_genus_and_square(monkeypatch, family, h_
         assert donors["degree_window"] == [4, genus - 1]
 
 
-def test_x14_citations_name_the_section_genus():
+def test_x14_citations_name_the_section_genus(monkeypatch):
     # Mukai's linear-section theorem is cited at the section curve's genus,
     # which the proofs compute from FAMILIES["x14"]; a cited statement that
-    # names another genus has parted from the row.
-    named = [(cert.case.route, int(genus))
-             for cert in run_all(family="x14").certificates for check in cert.checks
-             for genus in re.findall(r"\bgenus[ -](\d+)", check.result.get("statement", ""))]
-    assert sorted(named) == [("construction", 8)] * 3 + [("contradiction", 8)]
-    assert {genus for _, genus in named} == {FAMILIES["x14"].section_genus}
+    # names another genus has parted from the row.  With H^2 = 16 every
+    # citation follows the family to genus 9.
+    def named():
+        return sorted((cert.case.route, int(genus))
+                      for cert in run_all(family="x14").certificates for check in cert.checks
+                      for genus in re.findall(r"\bgenus[ -](\d+)",
+                                              check.result.get("statement", "")))
+
+    assert named() == [("construction", 8)] * 3 + [("contradiction", 8)]
+    assert FAMILIES["x14"].section_genus == 8
+    spec = FAMILIES["x14"]
+    monkeypatch.setitem(FAMILIES, "x14", FamilySpec(
+        "x14", 16, spec.index_multiplier, spec.cutting_bound, spec.derived_constants))
+    assert named() == [("construction", 9)] * 3 + [("contradiction", 9)]
 
 
 def test_v5_contradiction_reads_the_threefold_degree(monkeypatch):
@@ -455,19 +463,17 @@ def test_verify_case_detects_regressions():
 # SHA-256 of every census pair's verify_case outcome, in census order: each
 # pair as a construction row, and v5 and x14 pairs also as contradiction
 # rows.  Each outcome is the JSON of the verdict, checks and discrepancies,
-# or the refusal's "ClassName: message", followed by a newline.  Every
-# certificate also passes through the report writer without a refusal.
-CENSUS_OUTCOMES_SHA256 = "842a9f47c2f467a803a440e585b368ac1f9e3bab9bf8cc05f84a2c6d6b3d6f11"
+# followed by a newline.  Every certificate also passes through the report
+# writer without a refusal.
+CENSUS_OUTCOMES_SHA256 = "796558671fd372acc6a11b8d21998f6eee41432f68ca8ce27f91c0c7654fc6fd"
 
 
 # The computed check names (all but cited-rule, every special-donor-(a,b)
-# counted as one name) that never fail on the 605 census certificates nor
-# on the 42 table rows: 22 of the 37 that occur.
+# counted as one name) that never fail on the 1,165 census certificates nor
+# on the 42 table rows: 18 of the 37 that occur.
 NEVER_FAILING_CHECKS = {
-    "adjoint-class-free", "ambient-genus", "anticanonical-degree-positive",
-    "bisecant-exclusion-genus-gate", "bundle-section-count",
+    "ambient-genus", "bisecant-exclusion-genus-gate", "bundle-section-count",
     "canonical-square-exceeds-noether-bound", "degree-two-span-three-branch-contradiction",
-    "donor-family-squares-negative", "forms-through-curve-but-not-surface",
     "hirzebruch-sweep-empty", "pencil-degree-five-expected-dimension",
     "pencil-degree-four-expected-dimension", "picard-lattice-signature",
     "plane-has-no-class-of-square", "residual-of-degree-five-pencil",
@@ -496,25 +502,15 @@ def test_census_outcomes_are_pinned():
         for route in routes:
             case = CaseRecord(case_id=1, family=name, d=d, g=g, expected="Realizable",
                               route=route)
-            try:
-                cert = verify_case(case)
-            except ValueError as exc:
-                outcome, line = type(exc).__name__, f"{type(exc).__name__}: {exc}"
-            else:
-                outcome = "certificate"
-                line = json.dumps([cert.computed, [c.to_dict() for c in cert.checks],
-                                   list(cert.discrepancies)], sort_keys=True)
-                # the pin digests with json.dumps; the writer must take it too
-                report_to_json(Report(certificates=(cert,)))
-                _tally_computed_checks(cert, occurs, fails)
-            tally[route, outcome] = tally.get((route, outcome), 0) + 1
+            cert = verify_case(case)
+            line = json.dumps([cert.computed, [c.to_dict() for c in cert.checks],
+                               list(cert.discrepancies)], sort_keys=True)
+            # the pin digests with json.dumps; the writer must take it too
+            report_to_json(Report(certificates=(cert,)))
+            _tally_computed_checks(cert, occurs, fails)
+            tally[route] = tally.get(route, 0) + 1
             digest.update((line + "\n").encode())
-    assert tally == {
-        ("construction", "certificate"): 161,
-        ("construction", "FreenessInapplicableError"): 552,
-        ("construction", "DonorWindowEmptyError"): 8,
-        ("contradiction", "certificate"): 444,
-    }
+    assert tally == {"construction": 721, "contradiction": 444}
     assert digest.hexdigest() == CENSUS_OUTCOMES_SHA256
     # Which computed checks fail on some input here.  One that never does
     # has not shown that it can fail (ROADMAP item 16).
@@ -701,20 +697,42 @@ def test_loader_accepts_a_construction_row_exactly_on_census_pairs():
     assert accepted == census
 
 
-@pytest.mark.parametrize("family, d, g, error", [
-    ("v4", 15, 0, "FreenessInapplicableError: "),
-])
-def test_pipeline_error_is_an_internal_error(tmp_path, capsys, family, d, g, error):
+def test_pipeline_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
     # exit 1 means a mismatch under --strict; an exception escaping a
-    # pipeline is reported on one line and exits 3
-    path = _one_row_table(tmp_path, family, d, g)
+    # pipeline is reported on one line and exits 3.  No proof raises on a
+    # row the loader accepts, so one is made to.
+    def broken(case):
+        raise RuntimeError(f"no proof of {case.label()}")
+
+    monkeypatch.setitem(pipelines.PIPELINES, ("v4", "construction", "main"), broken)
+    path = _one_row_table(tmp_path, "v4", 15, 0)
     assert main(["verify", "--table", str(path)]) == 3
     assert main(["verify", "--table", str(path), "--strict"]) == 3
     captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 2 and lines[0] == lines[1]
-    assert lines[0].startswith(f"fanocert: internal error: {error}")
-    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "fanocert: internal error: RuntimeError: no proof of case 1 v4 (d,g)=(15,0)"] * 2
+
+
+def test_every_census_row_ends_in_a_certificate(tmp_path, capsys):
+    # One table of every row the loader accepts off the sporadic family:
+    # each census pair as a construction, each v5 and x14 pair also as a
+    # contradiction.  A proof that cannot conclude fails a check, so the
+    # run ends in a verdict per row (exit 0 or 1), never an internal error.
+    rows = []
+    for name, d, g, _ in census_lattices():
+        rows.append({"id": len(rows) + 1, "family": name, "d": d, "g": g,
+                     "expected": "Realizable"})
+        if name in ("v5", "x14"):
+            rows.append({"id": len(rows) + 1, "family": name, "d": d, "g": g,
+                         "expected": "NotRealizable", "route": "contradiction"})
+    assert len(rows) == 721 + 444
+    path = tmp_path / "census.json"
+    path.write_text(json.dumps({"version": 1, "cases": rows}))
+    assert main(["verify", "--table", str(path), "--strict"]) in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("\n") == len(rows) + 1
 
 
 def test_quadric_row_below_degree_three_reads_unverified(tmp_path, capsys):

@@ -10,10 +10,10 @@ from fanocert.diophantine import (DependentFormsError, Interval, band_empty,
                                   line_maximum)
 from fanocert.diophantine import _line, _nonnegative_range
 from fanocert import diophantine, gonality
-from fanocert.gonality import DonorWindowEmptyError, tetragonal_certificate
+from fanocert.gonality import tetragonal_certificate
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
                               LatticeSignatureError, as_class, make_family_lattice)
-from fanocert.nefness import FreenessInapplicableError, free_certificate, nef_certificate
+from fanocert.nefness import free_certificate, nef_certificate
 from fanocert.outcome import VERIFIED, CheckOutcome
 
 WINDOW = 50
@@ -661,12 +661,7 @@ def test_donor_families_match_side_filtered_reference_on_x14_census():
         found = degree_lines(lattice, [v for v in donor_degrees if v <= h2], 0)
         assert [(DivisorClass(base_a, base_b), DivisorClass(step_a, step_b), value)
                 for value, base_a, base_b, step_a, step_b, *_ in found] == expected, (d, g)
-        try:
-            report = tetragonal_certificate(d, g)
-        except DonorWindowEmptyError:
-            assert expected == [], (d, g)
-            continue
-        witnesses = next(c for c in report.checks
+        witnesses = next(c for c in tetragonal_certificate(d, g).checks
                          if c.name == "donor-family-squares-negative").witnesses
         assert [(DivisorClass(*w["base"]), DivisorClass(*w["step"]), w["value"])
                 for w in witnesses] == expected, (d, g)
@@ -788,15 +783,9 @@ def test_degree_lines_solve_one_line_per_call(monkeypatch):
     for name, d, g, lattice in census_lattices():
         family = FAMILIES[name]
         nef_certificate(family, d, g)
-        try:
-            free_certificate(family, d, g)
-        except FreenessInapplicableError:
-            pass
+        free_certificate(family, d, g)
         if name == "x14":
-            try:
-                tetragonal_certificate(d, g)
-            except DonorWindowEmptyError:
-                pass
+            tetragonal_certificate(d, g)
     for name, d, g, lattice, cls in census_splits():
         effective_decompositions(lattice, cls)
     census = len(counted)

@@ -1,9 +1,7 @@
 import hashlib
 import json
 
-import pytest
-
-from fanocert.gonality import DonorWindowEmptyError, fixed_moving_bound, tetragonal_certificate
+from fanocert.gonality import fixed_moving_bound, tetragonal_certificate
 from fanocert.lattice import FAMILIES, DivisorClass
 
 from test_diophantine import census_lattices
@@ -158,10 +156,7 @@ def test_specials_reverify_against_lattice():
         if name != "x14":
             continue
         pairs += 1
-        try:
-            report = tetragonal_certificate(d, g)
-        except DonorWindowEmptyError:
-            continue
+        report = tetragonal_certificate(d, g)
         specials = special_checks(report)
         for (a, b), check in specials.items():
             witness, = check.witnesses
@@ -195,35 +190,40 @@ def test_specials_reverify_against_lattice():
     assert pairs == 290 and specials_seen > 0 and excluded_seen == specials_seen
 
 
-def test_empty_donor_window_is_a_typed_refusal():
-    # degree form (14, 14) takes only multiples of 14, none in [4, 7]
+def test_empty_donor_window_fails_its_check():
+    # degree form (14, 14) takes only multiples of 14, none in [4, 7]: the
+    # donor check fails with that as its reason, and no route or special
+    # donor check follows it
     for g in range(8):
-        with pytest.raises(DonorWindowEmptyError) as info:
-            tetragonal_certificate(14, g)
-        assert isinstance(info.value, ValueError)
-        message = str(info.value)
-        assert f"d=14, g={g}" in message and "[4, 7]" in message
+        report = tetragonal_certificate(14, g)
+        donors = report.checks[0]
+        assert donors.name == "donor-family-squares-negative" and not donors.passed
+        assert donors.inputs == {"d": 14, "g": g, "degree_window": [4, 7],
+                                 "section_genus": 8, "route": None}
+        assert donors.result == {"reason": f"x14 (d=14, g={g}): no donor degree in the "
+                                           "window [4, 7] is a value of the degree form "
+                                           "(14, 14)"}
+        assert donors.witnesses == ()
+        assert [c.name for c in report.checks[1:]] == ["no-line-classes", "no-conic-classes"]
+        assert report.discrepancies == ()
 
 
 # SHA-256 of every x14 census certificate, in census order: the JSON of its
-# checks and discrepancies, or the refusal's class name for the 8 d = 14 pairs.
-X14_CENSUS_SHA256 = "a6f342b3061856133e2e315127e96e65beeafec5ad1f142a0f88705d42dc020d"
+# checks and discrepancies.
+X14_CENSUS_SHA256 = "010e8f0bc3dd050b3686fc7125170da8632ff50a38db8f69996ec4d81d664baa"
 
 
 def test_x14_census_certificates_are_pinned():
     digest = hashlib.sha256()
-    pairs = refused = 0
+    pairs = failed = 0
     for name, d, g, _ in census_lattices():
         if name != "x14":
             continue
         pairs += 1
-        try:
-            report = tetragonal_certificate(d, g)
-        except DonorWindowEmptyError as exc:
-            refused += 1
-            digest.update(type(exc).__name__.encode())
-            continue
+        report = tetragonal_certificate(d, g)
+        failed += "reason" in report.checks[0].result
         digest.update(json.dumps([[c.to_dict() for c in report.checks],
                                   list(report.discrepancies)], sort_keys=True).encode())
-    assert (pairs, refused) == (290, 8)
+    # the 8 d = 14 pairs have an empty donor window
+    assert (pairs, failed) == (290, 8)
     assert digest.hexdigest() == X14_CENSUS_SHA256

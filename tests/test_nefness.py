@@ -8,8 +8,7 @@ from fanocert import nefness
 from fanocert.catalog import load_cases
 from fanocert.diophantine import curve_classes
 from fanocert.lattice import FAMILIES, DivisorClass, FamilySpec, make_family_lattice
-from fanocert.nefness import (FreenessInapplicableError, _table_kind, free_certificate,
-                              nef_certificate)
+from fanocert.nefness import _table_kind, free_certificate, nef_certificate
 from fanocert.outcome import CheckOutcome
 from fanocert.secant import SecantBoundError, admissible_table
 from test_diophantine import census_lattices, reference_solve_degree_square
@@ -122,13 +121,17 @@ def test_free_passes_across_catalog():
 
 
 def test_freeness_requires_positive_square():
-    # a synthetic family with adjoint square 0 is out of the criterion's range
-    from fanocert.lattice import FamilySpec
-
+    # a synthetic family with adjoint square 0 is out of the criterion's
+    # range: the check fails with that as its reason and searches nothing
     flat = FamilySpec("quadric", 6, 3, 18)
-    with pytest.raises(FreenessInapplicableError):
-        # (3H - C)^2 = 54 - 6d + 2g - 2; d=10, g=4 gives 54 - 60 + 8 - 2 = 0
-        free_certificate(flat, 10, 4)
+    # (3H - C)^2 = 54 - 6d + 2g - 2; d=10, g=4 gives 54 - 60 + 8 - 2 = 0
+    outcome = free_certificate(flat, 10, 4)
+    assert not outcome.passed and outcome.witnesses == ()
+    assert (outcome.name, outcome.rule, outcome.kind) == (
+        "adjoint-class-free", "elliptic-decomposition-budget", "verified")
+    assert outcome.inputs == {"family": "quadric", "d": 10, "g": 4}
+    assert outcome.result == {"reason": "adjoint square 0 < 2; the decomposition "
+                                        "criterion does not apply as stated"}
 
 
 def reference_nef_certificate(family, d, g):
@@ -169,29 +172,32 @@ def reference_free_certificate(family, d, g):
     lattice = make_family_lattice(family, d, g)
     adjoint = DivisorClass(family.index_multiplier, -1)
     square = lattice.pair(adjoint, adjoint)
-    if square < 2:
-        raise FreenessInapplicableError(f"adjoint square {square} < 2")
-    k = (square + 2) // 2
-    h_dot_d = lattice.degree(adjoint)
-    gamma_budget = h_dot_d - 3 * k
     witnesses = []
-    searched = []
-    if gamma_budget > 0:
-        for degree in range(1, gamma_budget + 1):
-            searched.append(degree)
-            for cls in reference_solve_degree_square(lattice, degree, -2):
-                witnesses.append({"class": list(cls),
-                                  "polarization_degree": degree})
+    if square < 2:
+        result = {"reason": f"adjoint square {square} < 2; the decomposition "
+                            "criterion does not apply as stated"}
+    else:
+        k = (square + 2) // 2
+        h_dot_d = lattice.degree(adjoint)
+        gamma_budget = h_dot_d - 3 * k
+        searched = []
+        if gamma_budget > 0:
+            for degree in range(1, gamma_budget + 1):
+                searched.append(degree)
+                for cls in reference_solve_degree_square(lattice, degree, -2):
+                    witnesses.append({"class": list(cls),
+                                      "polarization_degree": degree})
+        result = {"elliptic_multiplicity": k,
+                  "adjoint_polarization_degree": h_dot_d,
+                  "rational_part_budget": gamma_budget,
+                  "searched_degrees": searched}
     return CheckOutcome(
         name="adjoint-class-free",
         rule="elliptic-decomposition-budget",
         kind=_table_kind(family),
-        passed=not witnesses,
+        passed=square >= 2 and not witnesses,
         inputs={"family": family.name, "d": d, "g": g},
-        result={"elliptic_multiplicity": k,
-                "adjoint_polarization_degree": h_dot_d,
-                "rational_part_budget": gamma_budget,
-                "searched_degrees": searched},
+        result=result,
         witnesses=tuple(witnesses),
     )
 
@@ -205,19 +211,21 @@ def _json_or_refusal(certificate, family, d, g):
 
 
 def test_certificates_match_reference_on_census():
-    pairs = witnessed = refused = 0
+    pairs = witnessed = below_square_two = 0
     for name, d, g, _ in census_lattices():
         family = FAMILIES[name]
         for certificate, reference in ((nef_certificate, reference_nef_certificate),
                                        (free_certificate, reference_free_certificate)):
             expected = _json_or_refusal(reference, family, d, g)
             assert _json_or_refusal(certificate, family, d, g) == expected, (name, d, g)
-            witnessed += isinstance(expected, str) and bool(json.loads(expected)["witnesses"])
-            refused += expected is FreenessInapplicableError
+            outcome = json.loads(expected)
+            witnessed += bool(outcome["witnesses"])
+            below_square_two += "reason" in outcome["result"]
         pairs += 1
     assert pairs == 721
-    # the 560 freeness refusals of the census, and certificates with witnesses
-    assert refused == 560 and witnessed > 0
+    # the 560 census pairs whose adjoint square is below 2 fail freeness
+    # with a reason, and some certificates have witnesses
+    assert below_square_two == 560 and witnessed > 0
 
 
 def test_free_certificate_matches_reference_off_the_catalog():
@@ -238,7 +246,7 @@ def test_free_certificate_matches_reference_off_the_catalog():
                     result = json.loads(expected)
                     witnessed += bool(result["witnesses"])
                     swept = curve_classes(make_family_lattice(family, d, g),
-                                          result["result"]["searched_degrees"], -2)
+                                          result["result"].get("searched_degrees", []), -2)
                     nonnegative += any(square > -2 for *_, square in swept)
     assert witnessed > 0 and nonnegative > 0
 

@@ -27,8 +27,10 @@ from pathlib import Path
 
 import fanocert
 from fanocert import pipelines, values
-from fanocert.catalog import load_cases
-from fanocert.lattice import make_family_lattice
+from fanocert.catalog import CaseRecord, load_cases
+from fanocert.diophantine import Interval
+from fanocert.lattice import DivisorClass, FamilySpec, make_family_lattice
+from fanocert.riemannroch import LinearSeries
 
 PACKAGE = Path(fanocert.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -236,8 +238,10 @@ def test_value_semantics_live_in_values():
     # policy is written once, in values.  Only IntersectionLattice keeps an
     # equality of its own, over gram alone and not its cached determinant.
     # Every value type is a SlotValue: none derives from a namedtuple(...)
-    # call, and values keeps no tuple base.
-    equalities, read_only, tuples = [], [], []
+    # call, and values keeps no tuple base.  Hashing over the fields is
+    # written once, in values.HashableValue; IntersectionLattice hashes gram
+    # alone.
+    equalities, hashes, read_only, tuples = [], [], [], []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef) and node.name.lstrip("_") == "read_only":
@@ -249,10 +253,16 @@ def test_value_semantics_live_in_values():
                          [t.id for t in getattr(item, "targets", ()) if isinstance(t, ast.Name)])
                 equalities += [f"{path.stem}.{node.name}.{name}" for name in names
                                if name in ("__eq__", "__ne__")]
+                hashes += [f"{path.stem}.{node.name}.{name}" for name in names
+                           if name == "__hash__"]
             tuples += [f"{path.stem}.{node.name}" for base in node.bases
                        if isinstance(base, ast.Call)
                        and getattr(base.func, "id", None) == "namedtuple"]
     assert sorted(equalities) == ["lattice.IntersectionLattice.__eq__", "values.SlotValue.__eq__"]
+    assert sorted(hashes) == ["lattice.IntersectionLattice.__hash__",
+                              "values.HashableValue.__hash__"]
+    for cls in (CaseRecord, DivisorClass, FamilySpec, Interval, LinearSeries):
+        assert cls.__hash__ is values.HashableValue.__hash__, cls.__name__
     assert read_only == ["values.read_only"]
     assert tuples == []
     assert not hasattr(values, "ValueTuple")
