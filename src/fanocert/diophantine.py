@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .lattice import DivisorClass, IntersectionLattice, LatticeSignatureError, as_class
+from .lattice import DivisorClass, IntersectionLattice, LatticeSignatureError
 from .outcome import CheckOutcome, verified
 from .values import HashableValue, slot_setters
 
@@ -282,7 +282,7 @@ DECOMPOSITION_LIMIT = 32
 
 
 def effective_decompositions(lattice: IntersectionLattice,
-                             target) -> tuple[tuple[DivisorClass, ...], ...]:
+                             target: DivisorClass) -> tuple[tuple[DivisorClass, ...], ...]:
     """Decompositions of a class into irreducible-curve candidates.
 
     Candidate components are the classes of positive polarization degree and
@@ -315,7 +315,6 @@ def effective_decompositions(lattice: IntersectionLattice,
     taken, prunes each remainder by the same slopes, and returns as soon as
     it appends decomposition number ``DECOMPOSITION_LIMIT``.
     """
-    target = as_class(target)
     target_a, target_b = target.a, target.b
     (h2, d), _ = lattice.gram
     total = h2 * target_a + d * target_b

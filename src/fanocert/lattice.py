@@ -11,22 +11,21 @@ The ambient data live here too.  ``AMBIENTS`` is the one home of the index r and
 degree H^3 = n of each rank-1 ambient; the family constants are H^2 = rn and s = r,
 and the blow-up's anticanonical degree is (sH - C)^2 = r^3 n - 2rd + 2g - 2.
 
-The value types follow :mod:`fanocert.values`.  ``DivisorClass`` and
-``IntersectionLattice`` are not tuples, since the report writer must refuse a
-``DivisorClass`` that reaches it and a slot read is faster than a named-tuple
-field read on the hot ``gram`` path.  ``DivisorClass`` takes its equality,
-repr, hash and read-only fields from ``HashableValue`` and adds the class
-arithmetic.  Only ``IntersectionLattice`` keeps its own equality, hash and
-repr, over ``gram`` alone: a lattice stores its determinant in a second
-read-only slot, computed once, since the signature check, the degree-line
-solver and the decomposition search all read it.  Each class binds its slot
-setters once below it (``_set_a, _set_b = slot_setters(DivisorClass)``).
+The value types follow :mod:`fanocert.values`: ``DivisorClass`` and
+``IntersectionLattice`` take their equality, repr, hash and read-only fields
+from ``HashableValue``.  Neither is a tuple, since the report writer must
+refuse a ``DivisorClass`` that reaches it and a slot read is faster than a
+named-tuple field read on the hot ``gram`` path.  A lattice stores its
+determinant in a second slot, computed once, since the signature check, the
+degree-line solver and the decomposition search all read it; it is a function
+of ``gram``, so comparing both fields compares the Gram matrices.  ``pair``
+and ``degree`` read ``.a`` and ``.b`` from the ``DivisorClass`` they are
+given.  Each class binds its slot setters once below it
+(``_set_a, _set_b = slot_setters(DivisorClass)``).
 """
 from __future__ import annotations
 
-from operator import index
-
-from .values import HashableValue, read_only, slot_setters
+from .values import HashableValue, slot_setters
 
 
 class LatticeSignatureError(ValueError):
@@ -46,50 +45,14 @@ class DivisorClass(HashableValue):
         # A tuple iterator, not a generator: ``a, b = cls`` starts no frame.
         return iter((self.a, self.b))
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.a - other.a, self.b - other.b)
-
-    def __rmul__(self, scalar: int) -> "DivisorClass":
-        return DivisorClass(scalar * self.a, scalar * self.b)
-
 
 _set_a, _set_b = slot_setters(DivisorClass)
 
 
-def as_class(value) -> DivisorClass:
-    """Coerce a ``DivisorClass`` or a plain ``(a, b)`` pair of integers.
-
-    A pair's entries go through ``operator.index``, so an integer subclass
-    becomes a plain int.  A ``bool``, a float or a string is refused with a
-    ``TypeError`` naming it, where ``int`` would have truncated or parsed it.
-    """
-    if isinstance(value, DivisorClass):
-        return value
-    a, b = value
-    return DivisorClass(_coefficient(a), _coefficient(b))
-
-
-def _coefficient(value) -> int:
-    """``value`` as a plain int; a bool is refused although it is an int."""
-    if not isinstance(value, bool):
-        try:
-            return index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"class coefficient must be an integer, got {type(value).__name__} {value!r}")
-
-
-class IntersectionLattice:
-    """Even rank-2 lattice given by an explicit symmetric Gram matrix.
-
-    ``det`` is computed once here; equality, hashing and repr read ``gram`` only.
-    """
+class IntersectionLattice(HashableValue):
+    """Even rank-2 lattice given by an explicit symmetric Gram matrix; ``det`` is computed once."""
 
     __slots__ = ("gram", "det")
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, gram: tuple[tuple[int, int], tuple[int, int]]):
         (p, q), (r, s) = gram
@@ -100,26 +63,12 @@ class IntersectionLattice:
         _set_gram(self, gram)
         _set_det(self, p * s - q * q)
 
-    def __repr__(self) -> str:
-        return f"IntersectionLattice(gram={self.gram!r})"
-
-    def __eq__(self, other):
-        if type(other) is not IntersectionLattice:
-            return NotImplemented
-        return self.gram == other.gram
-
-    def __hash__(self) -> int:
-        return hash(self.gram)
-
-    def pair(self, x, y) -> int:
-        x = as_class(x)
-        y = as_class(y)
+    def pair(self, x: DivisorClass, y: DivisorClass) -> int:
         (p, q), (_, s) = self.gram
         return x.a * (p * y.a + q * y.b) + x.b * (q * y.a + s * y.b)
 
-    def degree(self, x) -> int:
+    def degree(self, x: DivisorClass) -> int:
         """Pairing against the polarization (first basis vector)."""
-        x = as_class(x)
         (p, q), _ = self.gram
         return p * x.a + q * x.b
 
@@ -202,7 +151,7 @@ def make_family_lattice(family: FamilySpec, d: int, g: int) -> IntersectionLatti
     return lattice
 
 
-def square_and_genus(lattice: IntersectionLattice, divisor) -> tuple[int, int]:
+def square_and_genus(lattice: IntersectionLattice, divisor: DivisorClass) -> tuple[int, int]:
     """Self-intersection and adjunction genus (square/2 + 1) of a class."""
     square = lattice.pair(divisor, divisor)
     return square, square // 2 + 1

@@ -2,8 +2,7 @@
 
 A value equals only a value of its own type with equal fields, never a plain
 tuple or a value of another type, and its fields are read-only.  Every value
-type is a plain ``__slots__`` class, and all but ``lattice.IntersectionLattice``
-(equality over its Gram matrix alone) derive from :class:`SlotValue`.  None is a
+type is a plain ``__slots__`` class deriving from :class:`SlotValue`.  None is a
 named tuple or a frozen dataclass: both generate methods by ``exec`` at
 import, which every cold ``fanocert verify`` run pays.  Timed in fresh
 CPython 3.11 interpreters (Linux, Intel Xeon), a named tuple cost about
@@ -15,12 +14,11 @@ with ``dataclasses.asdict``.
 :class:`SlotValue` supplies the read-only ``__setattr__``/``__delattr__``
 and ``repr`` and ``==`` over the class's own ``__slots__``.  Since it
 defines ``__eq__``, Python sets its ``__hash__`` to ``None``: a value hashes
-only if its class derives from :class:`HashableValue`, or, as
-``lattice.IntersectionLattice`` does over ``gram`` alone, defines its own.
-Each class's ``__init__`` fills each slot through the slot descriptor's
-setter, bound once at module level from :func:`slot_setters`, because
-``read_only`` is in the way and ``object.__setattr__`` would look each field
-up by name.
+only if its class derives from :class:`HashableValue`, and no value type
+defines an equality or a hash of its own.  Each class's ``__init__`` fills
+each slot through the slot descriptor's setter, bound once at module level
+from :func:`slot_setters`, because ``read_only`` is in the way and
+``object.__setattr__`` would look each field up by name.
 
 Standard library only; nothing here imports from the package.
 """

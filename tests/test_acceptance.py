@@ -116,8 +116,8 @@ def test_criterion_6_gonality(capsys):
                  | {(2 * k + 1, -2 - 7 * k) for k in ks})
     computed = set()
     for w in by_name["donor-family-squares-negative"].witnesses:
-        base, step = DivisorClass(*w["base"]), DivisorClass(*w["step"])
-        computed |= {tuple(base + k * step) for k in ks}
+        (base_a, base_b), (step_a, step_b) = w["base"], w["step"]
+        computed |= {(base_a + k * step_a, base_b + k * step_b) for k in ks}
     ok = computed == reference and all(c.passed for c in report.checks)
 
     by_name = {c.name: c for c in tetragonal_certificate(5, 0).checks}
@@ -189,8 +189,9 @@ def test_criterion_9_oracle_equivalence(capsys):
             if rest % d:
                 continue
             b = rest // d
-            if abs(b) <= window and lattice.pair((a, b), (a, b)) == square:
-                brute.append(DivisorClass(a, b))
+            cls = DivisorClass(a, b)
+            if abs(b) <= window and lattice.pair(cls, cls) == square:
+                brute.append(cls)
         solved = [c for c in _square_classes(lattice, degree, square)
                   if abs(c.a) <= window and abs(c.b) <= window]
         ok = ok and solved == sorted(brute, key=lambda c: (c.a, c.b))
@@ -206,8 +207,9 @@ def test_criterion_9_oracle_equivalence(capsys):
             if rest % d:
                 continue
             b = rest // d
-            if abs(b) <= window and lattice.pair((a, b), (a, b)) >= floor_square:
-                brute.append(DivisorClass(a, b))
+            cls = DivisorClass(a, b)
+            if abs(b) <= window and lattice.pair(cls, cls) >= floor_square:
+                brute.append(cls)
         found = [DivisorClass(a, b)
                  for _, a, b, _ in curve_classes(lattice, (degree,), floor_square)
                  if abs(a) <= window and abs(b) <= window]
@@ -223,7 +225,7 @@ def test_criterion_9_oracle_equivalence(capsys):
         if abs(Fraction(-quad_b, 2 * quad_a)) > 500:
             continue
         best, _ = line_maximum(quad_a, quad_b, base_sq, ks)
-        brute = max(lattice.pair(cls := (base_a + k * step_a, base_b + k * step_b), cls)
+        brute = max(lattice.pair(cls := DivisorClass(base_a + k * step_a, base_b + k * step_b), cls)
                     for k in range(-1000, 1001) if k not in ks)
         ok = ok and best == brute
         checked += 1

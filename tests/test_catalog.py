@@ -2,12 +2,15 @@ import hashlib
 import json
 import re
 import sys
+from collections import Counter
 from importlib import resources
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fanocert import lattice, pipelines
-from fanocert.catalog import CaseRecord, CaseTableError, Report, load_cases, run_all, verify_case
+from fanocert.catalog import (UNVERIFIED, VERDICTS, CaseRecord, CaseTableError, Report,
+                              load_cases, run_all, verify_case)
 from fanocert.cli import main
 from fanocert.lattice import FAMILIES, FamilySpec, anticanonical_cube
 from fanocert.outcome import CITED
@@ -518,6 +521,41 @@ def test_census_outcomes_are_pinned():
         _tally_computed_checks(cert, occurs, fails)
     assert len(occurs) == 37
     assert occurs - fails == NEVER_FAILING_CHECKS
+    assert occurs == NEVER_FAILING_CHECKS | FAILING_CHECK_ROWS.keys()
+    assert not NEVER_FAILING_CHECKS & FAILING_CHECK_ROWS.keys()
+
+
+# For each of the other 19 computed check names, one census row on which
+# verify_case fails it: (family, d, g, route), a construction row unless
+# the route says otherwise.
+FAILING_CHECK_ROWS = {
+    "adjoint-class-free": ("quadric", 9, 0, "construction"),
+    "adjoint-class-nef": ("quadric", 9, 0, "construction"),
+    "anticanonical-degree-positive": ("quadric", 9, 0, "construction"),
+    "curve-cuts-plane-series-on-section": ("x14", 1, 0, "contradiction"),
+    "curve-section-count": ("x14", 1, 0, "contradiction"),
+    "degree-exceeds-linear-section": ("v5", 15, 0, "contradiction"),
+    "donor-family-squares-negative": ("x14", 14, 0, "construction"),
+    "fixed-moving-square-contradiction": ("x14", 1, 0, "construction"),
+    "fixed-part-cannot-contain-curve": ("x14", 1, 0, "construction"),
+    "forms-through-curve-but-not-surface": ("quadric", 10, 0, "construction"),
+    "hyperplane-splitting-band": ("v5", 1, 1, "construction"),
+    "no-conic-classes": ("x14", 1, 1, "construction"),
+    "no-line-classes": ("v5", 1, 0, "construction"),
+    "residual-member-invariants": ("v5", 1, 0, "contradiction"),
+    "residual-span-dimension": ("v5", 1, 0, "contradiction"),
+    "section-minus-curve-not-effective": ("v5", 1, 0, "construction"),
+    "singular-ambient-excluded": ("quadric", 1, 1, "construction"),
+    "trisecant-line-exists": ("quadric", 1, 0, "construction"),
+    "two-hyperplanes-contain-residual": ("v5", 7, 0, "contradiction"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_CHECK_ROWS))
+def test_each_failing_check_fails_on_its_census_row(name):
+    family, d, g, route = FAILING_CHECK_ROWS[name]
+    case = CaseRecord(case_id=1, family=family, d=d, g=g, expected="Realizable", route=route)
+    assert name in [check.name for check in verify_case(case).checks if not check.passed]
 
 
 def test_certificate_witnesses_reverify_through_pairing():
@@ -733,6 +771,71 @@ def test_every_census_row_ends_in_a_certificate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.count("\n") == len(rows) + 1
+
+
+# A box wider than the census on every side: d from below 1 to 60, past
+# twice every cutting bound, and g from below 0 to 199, past every genus
+# the loader accepts at d <= 60 (the largest is 180, a v5 contradiction).
+BOX_DEGREES, BOX_GENERA = range(-2, 61), range(-2, 200)
+SMALLNESS_TAGS = ("table-absent", "ambiguous")
+
+
+def _accepted_box_rows():
+    """Every row of the box the loader accepts, for every main proof of the
+    four families and under both smallness tags."""
+    rows = []
+    for family, route, construction in pipelines.PIPELINES:
+        if family == "sporadic" or construction != "main":
+            continue
+        for smallness in SMALLNESS_TAGS:
+            for d in BOX_DEGREES:
+                for g in BOX_GENERA:
+                    try:
+                        rows.append(CaseRecord(case_id=len(rows) + 1, family=family, d=d, g=g,
+                                               expected="Realizable", route=route,
+                                               smallness=smallness))
+                    except CaseTableError:
+                        continue
+    return rows
+
+
+def test_no_row_the_loader_accepts_in_a_box_past_the_census_raises(tmp_path, capsys):
+    # Each row ends in a certificate, in process and as one --table run.
+    # Contradictions have no cutting bound and conclude no Open, so they
+    # fill the box under the first tag alone.
+    rows = _accepted_box_rows()
+    assert Counter(row.smallness for row in rows) == {"table-absent": 7236, "ambiguous": 721}
+    assert Counter(row.route for row in rows) == {"construction": 1442, "contradiction": 6515}
+    assert {verify_case(row).computed for row in rows} <= {*VERDICTS, UNVERIFIED}
+    entries = [{"id": row.case_id, "family": row.family, "d": row.d, "g": row.g,
+                "expected": row.expected, "route": row.route, "smallness": row.smallness}
+               for row in rows]
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"version": 1, "cases": entries}))
+    assert main(["verify", "--table", str(path), "--strict"]) in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("\n") == len(rows) + 1
+
+
+V5_PAIRS = [(d, g) for name, d, g, _ in census_lattices() if name == "v5"]
+# Seeds up to four times the v5 cutting bound, each degree with genera from
+# below 0 to past its last one with det < 0, so that most draws are accepted.
+SEEDS = st.integers(-5, 80).flatmap(
+    lambda seed_d: st.tuples(st.just(seed_d), st.integers(-5, seed_d * seed_d // 20 + 5)))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(V5_PAIRS), SEEDS, st.sampled_from(SMALLNESS_TAGS))
+def test_no_v5_residual_row_the_loader_accepts_raises(pair, seed, smallness):
+    (d, g), (seed_d, seed_g) = pair, seed
+    try:
+        case = CaseRecord(case_id=1, family="v5", d=d, g=g, expected="Realizable",
+                          smallness=smallness, construction="residual",
+                          seed_d=seed_d, seed_g=seed_g)
+    except CaseTableError:
+        assume(False)
+    assert verify_case(case).computed in (*VERDICTS, UNVERIFIED)
 
 
 def test_quadric_row_below_degree_three_reads_unverified(tmp_path, capsys):

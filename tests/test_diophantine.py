@@ -12,7 +12,7 @@ from fanocert.diophantine import _line, _nonnegative_range
 from fanocert import diophantine, gonality
 from fanocert.gonality import tetragonal_certificate
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
-                              LatticeSignatureError, as_class, make_family_lattice)
+                              LatticeSignatureError, make_family_lattice)
 from fanocert.nefness import free_certificate, nef_certificate
 from fanocert.outcome import VERIFIED, CheckOutcome
 
@@ -171,7 +171,8 @@ def reference_solve_degree_square(lattice, degree, square) -> tuple[DivisorClass
         den = 2 * quad_a
         if num % den:
             continue
-        cls = base + (num // den) * step
+        k = num // den
+        cls = DivisorClass(base.a + k * step.a, base.b + k * step.b)
         if cls not in found:
             found.append(cls)
     return tuple(sorted(found, key=lambda c: (c.a, c.b)))
@@ -674,12 +675,13 @@ def reference_degree_lines(lattice, degrees, min_square):
     the square's quadratic read off the pairing."""
     (h2, d), _ = lattice.gram
     line = _line(h2, d)
-    step = line[3:]
+    step = DivisorClass(*line[3:])
     lines = []
     for degree in degrees:
         base = _line_base(line, degree)
         if base is None:
             continue
+        base = DivisorClass(*base)
         quad_a, quad_b = lattice.pair(step, step), 2 * lattice.pair(base, step)
         base_sq = lattice.pair(base, base)
         lines.append((degree, *base, *step, quad_a, quad_b, base_sq,
@@ -816,7 +818,8 @@ def random_degree_line(rng, min_square):
 def brute_line_maximum(lattice, line):
     """(max, k) of the square over k in [-1000, 1000] off ks, least k on ties."""
     _, base_a, base_b, step_a, step_b, *_, ks = line
-    return max((lattice.pair(cls := (base_a + k * step_a, base_b + k * step_b), cls), -k)
+    return max((lattice.pair(cls := DivisorClass(base_a + k * step_a, base_b + k * step_b),
+                             cls), -k)
                for k in range(-1000, 1001) if k not in ks)
 
 
@@ -861,12 +864,9 @@ def test_effective_decompositions():
     decomps = effective_decompositions(quadric, DivisorClass(0, 1))
     assert (DivisorClass(0, 1),) in decomps
     for decomp in decomps:
-        total = DivisorClass(0, 0)
-        for part in decomp:
-            assert quadric.degree(part) >= 1
-            assert quadric.pair(part, part) >= -2
-            total = total + part
-        assert total == DivisorClass(0, 1)
+        assert all(quadric.degree(part) >= 1 for part in decomp)
+        assert all(quadric.pair(part, part) >= -2 for part in decomp)
+        assert (sum(part.a for part in decomp), sum(part.b for part in decomp)) == (0, 1)
 
 
 def reference_effective_decompositions(lattice, target, limit=32):
@@ -874,7 +874,6 @@ def reference_effective_decompositions(lattice, target, limit=32):
 
     Verbatim but for the pool's per-degree search, now one degree of the sweep.
     """
-    target = as_class(target)
     total = lattice.degree(target)
     if total < 1:
         return ()
@@ -899,7 +898,8 @@ def reference_effective_decompositions(lattice, target, limit=32):
             if deg > budget:
                 continue
             chosen.append(cls)
-            search(idx, remaining - cls, budget - deg, chosen)
+            search(idx, DivisorClass(remaining.a - cls.a, remaining.b - cls.b), budget - deg,
+                   chosen)
             chosen.pop()
 
     search(0, target, total, [])
@@ -937,9 +937,10 @@ def test_effective_decompositions_match_reference_on_random_lattices(monkeypatch
 
 def test_effective_decompositions_match_reference_on_census_lattices():
     count = 0
+    residual = DivisorClass(1, -1)
     for name, d, g, lattice in census_lattices():
-        expected = reference_effective_decompositions(lattice, (1, -1))
-        assert effective_decompositions(lattice, (1, -1)) == expected, (name, d, g)
+        expected = reference_effective_decompositions(lattice, residual)
+        assert effective_decompositions(lattice, residual) == expected, (name, d, g)
         count += 1
     assert count == 721
 
@@ -951,16 +952,15 @@ def census_splits():
         classes = {(1, -1)}
         for a, b in band_empty(*census_band(name, d, g)).witnesses:
             classes.update({(a, b), (1 - a, -b)})
-        for cls in sorted(classes):
-            yield name, d, g, lattice, cls
+        for a, b in sorted(classes):
+            yield name, d, g, lattice, DivisorClass(a, b)
 
 
 def test_effective_decompositions_match_reference_on_census_splits():
     count = found = 0
     for name, d, g, lattice, cls in census_splits():
         expected = reference_effective_decompositions(lattice, cls)
-        assert effective_decompositions(lattice, DivisorClass(*cls)) == expected, \
-            (name, d, g, cls)
+        assert effective_decompositions(lattice, cls) == expected, (name, d, g, cls)
         count += 1
         found += bool(expected)
     assert count == 3801 and found == 837
@@ -982,7 +982,7 @@ def unreachable_after(run) -> int:
 def test_decomposition_searches_leave_no_cyclic_garbage():
     # The search is one loop with no closure, so a search that finds
     # something leaves no reference cycle behind it.
-    splits = [(lattice, DivisorClass(*cls)) for *_, lattice, cls in census_splits()]
+    splits = [(lattice, cls) for *_, lattice, cls in census_splits()]
 
     def search_all():
         for lattice, cls in splits:
@@ -997,7 +997,7 @@ def test_search_stops_at_the_limit_without_dropping_or_reordering():
     # reference search allowed 64, so the stop cut only what came after.
     truncated = 0
     for name, d, g, lattice, cls in census_splits():
-        found = effective_decompositions(lattice, DivisorClass(*cls))
+        found = effective_decompositions(lattice, cls)
         if len(found) < diophantine.DECOMPOSITION_LIMIT:
             continue
         longer = reference_effective_decompositions(lattice, cls, limit=64)
@@ -1019,7 +1019,7 @@ def test_census_splits_are_refused_by_the_real_cone_before_any_sweep(monkeypatch
     count = refused = swept = 0
     for name, d, g, lattice, cls in census_splits():
         before = len(calls)
-        result = effective_decompositions(lattice, DivisorClass(*cls))
+        result = effective_decompositions(lattice, cls)
         count += 1
         if len(calls) > before:
             swept += 1
@@ -1146,14 +1146,13 @@ def test_census_splits_walk_only_the_lines_that_can_decide_them(monkeypatch):
 
     monkeypatch.setattr(diophantine, "degree_lines", counting)
     late_refusals = 0
-    for name, d, g, lattice, cls in census_splits():
-        target = DivisorClass(*cls)
+    for name, d, g, lattice, target in census_splits():
         before = len(walks)
         if effective_decompositions(lattice, target) or len(walks) == before:
             continue
         late_refusals += 1
         walked = [deg for walk in walks[before:] for deg in walk]
-        assert max(walked) < scanned_split(lattice, target), (name, d, g, cls)
+        assert max(walked) < scanned_split(lattice, target), (name, d, g, target)
     assert len(walks) == 1512 and sum(map(len, walks)) == 4939
     assert late_refusals == 552
 
@@ -1183,8 +1182,9 @@ def test_effective_decompositions_refuse_targets_outside_the_slope_cone():
         above = [cls for cls in members if cls[1] > high]
         assert below and above
         for cls in {below[-1], above[0], *within[:1], *within[-1:]}:
-            expected = reference_effective_decompositions(lattice, cls)
-            assert effective_decompositions(lattice, cls) == expected
+            target = DivisorClass(*cls)
+            expected = reference_effective_decompositions(lattice, target)
+            assert effective_decompositions(lattice, target) == expected
             if low <= cls[1] <= high:
                 inside += 1
                 inside_found += bool(expected)
@@ -1221,8 +1221,9 @@ def test_effective_decompositions_refuse_targets_outside_the_real_cone():
         kept = [cls for cls in members if within(cls)]
         assert below and above
         for cls in {below[-1], above[0], *kept[:1], *kept[-1:]}:
-            expected = reference_effective_decompositions(lattice, cls)
-            assert effective_decompositions(lattice, cls) == expected
+            target = DivisorClass(*cls)
+            expected = reference_effective_decompositions(lattice, target)
+            assert effective_decompositions(lattice, target) == expected
             if within(cls):
                 inside += 1
                 inside_found += bool(expected)

@@ -1,14 +1,11 @@
-from enum import IntEnum
-
 import pytest
 from hypothesis import given, strategies as st
 
 from fanocert import lattice as lattice_module
 from fanocert.catalog import load_cases
 from fanocert.lattice import (FAMILIES, DivisorClass, IntersectionLattice,
-                              LatticeSignatureError, anticanonical_cube, as_class,
+                              LatticeSignatureError, anticanonical_cube,
                               make_family_lattice, square_and_genus)
-from fanocert.diophantine import effective_decompositions
 
 coeff = st.integers(min_value=-100, max_value=100)
 
@@ -46,41 +43,19 @@ def test_rejects_bad_inputs():
 
 def test_pair_values():
     quadric = make_family_lattice(FAMILIES["quadric"], 13, 14)
-    assert quadric.pair((1, 0), (1, 0)) == 6
-    assert quadric.pair((-2, 1), (0, 1)) == 0
+    assert quadric.pair(DivisorClass(1, 0), DivisorClass(1, 0)) == 6
+    assert quadric.pair(DivisorClass(-2, 1), DivisorClass(0, 1)) == 0
     v4 = make_family_lattice(FAMILIES["v4"], 10, 6)
-    assert v4.pair((-1, 1), (0, 1)) == 0
-
-
-def test_as_class_takes_only_integer_pairs():
-    class Coefficient(IntEnum):
-        THREE = 3
-
-    # An integer subclass is an integer, and becomes a plain int.
-    cls = as_class((Coefficient.THREE, -1))
-    assert cls == DivisorClass(3, -1) and type(cls.a) is int
-    cls = DivisorClass(2, 5)
-    assert as_class(cls) is cls
-    # A float, a string or a bool is refused by name; int() would have
-    # truncated 1.5 to 1, parsed '2' and read True as 1.
-    for pair, named in (((1.5, -1), "float 1.5"), (("2", 1), "str '2'"),
-                        ((2, True), "bool True"), ((0.9, 0), "float 0.9")):
-        with pytest.raises(TypeError, match=named):
-            as_class(pair)
-    lattice = make_family_lattice(FAMILIES["v5"], 7, 0)
-    with pytest.raises(TypeError, match="float 0.9"):
-        lattice.degree((0.9, 0))
-    with pytest.raises(TypeError, match="float 1.9"):
-        effective_decompositions(lattice, (1.9, -0.5))
+    assert v4.pair(DivisorClass(-1, 1), DivisorClass(0, 1)) == 0
 
 
 def test_square_and_genus():
     v5_14_10 = make_family_lattice(FAMILIES["v5"], 14, 10)
-    assert square_and_genus(v5_14_10, (2, -1)) == (2, 2)
+    assert square_and_genus(v5_14_10, DivisorClass(2, -1)) == (2, 2)
     v5_8_3 = make_family_lattice(FAMILIES["v5"], 8, 3)
-    assert square_and_genus(v5_8_3, (2, -1)) == (12, 7)
+    assert square_and_genus(v5_8_3, DivisorClass(2, -1)) == (12, 7)
     v5_7_0 = make_family_lattice(FAMILIES["v5"], 7, 0)
-    assert square_and_genus(v5_7_0, (1, -1)) == (-6, -2)
+    assert square_and_genus(v5_7_0, DivisorClass(1, -1)) == (-6, -2)
 
 
 @given(coeff, coeff, coeff, coeff)
@@ -101,8 +76,8 @@ def test_pair_bilinear(a1, b1, a2, b2, a3, b3, lam, mu):
 @given(coeff, coeff, st.sampled_from(sorted(FAMILIES)), st.integers(1, 17), st.integers(0, 3))
 def test_degree_is_pairing_with_polarization(a, b, name, d, g):
     lattice = IntersectionLattice(((FAMILIES[name].h_square, d), (d, 2 * g - 2)))
-    expected = lattice.pair((a, b), DivisorClass(1, 0))
-    assert lattice.degree(DivisorClass(a, b)) == lattice.degree((a, b)) == expected
+    cls = DivisorClass(a, b)
+    assert lattice.degree(cls) == lattice.pair(cls, DivisorClass(1, 0))
 
 
 def test_even_squares_on_catalog_lattices():

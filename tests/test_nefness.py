@@ -276,7 +276,7 @@ def bisect_nef_certificate(family: FamilySpec, d: int, g: int) -> CheckOutcome:
     witnesses = []
     all_eliminated = True
     for p_a, m, a, b, secancy in hits:
-        meets = lattice.pair((a, b), curve)
+        meets = lattice.pair(DivisorClass(a, b), curve)
         eliminated = meets < secancy
         all_eliminated = all_eliminated and eliminated
         witnesses.append({

@@ -4,7 +4,7 @@ proofs alone, one degree-line and one line-solving primitive in
 diophantine, each check name built at one call site, checks built only by
 the ``outcome`` builders and by position, a standard-library
 runtime, one dataclass whose decorator writes no method, no named tuple,
-no ``object.__setattr__`` in the value types, value equality and
+no ``object.__setattr__`` in the value types, value equality, hashing and
 ``read_only`` defined in ``values`` alone, a report writer that dispatches
 on exact types only, no module-level name outside ``lattice`` computed from
 the ambient tables, a cold import without ``importlib.resources`` that
@@ -29,7 +29,7 @@ import fanocert
 from fanocert import pipelines, values
 from fanocert.catalog import CaseRecord, load_cases
 from fanocert.diophantine import Interval
-from fanocert.lattice import DivisorClass, FamilySpec, make_family_lattice
+from fanocert.lattice import DivisorClass, FamilySpec, IntersectionLattice, make_family_lattice
 from fanocert.riemannroch import LinearSeries
 
 PACKAGE = Path(fanocert.__file__).parent
@@ -235,12 +235,10 @@ def test_no_value_type_fills_its_slots_through_object_setattr():
 
 def test_value_semantics_live_in_values():
     # A value equals only its own type and its fields are read-only; that
-    # policy is written once, in values.  Only IntersectionLattice keeps an
-    # equality of its own, over gram alone and not its cached determinant.
-    # Every value type is a SlotValue: none derives from a namedtuple(...)
-    # call, and values keeps no tuple base.  Hashing over the fields is
-    # written once, in values.HashableValue; IntersectionLattice hashes gram
-    # alone.
+    # policy is written once, in values.  Every value type is a SlotValue:
+    # none derives from a namedtuple(...) call, and values keeps no tuple
+    # base.  Hashing over the fields is written once, in
+    # values.HashableValue.
     equalities, hashes, read_only, tuples = [], [], [], []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -258,10 +256,10 @@ def test_value_semantics_live_in_values():
             tuples += [f"{path.stem}.{node.name}" for base in node.bases
                        if isinstance(base, ast.Call)
                        and getattr(base.func, "id", None) == "namedtuple"]
-    assert sorted(equalities) == ["lattice.IntersectionLattice.__eq__", "values.SlotValue.__eq__"]
-    assert sorted(hashes) == ["lattice.IntersectionLattice.__hash__",
-                              "values.HashableValue.__hash__"]
-    for cls in (CaseRecord, DivisorClass, FamilySpec, Interval, LinearSeries):
+    assert equalities == ["values.SlotValue.__eq__"]
+    assert hashes == ["values.HashableValue.__hash__"]
+    for cls in (CaseRecord, DivisorClass, FamilySpec, IntersectionLattice, Interval,
+                LinearSeries):
         assert cls.__hash__ is values.HashableValue.__hash__, cls.__name__
     assert read_only == ["values.read_only"]
     assert tuples == []
