@@ -9,8 +9,8 @@ is one exact integer range of the line's parameter (``_nonnegative_range``).
 One primitive walks degree lines: ``degree_lines`` gives each listed
 degree's line as plain ints (base, step, the square's quadratic and its
 exact "square >= m" range).  It solves the line once per call, and each
-degree steps the previous base, the first the zero base, by a multiple of
-the gcd solution and returns it to the canonical window.
+degree takes its own multiple of the gcd solution, returned to the
+canonical window.
 ``curve_classes`` lists the classes on those ranges; every other class
 search by degree goes through it.  The donor families of ``gonality`` and
 the decomposition search read the lines directly, and ``line_maximum``
@@ -18,12 +18,11 @@ gives the exact maximum square off a line's range.
 
 One primitive solves a linear form's level lines: ``_line`` is a gcd and
 one modular inverse, with no loop of its own, and the degree lines and the
-band call it once per call.  Each steps its bases from the one solution
-(u, v) of the level g = gcd.  Band points come from form1's lines, one
-floor-division range of each line's parameter per value of form1.  Only
-the multiples of gcd(form1) have lines with integer points, so the band
-walks just those: the first from the unreduced solution, then a fixed step
-of the base and of form2's value per multiple.
+band call it once per call.  Each line's base is its own multiple of the
+one solution (u, v) of the level g = gcd.  Band points come from form1's
+lines, one floor-division range of each line's parameter per value of
+form1.  Only the multiples of gcd(form1) have lines with integer points,
+so the band takes just those.
 
 The decomposition search reads one Hodge-index rule.  H^2 x^2 = deg(x)^2 +
 det b(x)^2 for every class x = aH + bC, so a candidate (x^2 >= -2) of
@@ -118,18 +117,6 @@ def _nonnegative_range(quad_a: int, quad_b: int, quad_c: int) -> range:
     return range(-((root - quad_b) // den), (quad_b + root) // den + 1)
 
 
-def _degree_line(lattice: IntersectionLattice) -> tuple[int, int, int, int, int]:
-    """``_line`` of the degree form; refuses unless det < 0 and H^2 > 0.
-
-    Only those make the square a downward parabola on every degree line.
-    """
-    (h2, d), _ = lattice.gram
-    if lattice.det >= 0 or h2 <= 0:
-        raise LatticeSignatureError(
-            f"degree-line search needs det < 0 and H^2 > 0 (det {lattice.det}, H^2 {h2})")
-    return _line(h2, d)
-
-
 def degree_lines(lattice: IntersectionLattice, degrees, min_square: int) -> list[tuple]:
     """The degree line of each listed polarization degree, as plain ints.
 
@@ -138,35 +125,33 @@ def degree_lines(lattice: IntersectionLattice, degrees, min_square: int) -> list
     order given.  The line is base + k*step with the canonical base (the fast
     coordinate in [0, step)) and the lexicographically positive step; its
     square is quad_a k^2 + quad_b k + base_sq with quad_a < 0, and ``ks`` is
-    exactly the range of k with square >= min_square.
+    exactly the range of k with square >= min_square.  Refuses with
+    ``LatticeSignatureError`` unless det < 0 and H^2 > 0, which alone make
+    the square a downward parabola on every degree line.
 
     The degree line is solved once per call.  Each listed degree on the gcd
-    adds ((degree - last) / g) (u, v) to the previous base, (u, v) being the
-    solution of degree g; the walk starts from the base (0, 0) of degree 0.
-    One floor division on the fast coordinate returns the base to the
-    canonical window.  Any order of degrees, repeats, zero and negative
-    degrees included, gives the canonical bases.
+    takes (degree / g) (u, v), (u, v) being the solution of degree g, and
+    one floor division on the fast coordinate returns it to the canonical
+    window, so any order of degrees gives the canonical bases.
     """
-    spacing, u, v, step_a, step_b = _degree_line(lattice)
-    (_, q), (_, s) = lattice.gram
+    (h2, q), (_, s) = lattice.gram
+    if lattice.det >= 0 or h2 <= 0:
+        raise LatticeSignatureError(
+            f"degree-line search needs det < 0 and H^2 > 0 (det {lattice.det}, H^2 {h2})")
+    spacing, u, v, step_a, step_b = _line(h2, q)
     # The step has degree 0, so it pairs with any (a, b) as b * step_c, and
     # (base + k*step)^2 = quad_a k^2 + quad_b k + base^2 with only quad_b and
     # base^2 moving with the degree.
     step_c = q * step_a + s * step_b
     quad_a = step_b * step_c
     lines = []
-    base_a = base_b = last = 0
     for degree in degrees:
         if degree % spacing:
             continue
-        scale = (degree - last) // spacing
-        base_a += scale * u
-        base_b += scale * v
+        scale = degree // spacing
         # step_a == 0 only at d == 0, where v == 0 keeps base_b at 0.
-        shift = base_a // step_a if step_a else 0
-        base_a -= shift * step_a
-        base_b -= shift * step_b
-        last = degree
+        shift = scale * u // step_a if step_a else 0
+        base_a, base_b = scale * u - shift * step_a, scale * v - shift * step_b
         quad_b = 2 * base_b * step_c
         # The base has the given degree, so base^2 = base_a*degree + base_b*(base.C).
         base_sq = base_a * degree + base_b * (q * base_a + s * base_b)
@@ -230,13 +215,11 @@ def band_empty(form1: tuple[int, int], range1: Interval,
     Passes when the region holds no integer point; otherwise the full
     witness list is attached, sorted.  Proportional forms are rejected since
     the region would be an unbounded strip.  Form1's line is solved once,
-    and only the multiples of g = gcd(form1) in range1 have integer points.
-    The walk visits just those: the first multiple f takes the base (f / g)
-    (u, v), (u, v) being the solution of form1 = g, and each next multiple
-    adds (u, v) to the base and r u + s v to form2's value.  Along each line
-    form2 moves by a nonzero constant per step (det != 0), so the points
-    with form2 in range2 are one floor-division range of the line's
-    parameter.
+    and only the multiples f of g = gcd(form1) in range1 have integer
+    points; each takes the base (f / g) (u, v), (u, v) being the solution
+    of form1 = g.  Along each line form2 moves by a nonzero constant per
+    step (det != 0), so the points with form2 in range2 are one
+    floor-division range of the line's parameter.
     """
     p, q = form1
     r, s = form2
@@ -250,21 +233,14 @@ def band_empty(form1: tuple[int, int], range1: Interval,
     ints1, ints2 = range1.integers(), range2.integers()
     lo2, hi2 = ints2.start, ints2.stop
     witnesses = []
-    first = ints1.start + (-ints1.start) % spacing
-    if first < ints1.stop:
-        # The unreduced solution: any base of a line gives the same points,
-        # and the witnesses are sorted below.
-        scale = first // spacing
-        base_a, base_b = u * scale, v * scale
+    # Each multiple f of g in range1, f = scale * g, takes the base scale * (u, v):
+    # any base of a line gives the same points, and the witnesses are sorted below.
+    for scale in range(-(-ints1.start // spacing), -(-ints1.stop // spacing)):
+        base_a, base_b = scale * u, scale * v
         value = r * base_a + s * base_b
-        lift = r * u + s * v
-        for _ in range(first, ints1.stop, spacing):
-            # lo2 <= value + k*climb < hi2, with climb > 0
-            for k in range(-((value - lo2) // climb), -((value - hi2) // climb)):
-                witnesses.append([base_a + k * step_a, base_b + k * step_b])
-            base_a += u
-            base_b += v
-            value += lift
+        # lo2 <= value + k*climb < hi2, with climb > 0
+        for k in range(-((value - lo2) // climb), -((value - hi2) // climb)):
+            witnesses.append([base_a + k * step_a, base_b + k * step_b])
     witnesses.sort()
     return verified(
         name="integer-points-in-band",

@@ -138,10 +138,17 @@ def _checks_of(case):
 
 # Fictional ambient rows, patched in once the table is loaded (the loader
 # builds every row's lattice): the proofs' ambient numbers must follow them.
+def _with_h_square(family, h_square):
+    """FAMILIES[family] with H^2 = h_square and its other fields kept."""
+    spec = FAMILIES[family]
+    return FamilySpec(family, h_square, spec.index_multiplier, spec.cutting_bound,
+                      spec.derived_constants)
+
+
 def test_v4_forms_live_on_the_slice_span(monkeypatch):
     # H^2 = 10 puts the slice in P^6, its section genus.
     case = _row("v4", "construction", 7, 0)
-    monkeypatch.setitem(FAMILIES, "v4", FamilySpec("v4", 10, 2, 16))
+    monkeypatch.setitem(FAMILIES, "v4", _with_h_square("v4", 10))
     check = _checks_of(case)["forms-through-curve-but-not-surface"]
     assert check.inputs == {"ambient_dim": 6, "forms_degree": 2, "d": 7, "g": 0}
 
@@ -151,9 +158,8 @@ def test_v4_forms_live_on_the_slice_span(monkeypatch):
     ("x14", 16, 5, 0, "pencil-degree-five-expected-dimension")])
 def test_bundle_checks_read_the_section_genus_and_square(monkeypatch, family, h_square, d, g,
                                                          pencil):
-    case, spec = _row(family, "construction", d, g), FAMILIES[family]
-    monkeypatch.setitem(FAMILIES, family, FamilySpec(
-        family, h_square, spec.index_multiplier, spec.cutting_bound, spec.derived_constants))
+    case = _row(family, "construction", d, g)
+    monkeypatch.setitem(FAMILIES, family, _with_h_square(family, h_square))
     checks = _checks_of(case)
     genus = h_square // 2 + 1
     assert checks[pencil].inputs["g"] == genus
@@ -179,9 +185,7 @@ def test_x14_citations_name_the_section_genus(monkeypatch):
 
     assert named() == [("construction", 8)] * 3 + [("contradiction", 8)]
     assert FAMILIES["x14"].section_genus == 8
-    spec = FAMILIES["x14"]
-    monkeypatch.setitem(FAMILIES, "x14", FamilySpec(
-        "x14", 16, spec.index_multiplier, spec.cutting_bound, spec.derived_constants))
+    monkeypatch.setitem(FAMILIES, "x14", _with_h_square("x14", 16))
     assert named() == [("construction", 9)] * 3 + [("contradiction", 9)]
 
 
@@ -471,9 +475,9 @@ def test_verify_case_detects_regressions():
 CENSUS_OUTCOMES_SHA256 = "796558671fd372acc6a11b8d21998f6eee41432f68ca8ce27f91c0c7654fc6fd"
 
 
-# The computed check names (all but cited-rule, every special-donor-(a,b)
-# counted as one name) that never fail on the 1,165 census certificates nor
-# on the 42 table rows: 18 of the 37 that occur.
+# The computed check names (all but passing cited-rule checks, every
+# special-donor-(a,b) counted as one name) that never fail on the 1,165
+# census certificates nor on the 42 table rows: 17 of the 37 that occur.
 NEVER_FAILING_CHECKS = {
     "ambient-genus", "bisecant-exclusion-genus-gate", "bundle-section-count",
     "canonical-square-exceeds-noether-bound", "degree-two-span-three-branch-contradiction",
@@ -481,16 +485,22 @@ NEVER_FAILING_CHECKS = {
     "pencil-degree-four-expected-dimension", "picard-lattice-signature",
     "plane-has-no-class-of-square", "residual-of-degree-five-pencil",
     "residual-of-degree-four-pencil", "residual-seed-not-rational", "residual-series-free",
-    "special-donor-(a,b)", "surface-class-splits-in-grassmannian",
-    "surface-lies-on-a-quadric", "surface-quadric-net-dimension",
+    "surface-class-splits-in-grassmannian", "surface-lies-on-a-quadric",
+    "surface-quadric-net-dimension",
 }
 
 
+def _check_name(check):
+    return "special-donor-(a,b)" if check.name.startswith("special-donor-") else check.name
+
+
 def _tally_computed_checks(cert, occurs, fails):
+    # A special donor left unresolved fails as a cited-rule check, so only a
+    # passing cited-rule check is left out.
     for check in cert.checks:
-        if check.kind == CITED:
+        if check.kind == CITED and check.passed:
             continue
-        name = "special-donor-(a,b)" if check.name.startswith("special-donor-") else check.name
+        name = _check_name(check)
         occurs.add(name)
         if not check.passed:
             fails.add(name)
@@ -525,7 +535,7 @@ def test_census_outcomes_are_pinned():
     assert not NEVER_FAILING_CHECKS & FAILING_CHECK_ROWS.keys()
 
 
-# For each of the other 19 computed check names, one census row on which
+# For each of the other 20 computed check names, one census row on which
 # verify_case fails it: (family, d, g, route), a construction row unless
 # the route says otherwise.
 FAILING_CHECK_ROWS = {
@@ -546,6 +556,8 @@ FAILING_CHECK_ROWS = {
     "residual-span-dimension": ("v5", 1, 0, "contradiction"),
     "section-minus-curve-not-effective": ("v5", 1, 0, "construction"),
     "singular-ambient-excluded": ("quadric", 1, 1, "construction"),
+    # special-donor-(0,2), of square -8, is unresolved there.
+    "special-donor-(a,b)": ("x14", 3, 0, "construction"),
     "trisecant-line-exists": ("quadric", 1, 0, "construction"),
     "two-hyperplanes-contain-residual": ("v5", 7, 0, "contradiction"),
 }
@@ -555,6 +567,71 @@ FAILING_CHECK_ROWS = {
 def test_each_failing_check_fails_on_its_census_row(name):
     family, d, g, route = FAILING_CHECK_ROWS[name]
     case = CaseRecord(case_id=1, family=family, d=d, g=g, expected="Realizable", route=route)
+    assert name in [_check_name(check) for check in verify_case(case).checks
+                    if not check.passed]
+
+
+# Embedded construction rows, as --table rows.
+QUADRIC_ROW = {"id": 105, "family": "quadric", "d": 7, "g": 1, "expected": "Realizable"}
+V4_ROW = {"id": 84, "family": "v4", "d": 7, "g": 2, "expected": "Realizable"}
+V5_ROW = {"id": 101, "family": "v5", "d": 7, "g": 0, "expected": "Realizable"}
+X14_ROW = {"id": 5, "family": "x14", "d": 5, "g": 0, "expected": "Realizable"}
+X10_ROW = {"id": 3, "family": "sporadic", "ambient": "X10", "d": 3, "g": 0,
+           "expected": "Realizable"}
+
+
+# For each name in NEVER_FAILING_CHECKS that some input can fail, one input
+# outside the census on which verify_case fails it: a --table row, and an
+# ambient table entry patched in once the row is loaded (as in the tests of
+# fictional ambients above), or None.  A ("FAMILIES", name, h) patch gives
+# that family H^2 = h, an ("AMBIENTS", name, (r, n)) patch that ambient
+# index r and degree n.
+FAILING_OFF_CENSUS = {
+    "ambient-genus": (X10_ROW, ("AMBIENTS", "X10", (1, 9))),
+    "bundle-section-count": (V5_ROW, ("FAMILIES", "v5", 12)),
+    "canonical-square-exceeds-noether-bound": (X10_ROW, ("AMBIENTS", "X10", (1, 4))),
+    "hirzebruch-sweep-empty": (X10_ROW, ("AMBIENTS", "X10", (1, 4))),
+    "pencil-degree-five-expected-dimension": (X14_ROW, ("FAMILIES", "x14", 16)),
+    "pencil-degree-four-expected-dimension": (V5_ROW, ("FAMILIES", "v5", 12)),
+    "plane-has-no-class-of-square": (X10_ROW, ("AMBIENTS", "X10", (1, 4))),
+    "residual-of-degree-five-pencil": (X14_ROW, ("FAMILIES", "x14", 16)),
+    "residual-of-degree-four-pencil": (V5_ROW, ("FAMILIES", "v5", 12)),
+    # A seed curve of genus 0 is rational.
+    "residual-seed-not-rational": ({"id": 1, "family": "v5", "d": 14, "g": 8,
+                                    "expected": "Realizable", "construction": "residual",
+                                    "seed_d": 6, "seed_g": 0}, None),
+    "residual-series-free": (X14_ROW, ("FAMILIES", "x14", 16)),
+    "surface-class-splits-in-grassmannian": (V5_ROW, ("FAMILIES", "v5", 12)),
+    "surface-lies-on-a-quadric": (QUADRIC_ROW, ("FAMILIES", "quadric", 4)),
+    "surface-quadric-net-dimension": (V4_ROW, ("FAMILIES", "v4", 10)),
+}
+
+# The names in NEVER_FAILING_CHECKS that no input can fail, with the reason.
+UNFAILABLE_CHECKS = {
+    "bisecant-exclusion-genus-gate": "built only inside the `if` on the genus gate it tests",
+    "degree-two-span-three-branch-contradiction": (
+        "c2 is 4, so the degree-2 split has b = 2 and is never the forced class (5, 0)"),
+    "picard-lattice-signature": (
+        "make_family_lattice refuses det >= 0 first, in the loader and in the proof"),
+}
+
+
+def test_never_failing_checks_each_fail_off_the_census_or_cannot_fail():
+    assert FAILING_OFF_CENSUS.keys() | UNFAILABLE_CHECKS.keys() == NEVER_FAILING_CHECKS
+    assert not FAILING_OFF_CENSUS.keys() & UNFAILABLE_CHECKS.keys()
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_OFF_CENSUS))
+def test_each_never_failing_check_fails_off_the_census(tmp_path, monkeypatch, name):
+    row, patch = FAILING_OFF_CENSUS[name]
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps({"version": 1, "cases": [row]}))
+    (case,) = load_cases(str(path))
+    if patch is not None:
+        table, key, value = patch
+        if table == "FAMILIES":
+            value = _with_h_square(key, value)
+        monkeypatch.setitem(getattr(lattice, table), key, value)
     assert name in [check.name for check in verify_case(case).checks if not check.passed]
 
 

@@ -76,7 +76,7 @@ def sweep_degree(lattice, degree, min_square) -> tuple[DivisorClass, ...]:
                  for _, a, b, _ in curve_classes(lattice, (degree,), min_square))
 
 
-def test_solve_degree_square_reference_values():
+def test_exact_square_sweep_reference_values():
     quadric = make_family_lattice(FAMILIES["quadric"], 13, 14)
     assert sweep_square(quadric, 1, -2) == (DivisorClass(-2, 1),)
     v4 = make_family_lattice(FAMILIES["v4"], 10, 6)
@@ -86,7 +86,7 @@ def test_solve_degree_square_reference_values():
     assert brute_degree_square(quadric92, 1, -2, window=200) == []
 
 
-def test_solve_degree_square_matches_brute_force():
+def test_exact_square_sweep_matches_brute_force():
     rng = random.Random(0xFA2601)
     for _ in range(300):
         lattice = random_hyperbolic_lattice(rng)
@@ -100,7 +100,7 @@ def test_solve_degree_square_matches_brute_force():
         assert [c for c in solved if in_window(c)] == expected
 
 
-def test_solve_degree_square_full_plane_scan():
+def test_exact_square_sweep_full_plane_scan():
     # independent 2-D oracle on a smaller batch
     rng = random.Random(0xFA2602)
     for _ in range(40):
@@ -148,7 +148,7 @@ def _line_solutions(coeff_a, coeff_b, target):
     return DivisorClass(*base), DivisorClass(*line[3:])
 
 
-def reference_solve_degree_square(lattice, degree, square) -> tuple[DivisorClass, ...]:
+def reference_exact_square_classes(lattice, degree, square) -> tuple[DivisorClass, ...]:
     """The original one-query solver, kept verbatim as the oracle."""
     if lattice.det >= 0:
         raise LatticeSignatureError("degree/square search needs det < 0")
@@ -178,7 +178,7 @@ def reference_solve_degree_square(lattice, degree, square) -> tuple[DivisorClass
     return tuple(sorted(found, key=lambda c: (c.a, c.b)))
 
 
-def test_solve_degree_squares_matches_reference():
+def test_exact_square_sweep_matches_one_query_reference():
     # Exact-square queries answered by the sweep, filtered to the square,
     # one query at a time and all at once, against the one-query oracle.
     rng = random.Random(0xFA2607)
@@ -203,7 +203,7 @@ def test_solve_degree_squares_matches_reference():
             else:
                 degree = rng.randint(-30, 30)
             queries.append((degree, square))
-        expected = tuple(reference_solve_degree_square(lattice, *q)
+        expected = tuple(reference_exact_square_classes(lattice, *q)
                          for q in queries)
         assert tuple(sweep_square(lattice, *q) for q in queries) == expected
         degrees = [q[0] for q in queries]
@@ -224,7 +224,7 @@ def test_solve_degree_squares_matches_reference():
     assert min(hits, misses, off_gcd, repeated, two_roots) > 0
 
 
-def test_solve_degree_squares_signature_guard():
+def test_class_sweep_signature_guard():
     for gram in (((2, 1), (1, 2)), ((2, 2), (2, 2))):
         lattice = IntersectionLattice(gram)
         assert lattice.det >= 0
@@ -482,9 +482,8 @@ def test_band_matches_box_scan_on_random_forms():
 
 
 def test_band_solves_one_line_per_call(monkeypatch):
-    # The band solves form1's line once and walks only the multiples of
-    # gcd(form1) in range1: the first from the unreduced solution, then
-    # (u, v) added per further multiple.
+    # The band solves form1's line once and takes only the multiples of
+    # gcd(form1) in range1, each line's base from its own multiple of (u, v).
     calls = []
     line = diophantine._line
     monkeypatch.setattr(diophantine, "_line",
@@ -508,7 +507,7 @@ def test_band_solves_one_line_per_call(monkeypatch):
 
 def test_band_matches_box_scan_with_range1_ends_off_the_gcd():
     # gcd(form1) >= 2 and both ends of range1 off its multiples, negative,
-    # open and closed alike: the walk starts at the first multiple inside.
+    # open and closed alike: the first line taken is the first multiple inside.
     rng = random.Random(0xFA2615)
     seen = set()
     checked = found = 0
@@ -539,8 +538,7 @@ def test_band_matches_box_scan_with_range1_ends_off_the_gcd():
 def test_forms_without_b_have_bases_with_b_zero():
     # A form (p, 0) is the only one whose step has step_a == 0.  There
     # _line(p, 0) gives u = sign(p) and v == 0, so every base has b == 0, which
-    # is why the reference _line_base and the walk of degree_lines from the
-    # zero base shift by 0 then.
+    # is why the reference _line_base and degree_lines shift by 0 then.
     # Each base is checked against the solutions of p*a = t in a box, b in
     # the canonical window [0, step_b).
     rng = random.Random(0xFA2625)
@@ -589,7 +587,7 @@ def test_line_solves_every_small_form():
     assert checked == 6560 * 21
 
 
-def test_family_solutions_reference_families():
+def test_degree_lines_reference_values():
     x14_40 = make_family_lattice(FAMILIES["x14"], 4, 0)
     lines = degree_lines(x14_40, range(4, 8), 0)
     data = {(degree, (base_a, base_b), (step_a, step_b))
@@ -606,7 +604,7 @@ def test_family_solutions_reference_families():
     assert degree_lines(IntersectionLattice(((2, 0), (0, -2))), [1], 0) == []
 
 
-def test_family_quadratic_max_reference_values():
+def test_line_maximum_reference_values():
     x14_40 = make_family_lattice(FAMILIES["x14"], 4, 0)
     line, = degree_lines(x14_40, [4], 0)
     _, base_a, base_b, step_a, step_b, quad_a, quad_b, base_sq, ks = line
@@ -620,11 +618,13 @@ def test_family_quadratic_max_reference_values():
         degree_lines(IntersectionLattice(((2, 1), (1, 2))), [0], 0)
 
 
-def reference_family_solutions(lhs, values, side, side_bound):
-    """The original side-filtered family solver, kept verbatim as the oracle.
+def reference_side_filtered_lines(lhs, values, side, side_bound):
+    """The original side-filtered line solver, kept as the oracle.
 
-    It returns (base, step, value, k_min, k_max) tuples where the original
-    built a ``LinearFamily`` carrying the half-line bounds.
+    For each value on the gcd of ``lhs`` whose line meets side >= side_bound,
+    (base, step, value, k_min, k_max): the canonical line of lhs = value and
+    the half-line bounds of side >= side_bound along it (None where
+    unbounded).
     """
     families = []
     for value in values:
@@ -655,7 +655,7 @@ def test_donor_families_match_side_filtered_reference_on_x14_census():
         if name != "x14":
             continue
         pairs += 1
-        expected = reference_family_solutions((h2, d), donor_degrees, (-h2, -d), -h2)
+        expected = reference_side_filtered_lines((h2, d), donor_degrees, (-h2, -d), -h2)
         # the side form is -1 times the degree form, so no half-line appears
         assert all(k_min is None and k_max is None for *_, k_min, k_max in expected)
         expected = [(base, step, value) for base, step, value, _, _ in expected]
@@ -745,10 +745,9 @@ def test_degree_lines_match_per_degree_reference():
     assert seen == {"pool", "caps", "messy", "off-first", "d = 0", "d < 0", "d > 0",
                     "repeated", "unsorted", "zero or negative", "stepped at d = 0"}
     assert stepped > 500
-    # Every small lattice with C^2 = -2: each walk starts from the zero base,
-    # so its first degree, of either sign, takes the whole step there.  The
+    # Every small lattice with C^2 = -2, with degrees of either sign.  The
     # d = 0 lattices have step_a = 0.  The tail repeats, descends and
-    # returns to 0; each list is also walked reversed.
+    # returns to 0; each list is also passed reversed.
     degrees = [*range(-10, 11), 10, 4, 4, -3, 0, 17, -17, 0, 9]
     compared = 0
     for h2 in range(2, 41, 2):
@@ -763,8 +762,8 @@ def test_degree_lines_match_per_degree_reference():
 
 def test_degree_lines_solve_one_line_per_call(monkeypatch):
     # As in the band: the degree line is solved once per call, and every
-    # listed degree on the gcd steps the previous base, the first from the
-    # zero base.  Every degree list that nef, free, tetragonality and the
+    # listed degree on the gcd takes its base from its own multiple of the
+    # gcd solution.  Every degree list that nef, free, tetragonality and the
     # decomposition pool pass on the census lattices is counted, then
     # random lattices and lists.
     calls = []

@@ -11,7 +11,7 @@ from fanocert.lattice import FAMILIES, DivisorClass, FamilySpec, make_family_lat
 from fanocert.nefness import _table_kind, free_certificate, nef_certificate
 from fanocert.outcome import CheckOutcome
 from fanocert.secant import SecantBoundError, admissible_table
-from test_diophantine import census_lattices, reference_solve_degree_square
+from test_diophantine import census_lattices, reference_exact_square_classes
 
 QUADRIC_PAIRS = [(c.d, c.g) for c in load_cases() if c.family == "quadric"]
 V4_PAIRS = [(c.d, c.g) for c in load_cases() if c.family == "v4"]
@@ -142,7 +142,7 @@ def reference_nef_certificate(family, d, g):
     witnesses = []
     all_eliminated = True
     for m, p_a, secancy in table:
-        classes = reference_solve_degree_square(lattice, m, 2 * p_a - 2)
+        classes = reference_exact_square_classes(lattice, m, 2 * p_a - 2)
         for cls in classes:
             meets = lattice.pair(cls, curve)
             eliminated = meets < secancy
@@ -184,7 +184,7 @@ def reference_free_certificate(family, d, g):
         if gamma_budget > 0:
             for degree in range(1, gamma_budget + 1):
                 searched.append(degree)
-                for cls in reference_solve_degree_square(lattice, degree, -2):
+                for cls in reference_exact_square_classes(lattice, degree, -2):
                     witnesses.append({"class": list(cls),
                                       "polarization_degree": degree})
         result = {"elliptic_multiplicity": k,

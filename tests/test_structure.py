@@ -1,17 +1,17 @@
 """Module layout: imports at module level only, no private names shared
 between modules, no catalog import in pipelines, verdicts decided by the
-proofs alone, one degree-line and one line-solving primitive in
-diophantine, each check name built at one call site, checks built only by
-the ``outcome`` builders and by position, a standard-library
-runtime, one dataclass whose decorator writes no method, no named tuple,
-no ``object.__setattr__`` in the value types, value equality, hashing and
-``read_only`` defined in ``values`` alone, a report writer that dispatches
-on exact types only, no module-level name outside ``lattice`` computed from
-the ambient tables, a cold import without ``importlib.resources`` that
-compiles no generated source, a package root that binds only
-``load_cases`` and ``__version__``, and no defaulted parameter of a public
-function or constructor that no call in the package sets (``cli.main``'s
-``argv`` aside).
+proofs alone, one degree-line and one line-solving primitive in diophantine
+whose loops carry nothing from one line to the next, each check name built
+at one call site, checks built only by the ``outcome`` builders and by
+position, a standard-library runtime, one dataclass whose decorator writes
+no method, no named tuple, no ``object.__setattr__`` in the value types,
+value equality, hashing and ``read_only`` defined in ``values`` alone, a
+report writer that dispatches on exact types only, no module-level name
+outside ``lattice`` computed from the ambient tables, a cold import without
+``importlib.resources`` that compiles no generated source, a package root
+that binds only ``load_cases`` and ``__version__``, and no defaulted
+parameter of a public function or constructor that no call in the package
+sets (``cli.main``'s ``argv`` aside).
 
 A proof's own code builds its case's lattice once; the nef, free and
 non-tetragonality certificates take (family, d, g) and build it again, so a
@@ -81,25 +81,42 @@ def _callers(names) -> dict[str, set[str]]:
 
 def test_only_degree_lines_walks_a_degree_line():
     # degree_lines is the one search along a degree line: it alone holds the
-    # signature guard (_degree_line) and the exact "square >= m" range
-    # (_nonnegative_range).  The class sweep and the donor families read its
-    # lines, so a second line walker here would be a twin to keep in step.
-    assert _callers(("_degree_line", "_nonnegative_range")) == {
-        "_degree_line": {"diophantine.degree_lines"},
+    # signature guard and the exact "square >= m" range (_nonnegative_range).
+    # The class sweep and the donor families read its lines, so a second
+    # line walker here would be a twin to keep in step.
+    assert _callers(("_nonnegative_range",)) == {
         "_nonnegative_range": {"diophantine.degree_lines"}}
 
 
 def test_one_line_primitive_solves_linear_forms():
     # _line (gcd, modular inverse and step) is the one solver of a linear
-    # form's level lines.  The degree lines (via _degree_line) and the band
-    # are its only users, and each steps its bases from that one solution,
-    # so no second copy of that arithmetic can drift from it.
+    # form's level lines.  The degree lines and the band are its only
+    # callers, and each takes every line's base from that one solution, so
+    # no second copy of that arithmetic can drift from it.
     assert _callers(("_line",)) == {
-        "_line": {"diophantine._degree_line", "diophantine.band_empty"}}
+        "_line": {"diophantine.degree_lines", "diophantine.band_empty"}}
     defined = {node.name for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef)}
-    assert "_line" in defined and "_line_base" not in defined
+    assert "_line" in defined and not defined & {"_line_base", "_degree_line"}
 
+
+
+def test_level_lines_keep_no_walk_state():
+    # Each line's base comes from that line's own value: no name that a loop
+    # of degree_lines or band_empty assigns is also assigned outside its
+    # loops, and none is updated in place, so nothing is carried from one
+    # line to the next.
+    tree = ast.parse((PACKAGE / "diophantine.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("degree_lines", "band_empty"):
+        loops = [node for node in ast.walk(functions[name]) if isinstance(node, ast.For)]
+        inside = {id(node) for loop in loops for node in ast.walk(loop)}
+        stores = [node for node in ast.walk(functions[name])
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+        in_loops = {node.id for node in stores if id(node) in inside}
+        outside = {node.id for node in stores if id(node) not in inside}
+        updated = [node for node in ast.walk(functions[name]) if isinstance(node, ast.AugAssign)]
+        assert loops and in_loops and not in_loops & outside and not updated, name
 
 CHECK_BUILDERS = ("verified", "cited", "CheckOutcome")
 
