@@ -2,8 +2,6 @@
 import importlib.util
 from pathlib import Path
 
-import fanocert
-
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 
 
@@ -25,10 +23,10 @@ def test_code_lines_leave_out_blanks_comments_and_docstrings():
 
 
 def test_code_lines_print_each_module_and_the_total(capsys):
-    package = Path(fanocert.__file__).parent
-    assert _tool().main([str(package)]) == 0
+    root = TOOL.parents[1]
+    assert _tool().main() == 0
     *modules, total = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in modules] == [
-        path.as_posix() for path in sorted(package.glob("*.py"))]
+        path.relative_to(root).as_posix() for path in sorted(root.glob("src/fanocert/*.py"))]
     assert total.endswith(" code lines in total")
     assert int(total.split()[0]) == sum(int(line.split()[0]) for line in modules) > 1000

@@ -100,7 +100,6 @@ def test_one_line_primitive_solves_linear_forms():
     assert "_line" in defined and not defined & {"_line_base", "_degree_line"}
 
 
-
 def test_level_lines_keep_no_walk_state():
     # Each line's base comes from that line's own value: no name that a loop
     # of degree_lines or band_empty assigns is also assigned outside its
@@ -117,6 +116,7 @@ def test_level_lines_keep_no_walk_state():
         outside = {node.id for node in stores if id(node) not in inside}
         updated = [node for node in ast.walk(functions[name]) if isinstance(node, ast.AugAssign)]
         assert loops and in_loops and not in_loops & outside and not updated, name
+
 
 CHECK_BUILDERS = ("verified", "cited", "CheckOutcome")
 

@@ -1,10 +1,10 @@
-"""Count the code lines of each module of a package directory.
+"""Count the code lines of each module of the fanocert package.
 
 A code line is one that is not blank, not comment-only and not part of a
 docstring (of a module, class or function).  Prints one count per module,
 then the total.  Standard library only.
 
-    python tools/code_lines.py [DIRECTORY]   # default: src/fanocert
+    python tools/code_lines.py
 """
 import ast
 import io
@@ -15,6 +15,8 @@ from pathlib import Path
 SKIPPED = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER)
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fanocert"
 
 
 def code_lines(text: str) -> int:
@@ -30,16 +32,15 @@ def code_lines(text: str) -> int:
     return len(code - docs)
 
 
-def main(argv: list[str]) -> int:
-    directory = Path(argv[0] if argv else "src/fanocert")
+def main() -> int:
     total = 0
-    for path in sorted(directory.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text())
         total += count
-        print(f"{count:8} {path.as_posix()}")
+        print(f"{count:8} {path.relative_to(ROOT).as_posix()}")
     print(f"{total:8} code lines in total")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
