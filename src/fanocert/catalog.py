@@ -103,11 +103,7 @@ class CaseRecord(HashableValue):
             except ValueError as exc:
                 raise CaseTableError(f"{self.label()}: {exc}") from None
             # A construction's nef certificate reads the secant table, which
-            # needs d below the family's cutting bound.  The same refusal keeps
-            # ideal_curve_bound, which needs s*d + 1 - g >= 0, from raising
-            # SectionCountError in forms-through-curve-but-not-surface: with
-            # det < 0 that happens from d = 37 on quadric rows, as at (37,113),
-            # and from d = 33 on v4 rows, as at (33,68).
+            # needs d below the family's cutting bound.
             if self.route == "construction" and self.d >= family.cutting_bound:
                 raise CaseTableError(f"{self.label()}: a construction needs d below the "
                                      f"cutting bound {family.cutting_bound} of {family.name}")

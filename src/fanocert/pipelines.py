@@ -21,8 +21,8 @@ from .lattice import (AMBIENTS, FAMILIES, DivisorClass, FamilySpec,
                       square_and_genus)
 from .nefness import free_certificate, nef_certificate
 from .outcome import CheckOutcome, DERIVED, VERIFIED, cited, verified
-from .riemannroch import (LinearSeries, SectionCountError, brill_noether, ideal_curve_bound,
-                          k3_h0, monomial_count, plane_curve_genus, residual_series,
+from .riemannroch import (SectionCountError, brill_noether, ideal_curve_bound, k3_h0,
+                          monomial_count, plane_curve_genus, residual_series,
                           span_dimension_bound)
 from .ruled import hirzebruch_sweep, noether_contradiction, plane_square_check
 from .schubert import surface_class_split
@@ -50,6 +50,16 @@ def _lattice_signature_check(lattice: IntersectionLattice) -> CheckOutcome:
     )
 
 
+def _refusable(key: str, count) -> tuple[int | None, dict]:
+    """``count()`` and the result entry ``{key: count()}``, or None and the
+    refusal as the entry's ``reason`` when the count is outside its regime."""
+    try:
+        value = count()
+    except SectionCountError as exc:
+        return None, {"reason": str(exc)}
+    return value, {key: value}
+
+
 def _surface_forms(lattice: IntersectionLattice, ambient_dim: int, forms_degree: int) -> int:
     """Forms of the given degree on projective ambient_dim-space through the surface."""
     return (monomial_count(ambient_dim, forms_degree)
@@ -58,17 +68,21 @@ def _surface_forms(lattice: IntersectionLattice, ambient_dim: int, forms_degree:
 
 def _ideal_sections_check(lattice: IntersectionLattice, d: int, g: int,
                           ambient_dim: int, forms_degree: int) -> CheckOutcome:
-    """Forms through the curve must outnumber forms through the surface."""
-    curve_bound = ideal_curve_bound(ambient_dim, forms_degree, d, g)
+    """Forms through the curve must outnumber forms through the surface.
+
+    A special restriction has no lower bound: the check fails with the
+    refusal as its reason.
+    """
+    curve_bound, bounded = _refusable("curve_sections_lower_bound",
+                                      lambda: ideal_curve_bound(ambient_dim, forms_degree, d, g))
     surface_count = _surface_forms(lattice, ambient_dim, forms_degree)
     return verified(
         name="forms-through-curve-but-not-surface",
         rule="ideal-sheaf-section-count",
-        passed=curve_bound > surface_count,
+        passed=curve_bound is not None and curve_bound > surface_count,
         inputs={"ambient_dim": ambient_dim, "forms_degree": forms_degree,
                 "d": d, "g": g},
-        result={"curve_sections_lower_bound": curve_bound,
-                "surface_sections": surface_count},
+        result={**bounded, "surface_sections": surface_count},
     )
 
 
@@ -263,12 +277,12 @@ def _hyperplane_irreducibility(lattice: IntersectionLattice) -> list[CheckOutcom
 _PENCIL_WORDS = {4: "four", 5: "five"}
 
 
-def _pencil_checks(genus: int, degree: int,
-                   expected_residual: LinearSeries) -> tuple[list[CheckOutcome], LinearSeries]:
-    """A degree-``degree`` pencil of expected dimension and its residual series."""
+def _pencil_checks(genus: int, degree: int, expected_residual: tuple[int, int]
+                   ) -> tuple[list[CheckOutcome], tuple[int, int]]:
+    """A degree-``degree`` pencil of expected dimension and its residual (r, d)."""
     word = _PENCIL_WORDS[degree]
     rho = brill_noether(genus, 1, degree)
-    residual = residual_series(genus, LinearSeries(1, degree))
+    residual = residual_series(genus, 1, degree)
     return [verified(
         name=f"pencil-degree-{word}-expected-dimension",
         rule="brill-noether-number",
@@ -280,14 +294,14 @@ def _pencil_checks(genus: int, degree: int,
         rule="series-residuation",
         passed=residual == expected_residual,
         inputs={"genus": genus, "series": f"g^1_{degree}"},
-        result={"residual": residual.label()},
+        result={"residual": "g^%d_%d" % residual},
     )], residual
 
 
-def _bundle_sections_check(residual: LinearSeries, expected: int) -> CheckOutcome:
+def _bundle_sections_check(residual_r: int, expected: int) -> CheckOutcome:
     # Two sections from the trivial part plus the residual series sections;
     # the defining extension is an imported construction.
-    sections = 2 + residual.r + 1
+    sections = 2 + residual_r + 1
     return verified(
         name="bundle-section-count",
         rule="bundle-section-sum",
@@ -327,15 +341,16 @@ def _residual_member_check(lattice: IntersectionLattice, expected: tuple[int, in
 def _v5_bundle_checks(family: FamilySpec) -> list[CheckOutcome]:
     """Class arithmetic of the rank-2 bundle mapping the surface to G(1,4)."""
     splits = _grassmannian_splits_check(4, family.h_square, [[1, 6, 4], [2, 3, 2]])
-    degree2 = next(split for split in splits.result["splits"] if split[0] == 2)
-    pencil, residual = _pencil_checks(family.section_genus, 4, LinearSeries(2, 6))
+    degree2 = next((list(split) for split in splits.result["splits"] if split[0] == 2), None)
+    pencil, residual = _pencil_checks(family.section_genus, 4, (2, 6))
     # A degree-5 surface cut on a maximal linear subvariety would have class
-    # coefficients (5, 0), incompatible with the split.
+    # coefficients (5, 0), incompatible with the split; without a degree-2
+    # split the branch is empty.
     return [splits, verified(
         name="degree-two-span-three-branch-contradiction",
         rule="linear-subvariety-class",
-        passed=degree2[1:] != [5, 0],
-        inputs={"split": list(degree2)},
+        passed=degree2 != [2, 5, 0],
+        inputs={"split": degree2},
         result={"forced_class": [5, 0]},
     ), cited(
         name="degree-two-span-four-five-branches-excluded",
@@ -343,7 +358,7 @@ def _v5_bundle_checks(family: FamilySpec) -> list[CheckOutcome]:
         statement="the span-4 branch forces a reducible hyperplane section and "
                   "the span-5 branch a degree-2 cover of a quintic del Pezzo "
                   "surface; both are impossible, so the map has degree one",
-    ), *pencil, _bundle_sections_check(residual, 5), cited(
+    ), *pencil, _bundle_sections_check(residual[0], 5), cited(
         name="section-curve-not-trigonal",
         rule="enriques-babbage",
         statement="the section curve is cut out by quadrics, hence neither "
@@ -414,12 +429,7 @@ def v5_contradiction(case) -> ProofResult:
     _, n = AMBIENTS["v5"]
     member = _residual_member_check(lattice, (6, 2), VERIFIED, {})
     degree, genus = member.result["degree"], member.result["genus"]
-    try:
-        span = span_dimension_bound(degree, genus)
-    except SectionCountError as exc:
-        span, spanned = None, {"reason": str(exc)}
-    else:
-        spanned = {"span_dimension": span}
+    span, spanned = _refusable("span_dimension", lambda: span_dimension_bound(degree, genus))
     body = [member, verified(
         name="residual-span-dimension",
         rule="nonspecial-span-bound",
@@ -453,23 +463,23 @@ def v5_contradiction(case) -> ProofResult:
 
 def _x14_bundle_checks(family: FamilySpec) -> list[CheckOutcome]:
     genus = family.section_genus
-    pencil, residual = _pencil_checks(genus, 5, LinearSeries(3, 9))
+    pencil, residual = _pencil_checks(genus, 5, (3, 9))
     # Freeness of the residual series: a base point would leave a g^3_8 whose
     # residual g^2_6 either has a base point (giving a degree-4 pencil) or
     # maps to a plane sextic, whose genus 10 is not 8.  A degree-4 pencil is
     # what the non-tetragonality certificate excludes.
-    fallback = residual_series(genus, LinearSeries(3, 8))
+    fallback = residual_series(genus, 3, 8)
     return [
         *pencil,
         verified(
             name="residual-series-free",
             rule="series-residuation",
-            passed=fallback == LinearSeries(2, 6) and plane_curve_genus(6) != genus,
+            passed=fallback == (2, 6) and plane_curve_genus(6) != genus,
             inputs={"genus": genus, "blocked_series": "g^3_8"},
-            result={"fallback_residual": fallback.label(),
+            result={"fallback_residual": "g^%d_%d" % fallback,
                     "plane_sextic_genus": plane_curve_genus(6)},
         ),
-        _bundle_sections_check(residual, 6),
+        _bundle_sections_check(residual[0], 6),
         _grassmannian_splits_check(5, family.h_square, [[1, 9, 5]]),
         cited(
             name="section-curve-embeds-by-bundle",
@@ -515,12 +525,7 @@ def x14_contradiction(case) -> ProofResult:
     lattice = make_family_lattice(family, case.d, case.g)
     curve = DivisorClass(0, 1)
     square = lattice.pair(curve, curve)
-    try:
-        sections = k3_h0(lattice, curve, nef_hint=True)
-    except SectionCountError as exc:
-        sections, counted = None, {"reason": str(exc)}
-    else:
-        counted = {"h0": sections}
+    sections, counted = _refusable("h0", lambda: k3_h0(lattice, curve, nef_hint=True))
     body = [verified(
         name="curve-section-count",
         rule="k3-section-count",
@@ -530,13 +535,13 @@ def x14_contradiction(case) -> ProofResult:
     )]
     if sections is not None:
         degree_on_section = lattice.degree(curve)
-        series = LinearSeries(sections - 1, degree_on_section)
+        series = (sections - 1, degree_on_section)
         body.append(verified(
             name="curve-cuts-plane-series-on-section",
             rule="restricted-series-invariants",
-            passed=series == LinearSeries(2, 7),
+            passed=series == (2, 7),
             inputs={"curve_degree_on_section": degree_on_section},
-            result={"series": series.label()},
+            result={"series": "g^%d_%d" % series},
         ))
     body.append(cited(
         name="plane-series-obstructs-linear-section",

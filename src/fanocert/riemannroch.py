@@ -1,32 +1,18 @@
-"""Section counting on projective space, K3 surfaces and curves."""
+"""Section counting on projective space, K3 surfaces and curves.
+
+A linear series g^r_d is the plain pair (r, d).  Residuation is its formula
+and holds on every integer triple; a caller decides by comparing the result
+with the one valid series its argument needs.
+"""
 from __future__ import annotations
 
 from math import comb
 
 from .lattice import IntersectionLattice
-from .values import HashableValue, slot_setters
 
 
 class SectionCountError(ValueError):
     """The requested count lies outside the regime this engine decides."""
-
-
-class LinearSeries(HashableValue):
-    """A g^r_d on a curve: projective dimension r, degree d."""
-
-    __slots__ = ("r", "d")
-
-    def __init__(self, r: int, d: int):
-        if r < 0 or d < 0:
-            raise ValueError("a linear series needs r >= 0 and d >= 0")
-        _set_r(self, r)
-        _set_d(self, d)
-
-    def label(self) -> str:
-        return f"g^{self.r}_{self.d}"
-
-
-_set_r, _set_d = slot_setters(LinearSeries)
 
 
 def monomial_count(n: int, s: int) -> int:
@@ -69,19 +55,9 @@ def k3_h0(lattice: IntersectionLattice, divisor, nef_hint: bool = False) -> int:
     )
 
 
-def residual_series(g: int, series: LinearSeries) -> LinearSeries:
-    """Residual of a series in the canonical system of a genus-g curve."""
-    if not 0 <= series.d <= 2 * g - 2:
-        raise SectionCountError(
-            f"residuation needs 0 <= d <= 2g-2, got d={series.d}, g={g}"
-        )
-    degree = 2 * g - 2 - series.d
-    dimension = series.r + g - 1 - series.d
-    if dimension < 0:
-        raise SectionCountError(
-            f"residual dimension {dimension} < 0 for {series.label()} at genus {g}"
-        )
-    return LinearSeries(dimension, degree)
+def residual_series(g: int, r: int, d: int) -> tuple[int, int]:
+    """Residual (r + g - 1 - d, 2g - 2 - d) of g^r_d in the canonical system of genus g."""
+    return r + g - 1 - d, 2 * g - 2 - d
 
 
 def brill_noether(g: int, r: int, d: int) -> int:

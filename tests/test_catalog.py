@@ -153,6 +153,29 @@ def test_v4_forms_live_on_the_slice_span(monkeypatch):
     assert check.inputs == {"ambient_dim": 6, "forms_degree": 2, "d": 7, "g": 0}
 
 
+def test_special_restriction_fails_the_forms_check_with_its_reason(monkeypatch):
+    # With H^2 = 2 the v4 row (9,20) restricts quadrics to 2*9 + 1 - 20 = -1
+    # sections, where the curve's lower bound is refused.
+    monkeypatch.setitem(FAMILIES, "v4", _with_h_square("v4", 2))
+    case = CaseRecord(case_id=1, family="v4", d=9, g=20, expected="Realizable")
+    check = _checks_of(case)["forms-through-curve-but-not-surface"]
+    assert not check.passed
+    assert check.result == {
+        "reason": "restricted count -1 < 0; the bound formula needs a nonspecial restriction",
+        "surface_sections": 0}
+
+
+def test_v5_without_a_degree_two_split_has_an_empty_branch(monkeypatch):
+    # With H^2 = 2 the surface class has no split in the Grassmannian, so
+    # the split check fails and the degree-2 branch has nothing to exclude.
+    case = _row("v5", "construction", 7, 0)
+    monkeypatch.setitem(FAMILIES, "v5", _with_h_square("v5", 2))
+    checks = _checks_of(case)
+    assert not checks["surface-class-splits-in-grassmannian"].passed
+    branch = checks["degree-two-span-three-branch-contradiction"]
+    assert branch.passed and branch.inputs == {"split": None}
+
+
 @pytest.mark.parametrize("family, h_square, d, g, pencil", [
     ("v5", 12, 9, 0, "pencil-degree-four-expected-dimension"),
     ("x14", 16, 5, 0, "pencil-degree-five-expected-dimension")])
@@ -610,7 +633,8 @@ FAILING_OFF_CENSUS = {
 UNFAILABLE_CHECKS = {
     "bisecant-exclusion-genus-gate": "built only inside the `if` on the genus gate it tests",
     "degree-two-span-three-branch-contradiction": (
-        "c2 is 4, so the degree-2 split has b = 2 and is never the forced class (5, 0)"),
+        "c2 is 4, so the degree-2 split has b = 2 and is never the forced class (5, 0); "
+        "without a degree-2 split the branch is empty"),
     "picard-lattice-signature": (
         "make_family_lattice refuses det >= 0 first, in the loader and in the proof"),
 }
@@ -731,8 +755,8 @@ def test_row_without_a_picard_lattice_is_a_table_error(tmp_path, capsys, family,
 @pytest.mark.parametrize("family, d, g", [("quadric", 18, 0), ("quadric", 40, 134)])
 def test_construction_row_past_the_cutting_bound_is_a_table_error(tmp_path, capsys, family, d, g):
     # A construction's secant table needs d below the cutting bound; past
-    # it, these rows would escape the proof as SecantBoundError and
-    # SectionCountError, an internal error (exit 3).
+    # it, these rows would escape the proof as SecantBoundError, an
+    # internal error (exit 3).
     path = _one_row_table(tmp_path, family, d, g)
     full = (f"case 1 {family} (d,g)=({d},{g}): a construction needs d below the "
             f"cutting bound {FAMILIES[family].cutting_bound} of {family}")
@@ -913,6 +937,54 @@ def test_no_v5_residual_row_the_loader_accepts_raises(pair, seed, smallness):
     except CaseTableError:
         assume(False)
     assert verify_case(case).computed in (*VERDICTS, UNVERIFIED)
+
+
+def test_every_row_accepted_under_a_patched_square_ends_in_a_certificate(monkeypatch):
+    # Each family under every even H^2 from 2 to 30, with its rows built
+    # after the patch so that the loader judges them on the patched lattice.
+    # A small H^2 leaves v5 without a degree-2 split, gives the pencils
+    # residuals outside the canonical series and makes v4's restriction
+    # special; each such proof fails a check instead of raising.
+    computed = Counter()
+    for name in list(FAMILIES):
+        degrees = range(1, FAMILIES[name].cutting_bound)
+        for h_square in range(2, 31, 2):
+            monkeypatch.setitem(FAMILIES, name, _with_h_square(name, h_square))
+            for route in ("construction", "contradiction"):
+                for d in degrees:
+                    for g in range(30):
+                        try:
+                            case = CaseRecord(case_id=1, family=name, d=d, g=g,
+                                              expected="Realizable", route=route)
+                        except CaseTableError:
+                            continue
+                        computed[verify_case(case).computed] += 1
+    assert sum(computed.values()) == 16723
+    assert computed.keys() <= {*VERDICTS, UNVERIFIED}
+
+
+# The series checks of the two bundle constructions, on an embedded row.
+# Each compares the residuation formula or the Brill-Noether count with one
+# valid series, which it meets at the family's own section genus alone.
+SERIES_CHECKS = {
+    "v5": ((7, 0), ["pencil-degree-four-expected-dimension",
+                    "residual-of-degree-four-pencil"]),
+    "x14": ((5, 0), ["pencil-degree-five-expected-dimension",
+                     "residual-of-degree-five-pencil", "residual-series-free"]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SERIES_CHECKS))
+def test_series_checks_pass_only_at_the_family_square(monkeypatch, family):
+    (d, g), names = SERIES_CHECKS[family]
+    case = _row(family, "construction", d, g)
+    real = FAMILIES[family].h_square
+    passing = []
+    for h_square in range(2, 61, 2):
+        monkeypatch.setitem(FAMILIES, family, _with_h_square(family, h_square))
+        passing += [(h_square, check.name) for check in verify_case(case).checks
+                    if check.name in names and check.passed]
+    assert passing == [(real, name) for name in names]
 
 
 def test_quadric_row_below_degree_three_reads_unverified(tmp_path, capsys):

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fanocert.lattice import FAMILIES, DivisorClass, make_family_lattice
-from fanocert.riemannroch import (LinearSeries, SectionCountError, brill_noether,
-                                  ideal_curve_bound, k3_h0, monomial_count,
-                                  plane_curve_genus, residual_series,
-                                  span_dimension_bound)
+from fanocert.riemannroch import (SectionCountError, brill_noether, ideal_curve_bound,
+                                  k3_h0, monomial_count, plane_curve_genus,
+                                  residual_series, span_dimension_bound)
 
 
 def test_monomial_count():
@@ -59,20 +58,16 @@ def test_k3_h0_refuses_undecided_inputs():
 
 
 def test_residual_series():
-    assert residual_series(8, LinearSeries(1, 5)) == LinearSeries(3, 9)
-    assert residual_series(8, LinearSeries(3, 8)) == LinearSeries(2, 6)
-    assert residual_series(8, LinearSeries(3, 9)) == LinearSeries(1, 5)
+    assert residual_series(8, 1, 5) == (3, 9)
+    assert residual_series(8, 3, 8) == (2, 6)
+    assert residual_series(8, 3, 9) == (1, 5)
 
 
-@given(st.integers(2, 20), st.integers(0, 6), st.integers(0, 30))
+@given(st.integers(), st.integers(), st.integers())
 def test_residual_is_involutive(g, r, d):
-    try:
-        series = LinearSeries(r, d)
-        once = residual_series(g, series)
-        twice = residual_series(g, once)
-    except SectionCountError:
-        return
-    assert twice == series
+    # The formula holds on every integer triple; a caller compares the
+    # result with the one valid series it needs.
+    assert residual_series(g, *residual_series(g, r, d)) == (r, d)
 
 
 def test_brill_noether():

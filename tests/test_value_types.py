@@ -18,7 +18,6 @@ from fanocert.diophantine import Interval
 from fanocert.gonality import TetragonalReport
 from fanocert.lattice import DivisorClass, FamilySpec, IntersectionLattice
 from fanocert.outcome import CheckOutcome
-from fanocert.riemannroch import LinearSeries
 
 CASE = load_cases()[0]
 CHECK = CheckOutcome(name="n", rule="r", kind="verified", passed=True, inputs={"d": 1})
@@ -35,7 +34,6 @@ VALUES = {
     Interval: ({"lo": 0, "hi": 6}, {"lo": 0, "hi": 6, "hi_open": True}),
     TetragonalReport: ({"checks": (CHECK,), "discrepancies": ()},
                        {"checks": (CHECK,), "discrepancies": ("gap",)}),
-    LinearSeries: ({"r": 2, "d": 6}, {"r": 2, "d": 7}),
     Certificate: ({"case": CASE, "computed": "Realizable", "checks": (CHECK,)},
                   {"case": CASE, "computed": "Unverified", "checks": (CHECK,)}),
     Report: ({"certificates": ()}, {"certificates": (), "summary": {"cases": 0}}),
@@ -58,7 +56,7 @@ def test_equality_is_by_value_and_by_type(cls):
 
 
 @pytest.mark.parametrize("cls", [DivisorClass, IntersectionLattice, FamilySpec, Interval,
-                                 LinearSeries, CaseRecord], ids=lambda cls: cls.__name__)
+                                 CaseRecord], ids=lambda cls: cls.__name__)
 def test_equal_values_hash_equal(cls):
     same, _ = VALUES[cls]
     assert hash(cls(**same)) == hash(cls(**same))
@@ -108,8 +106,6 @@ def test_checks_and_classes_are_not_tuples():
      "^polarization square must be a positive even integer$"),
     (lambda: FamilySpec("q", 6, 0, 18), r"^index multiplier must be >= 1$"),
     (lambda: CheckOutcome("n", "r", "proved", True), "^unknown outcome kind 'proved'$"),
-    (lambda: LinearSeries(-1, 6), r"^a linear series needs r >= 0 and d >= 0$"),
-    (lambda: LinearSeries(r=1, d=-1), r"^a linear series needs r >= 0 and d >= 0$"),
 ])
 def test_validation_errors_keep_their_message(build, message):
     with pytest.raises(ValueError, match=message):
