@@ -4,15 +4,18 @@
                     [--explain] [--strict] [--json PATH] [--table PATH]
 
 Exit codes: 0 when every computed verdict matches the table, 1 when a
-mismatch occurs under --strict, 2 on usage, table or report-file errors (a
-row whose tags select no proof is a table error), 3 on an internal error,
-reported on one line: a case raises any other error, or the report holds a
-value it refuses (``ReportValueError``) or an integer too long to print
-(``ValueError``); no report file is written then.
+mismatch occurs under --strict, 2 on usage, table or output errors (the
+report file or standard output; a row whose tags select no proof is a table
+error), 3 on an internal error, reported on one line: a case raises any
+other error, or the report holds a value it refuses (``ReportValueError``)
+or an integer too long to print (``ValueError``); no report file is written
+then.
 """
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 
 from .catalog import FAMILY_NAMES, CaseTableError, run_all
@@ -58,6 +61,13 @@ def _internal_error(exc: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command line on ``argv`` and return the exit code.
+
+    The first statement freezes the collector, and the freeze stays in
+    effect for an in-process caller: cyclic garbage alive at the call is
+    never collected in that process.
+    """
+    gc.freeze()  # all alive now lives until exit; shutdown's collections then skip it
     parser = build_parser()
     args = parser.parse_args(argv)
 
@@ -72,12 +82,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.case is not None and not report.certificates:
         print(f"warning: no case with id {args.case} in the table", file=sys.stderr)
 
-    for cert in report.certificates:
-        _print_certificate(cert, args.explain)
-    summary = report.summary
-    print(f"summary: cases={summary['cases']} pass={summary['pass']} "
-          f"mismatch={summary['mismatch']} open={summary['open']} "
-          f"flagged={summary['flagged']}")
+    status = 1 if args.strict and not report.all_match else 0
+    try:
+        for cert in report.certificates:
+            _print_certificate(cert, args.explain)
+        summary = report.summary
+        print(f"summary: cases={summary['cases']} pass={summary['pass']} "
+              f"mismatch={summary['mismatch']} open={summary['open']} "
+              f"flagged={summary['flagged']}")
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # Later writes, the interpreter's final flush included, go nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"fanocert: cannot write to standard output: {exc}", file=sys.stderr)
+        status = 2
 
     if args.json is not None:
         try:
@@ -87,10 +105,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         except (ReportValueError, ValueError) as exc:
             return _internal_error(exc)
-
-    if args.strict and not report.all_match:
-        return 1
-    return 0
+    return status
 
 
 if __name__ == "__main__":
