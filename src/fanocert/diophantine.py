@@ -282,14 +282,13 @@ def effective_decompositions(lattice: IntersectionLattice,
     whose split would be step is refused in constant time, since by the
     triangle inequality no sum of candidates reaches its slope.  Lines: the
     lines below the split are walked first, and a steep target beyond their
-    slope cone on its own side is refused; the lines above are walked after,
-    put in front, and a target outside the two-sided cone, the slopes b/deg
-    at the lines' range ends, is refused.  A target that is not steep walks
-    every line once.  Pool: the lines' classes, expanded only now.  DFS: the
-    pool is boxed once, one ``DivisorClass`` per candidate shared by every
-    decomposition; one flat loop walks the pool with a stack of the indices
-    taken, prunes each remainder by the same slopes, and returns as soon as
-    it appends decomposition number ``DECOMPOSITION_LIMIT``.
+    slope cone on its own side is refused; the lines above are walked after
+    and put in front.  A target that is not steep walks every line once.
+    Pool: the lines' classes, expanded only now.  DFS: the pool is boxed
+    once, one ``DivisorClass`` per candidate shared by every decomposition;
+    one flat loop walks the pool with a stack of the indices taken, prunes
+    each remainder by the same slopes, and returns as soon as it appends
+    decomposition number ``DECOMPOSITION_LIMIT``.
     """
     target_a, target_b = target.a, target.b
     (h2, d), _ = lattice.gram
@@ -318,7 +317,7 @@ def effective_decompositions(lattice: IntersectionLattice,
     # Least and greatest candidate slopes b/deg, at the lines' range ends;
     # (0, 1) and (0, -1) stand for +-inf, so an empty pool refuses all.  A
     # sum of candidates of total degree r has its b between r times them; a
-    # remainder outside is a dead end, the target (the first) included.
+    # remainder outside is a dead end.
     # The first walk takes the lines below split.  A steep target beyond
     # their cone on its own side is refused, since no line above reaches
     # its slope; otherwise the second walk takes the lines above, in front.
@@ -343,8 +342,6 @@ def effective_decompositions(lattice: IntersectionLattice,
                 else target_b * low_deg < low_b * total):
             return ()
         stop = start
-    if target_b * low_deg < low_b * total or target_b * high_deg > high_b * total:
-        return ()
     pool = [(deg, base_a + k * step_a, base_b + k * step_b)
             for deg, base_a, base_b, step_a, step_b, _, _, _, ks in lines for k in ks]
     # One DivisorClass per candidate, shared by every decomposition.

@@ -13,6 +13,12 @@ The writer has one dispatch, on the exact type: a report holds only
 is refused like any other type.  A list or tuple whose items are all
 exactly ``str`` or ``int`` is joined in one step, and a dict value of those
 two types is written next to its key, so leaves cost no call.
+
+The layout of each nesting depth, its openers, separator and closing
+brackets, is built once at import for depths 0 to 15 (a report's deepest
+container sits at depth 7) and on demand past them.  Each item is written
+behind its separator, or the opener if it is the first, and the closing
+bracket is appended after the last one.
 """
 from __future__ import annotations
 
@@ -39,22 +45,37 @@ class ReportValueError(TypeError):
         return f"{what} at ${''.join(reversed(self.steps))}{rule}"
 
 
-def _encode(node, indent: str, out: list) -> None:
-    """Append the ``indent=2`` JSON text of ``node``, nested at ``indent``.
+def _level(depth: int) -> tuple[str, str, str, str, str]:
+    """The layout strings of a container nested at ``depth``.
 
-    A container writes its exact ``str`` and ``int`` items in place, so only
-    nested containers and other values cost a call.  Each item of the
-    item-by-item path is followed by a separator; the last one is then
-    overwritten by the closing bracket.
+    A dict's opener, a list's opener, the separator in front of every item
+    but the first, a dict's closing bracket and a list's closing bracket.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    outer = "\n" + "  " * depth
+    return "{" + inner, "[" + inner, "," + inner, outer + "}", outer + "]"
+
+
+# Past the report schema's deepest depth, 7; deeper data takes _level.
+_DEPTHS = 16
+_LEVELS = tuple(_level(depth) for depth in range(_DEPTHS))
+
+
+def _encode(node, depth: int, out: list) -> None:
+    """Append the ``indent=2`` JSON text of ``node``, nested ``depth`` deep.
+
+    Each depth's layout is laid out once, in ``_LEVELS``.  A container writes
+    its exact ``str`` and ``int`` items in place, so only nested containers
+    and other values cost a call.  Each item is written behind its
+    separator, or behind the opener if it is the first, and the closing
+    bracket follows the last item.
     """
     kind = type(node)
     if kind is dict:
         if not node:
             out.append("{}")
             return
-        inner = indent + "  "
-        sep = ",\n" + inner
-        out.append("{\n" + inner)
+        lead, _, sep, close, _ = _LEVELS[depth] if depth < _DEPTHS else _level(depth)
         try:
             for key, value in node.items():
                 if type(key) is not str:
@@ -62,23 +83,22 @@ def _encode(node, indent: str, out: list) -> None:
                                            "; report keys are strings")
                 kind = type(value)
                 if kind is str:
-                    out.append(f"{_quote(key)}: {_quote(value)}")
+                    out.append(f"{lead}{_quote(key)}: {_quote(value)}")
                 elif kind is int:
-                    out.append(f"{_quote(key)}: {int.__repr__(value)}")
+                    out.append(f"{lead}{_quote(key)}: {int.__repr__(value)}")
                 else:
-                    out.append(_quote(key) + ": ")
-                    _encode(value, inner, out)
-                out.append(sep)
+                    out.append(f"{lead}{_quote(key)}: ")
+                    _encode(value, depth + 1, out)
+                lead = sep
         except ReportValueError as exc:
             exc.steps.append(f".{key}")
             raise
-        out[-1] = "\n" + indent + "}"
+        out.append(close)
     elif kind is list or kind is tuple:
         if not node:
             out.append("[]")
             return
-        inner = indent + "  "
-        sep = ",\n" + inner
+        _, lead, sep, _, close = _LEVELS[depth] if depth < _DEPTHS else _level(depth)
         texts = []
         for item in node:
             kind = type(item)
@@ -89,17 +109,17 @@ def _encode(node, indent: str, out: list) -> None:
             else:
                 break
         else:
-            out.append(f"[\n{inner}{sep.join(texts)}\n{indent}]")
+            out.append(lead + sep.join(texts) + close)
             return
-        out.append("[\n" + inner)
         try:
             for step, item in enumerate(node):
-                _encode(item, inner, out)
-                out.append(sep)
+                out.append(lead)
+                _encode(item, depth + 1, out)
+                lead = sep
         except ReportValueError as exc:
             exc.steps.append(f"[{step}]")
             raise
-        out[-1] = "\n" + indent + "]"
+        out.append(close)
     # a str or int reaches here only as the root or as an item of a mixed list
     elif kind is str:
         out.append(_quote(node))
@@ -127,7 +147,7 @@ def report_to_dict(report: Report) -> dict:
 
 def report_to_json(report: Report) -> str:
     out: list[str] = []
-    _encode(report_to_dict(report), "", out)
+    _encode(report_to_dict(report), 0, out)
     out.append("\n")
     return "".join(out)
 

@@ -108,6 +108,45 @@ def test_writer_layout_of_empty_and_nested_containers():
         assert report_to_json(None) == json.dumps(data, indent=2) + "\n"
 
 
+def _deep(bottom):
+    """Data nested 100 containers deep, and the JSON path of ``bottom``.
+
+    Dicts, lists and tuples alternate down to a dict holding empty
+    containers, a leaf tuple and ``bottom``, far past the writer's
+    precomputed layouts.
+    """
+    node = {"empty": [{}, [], ()], "leaves": (1, "a", -2), "bottom": bottom}
+    steps = [".bottom"]
+    for depth in reversed(range(99)):
+        if depth % 3 == 0:
+            node = {"k": node, "e": {}}
+            steps.append(".k")
+        elif depth % 3 == 1:
+            node = [[], node, 7]
+            steps.append("[1]")
+        else:
+            node = ("s", node)
+            steps.append("[1]")
+    return node, "".join(reversed(steps))
+
+
+def test_writer_matches_json_dumps_100_deep():
+    data, _ = _deep(None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "report_to_dict", lambda _: data)
+        assert report_to_json(None) == json.dumps(data, indent=2) + "\n"
+
+
+def test_float_100_deep_is_refused_at_its_path():
+    data, path = _deep(0.5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "report_to_dict", lambda _: data)
+        with pytest.raises(ReportValueError) as err:
+            report_to_json(None)
+    assert str(err.value) == f"float at ${path}; reports are integer-only"
+    assert path.count("[1]") == 66
+
+
 def _refusal(summary) -> str:
     with pytest.raises(ReportValueError) as err:
         report_to_json(Report(certificates=(), summary=summary))
